@@ -189,28 +189,36 @@ impl PsPrefetcher {
             self.expects.push(line + 1);
             self.meta.push(meta);
         } else {
-            // Replace the stalest entry, preferring unconfirmed or stale
-            // confirmed slots over live streams.
-            let victim = self
-                .meta
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, s)| {
-                    let live = s.confirmed && clock.saturating_sub(s.last_touch) <= STALE_EVENTS;
-                    (live, s.last_touch)
-                })
-                .map(|(i, _)| i)
-                // asd-lint: allow(D005) -- `meta` has fixed nonzero capacity; min_by_key over it cannot be None
-                .expect("nonempty");
+            let victim = self.victim(clock);
             self.expects[victim] = line + 1;
             self.meta[victim] = meta;
         }
+    }
+
+    /// The detection slot a new stream replaces: the stalest entry,
+    /// preferring unconfirmed or stale confirmed slots over live streams.
+    /// That is the first minimum of `(live, last_touch)`, scanned as one
+    /// packed key `live << 63 | last_touch` (the clock never reaches
+    /// 2^63), so the loop is a compare and two conditional moves per slot.
+    fn victim(&self, clock: u64) -> usize {
+        let mut victim = 0;
+        let mut best = u64::MAX;
+        for (i, s) in self.meta.iter().enumerate() {
+            let live = s.confirmed && clock.saturating_sub(s.last_touch) <= STALE_EVENTS;
+            let key = (u64::from(live) << 63) | s.last_touch;
+            if key < best {
+                best = key;
+                victim = i;
+            }
+        }
+        victim
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asd_core::rng::Xoshiro256PlusPlus;
 
     #[test]
     fn two_consecutive_misses_confirm() {
@@ -285,6 +293,69 @@ mod tests {
         }
         assert!(ps.expects.len() <= 4);
         assert_eq!(ps.expects.len(), ps.meta.len());
+    }
+
+    /// The `min_by_key` over `(live, last_touch)` tuples that
+    /// [`PsPrefetcher::victim`] replaced.
+    fn victim_by_tuples(ps: &PsPrefetcher, clock: u64) -> usize {
+        ps.meta
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, s)| {
+                let live = s.confirmed && clock.saturating_sub(s.last_touch) <= STALE_EVENTS;
+                (live, s.last_touch)
+            })
+            .map(|(i, _)| i)
+            .unwrap()
+    }
+
+    #[test]
+    fn packed_victim_matches_tuple_order_on_random_traffic() {
+        // Clustered lines so streams confirm, advance, go stale and get
+        // replaced; small tables keep every slot under pressure.
+        let mut rng = Xoshiro256PlusPlus::seed_from_u64(0x5eed_cafe);
+        let mut next = || rng.next_u64();
+        for (detect, active) in [(12, 8), (4, 2), (6, 6), (2, 1)] {
+            let mut ps = PsPrefetcher::new(detect, active, 4);
+            let mut out = Vec::new();
+            let mut checked = 0;
+            for _ in 0..20_000 {
+                let r = next();
+                let base = (r % 16) * 10_000;
+                let line = if r & 0x30 == 0 { r >> 20 } else { base + (r >> 8) % 6 };
+                if ps.meta.len() == detect {
+                    let clock = ps.clock + 1;
+                    assert_eq!(ps.victim(clock), victim_by_tuples(&ps, clock));
+                    checked += 1;
+                }
+                ps.on_access(line, r & 0x40 == 0, &mut out);
+                out.clear();
+            }
+            assert!(checked > 10_000, "tables filled up ({checked} checks)");
+        }
+    }
+
+    #[test]
+    fn packed_victim_matches_tuple_order_on_random_states() {
+        // Arbitrary slot states, ties in `last_touch` included: the packed
+        // scan keeps the tuple order's first minimum.
+        let mut rng = Xoshiro256PlusPlus::seed_from_u64(0x0dd_ba11);
+        let mut next = || rng.next_u64();
+        for _ in 0..5_000 {
+            let mut ps = PsPrefetcher::new(8, 8, 4);
+            let clock = 1_000 + next() % 1_000;
+            for _ in 0..1 + next() % 8 {
+                let r = next();
+                ps.expects.push(r);
+                ps.meta.push(SlotMeta {
+                    dir: Direction::Positive,
+                    confirmed: r & 1 == 0,
+                    advances: 0,
+                    last_touch: clock - (r >> 8) % 600,
+                });
+            }
+            assert_eq!(ps.victim(clock), victim_by_tuples(&ps, clock));
+        }
     }
 
     #[test]

@@ -46,5 +46,5 @@ pub mod wire;
 
 pub use config::{engine_by_name, engine_names, PrefetchKind, RunOpts, SystemConfig};
 pub use error::SimError;
-pub use source::{ReplayStream, ResolvedTrace, TraceSource, TraceStream};
+pub use source::{ResolvedTrace, TraceSource, TraceStream};
 pub use system::{collect_trace, RunResult, System};

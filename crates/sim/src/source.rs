@@ -1,10 +1,12 @@
 //! Where a simulation's access stream comes from: generated in memory,
 //! replayed from an ASDT file, or captured to one and then replayed.
 //!
-//! [`TraceSource::Replay`] verifies the whole file — structure and
-//! per-chunk checksums — before the simulation starts, so a corrupt
-//! corpus fails fast with a typed [`SimError::TraceIo`] instead of
-//! producing silently wrong results mid-run.
+//! [`TraceSource::Replay`] decodes the whole file once, before the
+//! simulation starts, checking every chunk's structure and checksum as it
+//! goes and routing each record into its thread's in-memory buffer. A
+//! corrupt corpus, or one whose records disagree with its header, fails
+//! fast with a typed [`SimError::TraceIo`]; the run itself never touches
+//! the file, so a file changed on disk mid-run cannot shorten it.
 //! [`TraceSource::Capture`] is record-then-replay: the generator is
 //! streamed to disk first and the simulation then runs from the file,
 //! which makes `Capture` bit-identical to `Replay` of its own output by
@@ -15,10 +17,10 @@
 use crate::config::RunOpts;
 use crate::error::SimError;
 use asd_trace::{suites, thread_seed, MemAccess, TraceGenerator, WorkloadProfile, LINE_SHIFT};
+use asd_traceio::format::CHUNK_RECORDS;
 use asd_traceio::{record_profile, TraceIoError, TraceReader};
-use std::fs::File;
-use std::io::BufReader;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// The origin of the access stream a [`System`](crate::System) consumes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,8 +73,10 @@ impl TraceSource {
     ///
     /// [`SimError::UnknownProfile`] for an unresolvable profile name;
     /// [`SimError::TraceIo`] when a file cannot be written, is corrupt,
-    /// or was recorded with a different thread count, access count, or
-    /// line size than the run requires.
+    /// was recorded with a different thread count, access count, or line
+    /// size than the run requires, or holds records that disagree with
+    /// its header (a thread id beyond its thread count, or a thread with
+    /// more or fewer records than its share).
     pub fn resolve(&self, opts: &RunOpts) -> Result<ResolvedTrace, SimError> {
         let threads: u8 = if opts.smt { 2 } else { 1 };
         match self {
@@ -109,7 +113,7 @@ pub struct ResolvedTrace {
 }
 
 impl std::fmt::Debug for ResolvedTrace {
-    // Hand-written: streams hold live generators / open file readers.
+    // Hand-written: streams hold live generators.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ResolvedTrace")
             .field("benchmark", &self.benchmark)
@@ -127,7 +131,7 @@ impl ResolvedTrace {
     pub fn generated(profile: &WorkloadProfile, seed: u64, threads: u8, accesses: u64) -> Self {
         let streams = (0..threads)
             .map(|t| match crate::cache::trace(profile, seed, t, accesses) {
-                Some(accs) => TraceStream::memoized(accs),
+                Some(accs) => TraceStream::materialized(accs),
                 None => TraceStream::generated(
                     TraceGenerator::new(profile.clone(), thread_seed(seed, t)).with_thread(t),
                     accesses,
@@ -137,46 +141,61 @@ impl ResolvedTrace {
         ResolvedTrace { benchmark: profile.name.clone(), streams }
     }
 
-    /// File replay: verify the whole file once, then open one filtered
-    /// reader per thread.
+    /// File replay: one pass over the file decodes and verifies every
+    /// record and routes it into its thread's buffer, which the run then
+    /// reads like a memoized trace. Costs 16 B per access per thread, the
+    /// same as the generate path's trace memo.
     fn replayed(path: &Path, threads: u8, accesses: u64) -> Result<Self, SimError> {
-        let reader = TraceReader::open(path).map_err(|e| trace_io(path, &e))?;
+        let io = |e: TraceIoError| trace_io(path, &e);
+        let mismatch = |message: String| SimError::TraceIo { path: path.to_path_buf(), message };
+        let mut reader = TraceReader::open(path).map_err(io)?;
         let meta = reader.meta().clone();
-        reader.verify().map_err(|e| trace_io(path, &e))?;
         if meta.threads != threads {
-            return Err(SimError::TraceIo {
-                path: path.to_path_buf(),
-                message: format!(
-                    "trace was recorded with {} thread(s) but the run needs {threads}",
-                    meta.threads
-                ),
-            });
+            return Err(mismatch(format!(
+                "trace was recorded with {} thread(s) but the run needs {threads}",
+                meta.threads
+            )));
         }
         if meta.accesses_per_thread() != accesses {
-            return Err(SimError::TraceIo {
-                path: path.to_path_buf(),
-                message: format!(
-                    "trace holds {} accesses per thread but the run needs {accesses}",
-                    meta.accesses_per_thread()
-                ),
-            });
+            return Err(mismatch(format!(
+                "trace holds {} accesses per thread but the run needs {accesses}",
+                meta.accesses_per_thread()
+            )));
         }
         if meta.line_shift != LINE_SHIFT as u8 {
-            return Err(SimError::TraceIo {
-                path: path.to_path_buf(),
-                message: format!(
-                    "trace uses {}-byte lines but this build simulates {}-byte lines",
-                    1u32 << meta.line_shift,
-                    asd_trace::LINE_BYTES
-                ),
-            });
+            return Err(mismatch(format!(
+                "trace uses {}-byte lines but this build simulates {}-byte lines",
+                1u32 << meta.line_shift,
+                asd_trace::LINE_BYTES
+            )));
         }
-        let streams = (0..threads)
-            .map(|t| {
-                let r = TraceReader::open(path).map_err(|e| trace_io(path, &e))?;
-                Ok(TraceStream::replayed(r, t))
-            })
-            .collect::<Result<Vec<_>, SimError>>()?;
+        // Reserve each thread's share up front, so the buffers never
+        // regrow, but no more than the file can hold: a record takes at
+        // least two bytes, so an overstated header cannot inflate it.
+        let fits = std::fs::metadata(path).map_or(0, |m| m.len() / 2);
+        let reserve = usize::try_from(accesses.min(fits)).unwrap_or(0);
+        let mut bufs: Vec<Vec<MemAccess>> =
+            (0..threads).map(|_| Vec::with_capacity(reserve)).collect();
+        let mut batch = Vec::with_capacity(CHUNK_RECORDS);
+        while reader.fill(CHUNK_RECORDS, &mut batch).map_err(io)? > 0 {
+            for a in &batch {
+                let Some(buf) = bufs.get_mut(usize::from(a.thread)) else {
+                    return Err(mismatch(format!(
+                        "a record names thread {} but the header declares {threads} thread(s)",
+                        a.thread
+                    )));
+                };
+                buf.push(*a);
+            }
+            batch.clear();
+        }
+        if let Some((t, buf)) = bufs.iter().enumerate().find(|(_, b)| b.len() as u64 != accesses) {
+            return Err(mismatch(format!(
+                "thread {t} has {} records but the run needs {accesses}",
+                buf.len()
+            )));
+        }
+        let streams = bufs.into_iter().map(|b| TraceStream::materialized(Arc::new(b))).collect();
         Ok(ResolvedTrace { benchmark: meta.profile, streams })
     }
 }
@@ -184,7 +203,7 @@ impl ResolvedTrace {
 /// Accesses decoded per refill of a [`TraceStream`]'s chunk buffer.
 ///
 /// Large enough to amortize the per-refill dispatch into the source
-/// (generator step, memo copy, or file decode) over hundreds of
+/// (generator step or copy out of a materialized trace) over hundreds of
 /// accesses; small enough that a refill stays within one L1 cache's
 /// worth of records.
 const CHUNK: usize = 256;
@@ -204,14 +223,14 @@ pub struct TraceStream {
 
 /// Where a [`TraceStream`]'s refills come from.
 enum StreamSrc {
-    /// Generated in memory, `remaining` accesses still to come.
-    Generated { gen: TraceGenerator, remaining: u64 },
-    /// Served from the process-wide trace memo (same records the
-    /// generator would produce, materialized once and shared);
-    /// `taken` records copied out so far.
-    Memoized { accs: std::sync::Arc<Vec<MemAccess>>, taken: usize },
-    /// Replayed from a verified ASDT file.
-    Replayed(ReplayStream),
+    /// Generated in memory, `remaining` accesses still to come (boxed:
+    /// the generator's state is an order of magnitude larger than the
+    /// other variant's).
+    Generated { gen: Box<TraceGenerator>, remaining: u64 },
+    /// A fully materialized trace: from the process-wide trace memo
+    /// (same records the generator would produce, made once and shared)
+    /// or decoded from an ASDT file; `taken` records copied out so far.
+    Materialized { accs: Arc<Vec<MemAccess>>, taken: usize },
 }
 
 impl TraceStream {
@@ -221,21 +240,12 @@ impl TraceStream {
 
     /// A stream of the next `accesses` records of `gen`.
     fn generated(gen: TraceGenerator, accesses: u64) -> Self {
-        TraceStream::new(StreamSrc::Generated { gen, remaining: accesses })
+        TraceStream::new(StreamSrc::Generated { gen: Box::new(gen), remaining: accesses })
     }
 
-    /// A stream serving a fully materialized memoized trace.
-    fn memoized(accs: std::sync::Arc<Vec<MemAccess>>) -> Self {
-        TraceStream::new(StreamSrc::Memoized { accs, taken: 0 })
-    }
-
-    /// A stream replaying thread `thread`'s records from `reader`.
-    fn replayed(reader: TraceReader<BufReader<File>>, thread: u8) -> Self {
-        TraceStream::new(StreamSrc::Replayed(ReplayStream {
-            reader,
-            thread,
-            raw: Vec::with_capacity(CHUNK),
-        }))
+    /// A stream serving a fully materialized trace.
+    fn materialized(accs: Arc<Vec<MemAccess>>) -> Self {
+        TraceStream::new(StreamSrc::Materialized { accs, taken: 0 })
     }
 
     /// Refill the chunk buffer from the source and serve the first
@@ -249,12 +259,11 @@ impl TraceStream {
                 gen.fill(n, &mut self.buf);
                 *remaining -= self.buf.len() as u64;
             }
-            StreamSrc::Memoized { accs, taken } => {
+            StreamSrc::Materialized { accs, taken } => {
                 let end = (*taken + CHUNK).min(accs.len());
                 self.buf.extend_from_slice(&accs[*taken..end]);
                 *taken = end;
             }
-            StreamSrc::Replayed(r) => r.fill(CHUNK, &mut self.buf),
         }
         let a = self.buf.first().copied();
         self.pos = usize::from(a.is_some());
@@ -273,32 +282,6 @@ impl Iterator for TraceStream {
             return Some(a);
         }
         self.refill()
-    }
-}
-
-/// Replays one hardware thread's records out of a verified ASDT file.
-pub struct ReplayStream {
-    reader: TraceReader<BufReader<File>>,
-    thread: u8,
-    /// Scratch holding raw (all-thread) decoded records between the
-    /// reader's chunked decode and the per-thread filter.
-    raw: Vec<MemAccess>,
-}
-
-impl ReplayStream {
-    /// Decode and append up to `n` of this thread's records to `out`.
-    fn fill(&mut self, n: usize, out: &mut Vec<MemAccess>) {
-        while out.len() < n {
-            self.raw.clear();
-            match self.reader.fill(n, &mut self.raw) {
-                // The file was fully verified when the source resolved;
-                // an error here means it changed on disk mid-run. The
-                // reader fuses after an error, so ending the stream is
-                // the only non-panicking option left (D005).
-                Ok(0) | Err(_) => return,
-                Ok(_) => out.extend(self.raw.iter().filter(|a| a.thread == self.thread)),
-            }
-        }
     }
 }
 

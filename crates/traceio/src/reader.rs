@@ -1,15 +1,16 @@
 //! Streaming ASDT decoder.
 //!
 //! [`TraceReader`] holds at most one chunk of payload in memory and
-//! yields `Result<MemAccess, TraceIoError>` items, so replay never
-//! materializes a full trace. Corrupt input — flipped bits, truncated
-//! tails, impossible chunk headers — surfaces as a typed error item;
-//! after the first error the iterator fuses to `None`.
+//! decodes it in batches ([`TraceReader::fill`]); its [`Iterator`] face
+//! yields `Result<MemAccess, TraceIoError>` items through the same
+//! decoder, one record at a time. Corrupt input — flipped bits,
+//! truncated tails, impossible chunk headers — surfaces as a typed
+//! error; after the first error the reader fuses.
 
 use crate::error::TraceIoError;
 use crate::format::{
-    crc32, decode_record, TraceMeta, MAGIC, MAX_CHUNK_PAYLOAD, MAX_CHUNK_RECORDS, MAX_NAME_LEN,
-    TAG_CHUNK, TAG_END, VERSION,
+    crc32, decode_records, TraceMeta, CHUNK_RECORDS, MAGIC, MAX_CHUNK_PAYLOAD, MAX_CHUNK_RECORDS,
+    MAX_NAME_LEN, TAG_CHUNK, TAG_END, VERSION,
 };
 use asd_trace::MemAccess;
 use std::fs::File;
@@ -35,6 +36,9 @@ pub struct TraceReader<R: Read> {
     chunk_index: u64,
     delivered: u64,
     state: State,
+    /// The [`Iterator`] face's one-record batch, kept to reuse its
+    /// allocation.
+    one: Vec<MemAccess>,
 }
 
 impl TraceReader<BufReader<File>> {
@@ -99,6 +103,7 @@ impl<R: Read> TraceReader<R> {
             chunk_index: 0,
             delivered: 0,
             state: State::Running,
+            one: Vec::with_capacity(1),
         })
     }
 
@@ -113,14 +118,17 @@ impl<R: Read> TraceReader<R> {
     }
 
     /// Drain the remaining records, verifying every chunk's structure and
-    /// checksum, and return the total record count on success.
+    /// checksum, and return the total record count on success. Runs the
+    /// same batched decode loop as [`TraceReader::fill`], discarding the
+    /// records.
     ///
     /// # Errors
     ///
     /// The first decoding error of the remaining stream.
     pub fn verify(mut self) -> Result<u64, TraceIoError> {
-        for item in &mut self {
-            item?;
+        let mut scratch = Vec::with_capacity(CHUNK_RECORDS);
+        while self.fill(CHUNK_RECORDS, &mut scratch)? > 0 {
+            scratch.clear();
         }
         Ok(self.delivered)
     }
@@ -190,81 +198,87 @@ impl<R: Read> TraceReader<R> {
         }
     }
 
-    fn next_access(&mut self) -> Result<Option<MemAccess>, TraceIoError> {
-        if self.remaining_in_chunk == 0 && !self.load_next_chunk()? {
-            return Ok(None);
-        }
-        let Some(access) =
-            decode_record(&self.payload, &mut self.pos, &mut self.prev_line, self.meta.line_shift)
-        else {
-            return Err(TraceIoError::CorruptChunk {
-                chunk: self.chunk_index.saturating_sub(1),
-                detail: "record decoding overran the payload",
-            });
-        };
-        self.remaining_in_chunk -= 1;
-        if self.remaining_in_chunk == 0 && self.pos != self.payload.len() {
-            return Err(TraceIoError::CorruptChunk {
-                chunk: self.chunk_index.saturating_sub(1),
-                detail: "payload bytes left over after the declared records",
-            });
-        }
-        self.delivered += 1;
-        Ok(Some(access))
-    }
-
     /// Decode up to `max` further records and append them to `out`,
     /// returning the number appended. `Ok(0)` marks a cleanly exhausted
     /// (or previously fused) stream.
     ///
-    /// The batched counterpart of the [`Iterator`] face: replay consumers
-    /// refill a chunk buffer in one call and then read it by index.
+    /// Each chunk's records decode in one tight loop, with the per-record
+    /// bookkeeping (remaining count, delivered count, end-of-chunk check)
+    /// done once per run instead of once per record. The [`Iterator`]
+    /// face is this with a batch of one.
     ///
     /// # Errors
     ///
     /// The first decoding error of the batch; records decoded before it
-    /// stay appended to `out` and the reader fuses, exactly as it does
-    /// after an `Err` item from [`Iterator::next`].
+    /// stay appended to `out` and the reader fuses.
+    // asd-lint: cold -- decodes while a replay source resolves or in tools, never per cycle
     pub fn fill(&mut self, max: usize, out: &mut Vec<MemAccess>) -> Result<usize, TraceIoError> {
-        if self.state != State::Running {
-            return Ok(0);
-        }
         let start = out.len();
-        while out.len() - start < max {
-            match self.next_access() {
-                Ok(Some(a)) => out.push(a),
-                Ok(None) => {
-                    self.state = State::Finished;
-                    break;
-                }
-                Err(e) => {
-                    self.state = State::Failed;
-                    return Err(e);
-                }
+        while self.state == State::Running && out.len() - start < max {
+            if let Err(e) = self.decode_run(max - (out.len() - start), out) {
+                self.state = State::Failed;
+                return Err(e);
             }
         }
         Ok(out.len() - start)
+    }
+
+    /// Append up to `max` records of the current chunk to `out`, loading
+    /// the next chunk first when the current one is used up (or marking
+    /// the stream finished at the end marker).
+    fn decode_run(&mut self, max: usize, out: &mut Vec<MemAccess>) -> Result<(), TraceIoError> {
+        if self.remaining_in_chunk == 0 && !self.load_next_chunk()? {
+            self.state = State::Finished;
+            return Ok(());
+        }
+        let want = max.min(self.remaining_in_chunk as usize);
+        out.reserve(want);
+        let decoded = decode_records(
+            &self.payload,
+            &mut self.pos,
+            &mut self.prev_line,
+            self.meta.line_shift,
+            want,
+            out,
+        );
+        // `want` is bounded by `remaining_in_chunk`, a `u32`.
+        self.remaining_in_chunk -= decoded as u32;
+        self.delivered += decoded as u64;
+        let chunk = self.chunk_index.saturating_sub(1);
+        if decoded < want {
+            return Err(TraceIoError::CorruptChunk {
+                chunk,
+                detail: "record decoding overran the payload",
+            });
+        }
+        if self.remaining_in_chunk == 0 && self.pos != self.payload.len() {
+            // A chunk's last record is delivered only once the chunk is
+            // known to end cleanly.
+            out.pop();
+            self.delivered -= 1;
+            return Err(TraceIoError::CorruptChunk {
+                chunk,
+                detail: "payload bytes left over after the declared records",
+            });
+        }
+        Ok(())
     }
 }
 
 impl<R: Read> Iterator for TraceReader<R> {
     type Item = Result<MemAccess, TraceIoError>;
 
+    /// The next record, decoded by [`TraceReader::fill`] as a batch of
+    /// one: `Some(Err(_))` once at the first error, then `None`.
     fn next(&mut self) -> Option<Self::Item> {
-        if self.state != State::Running {
-            return None;
-        }
-        match self.next_access() {
-            Ok(Some(a)) => Some(Ok(a)),
-            Ok(None) => {
-                self.state = State::Finished;
-                None
-            }
-            Err(e) => {
-                self.state = State::Failed;
-                Some(Err(e))
-            }
-        }
+        let mut one = std::mem::take(&mut self.one);
+        one.clear();
+        let item = match self.fill(1, &mut one) {
+            Ok(_) => one.first().copied().map(Ok),
+            Err(e) => Some(Err(e)),
+        };
+        self.one = one;
+        item
     }
 }
 
@@ -403,6 +417,90 @@ mod tests {
         }
         assert_eq!(batched, trace);
         assert_eq!(r.fill(10, &mut batched).unwrap(), 0, "exhausted reader stays fused");
+    }
+
+    /// `encode(sample_trace(10_000))` with chunk 1 (records 4096–8191)
+    /// rebuilt by `corrupt` from its records' encodings, its frame and
+    /// CRC rewritten so only decoding can notice.
+    fn with_chunk1(corrupt: impl Fn(&[Vec<u8>]) -> Vec<u8>) -> Vec<u8> {
+        use crate::format::{encode_record, CHUNK_RECORDS};
+        let trace = sample_trace(10_000);
+        let bytes = encode(&trace);
+        let header = 4 + 2 + 1 + 1 + 8 + 8 + 2 + "sample".len();
+        let frame = |at: usize| {
+            let len = u32::from_le_bytes(section(&bytes, at + 5)) as usize;
+            at + 13 + len
+        };
+        let (c1, c2) = (frame(header), frame(frame(header)));
+        let mut prev = 0;
+        let records: Vec<Vec<u8>> = trace[CHUNK_RECORDS..2 * CHUNK_RECORDS]
+            .iter()
+            .map(|a| {
+                let mut b = Vec::new();
+                encode_record(&mut b, &mut prev, 7, a);
+                b
+            })
+            .collect();
+        let payload = corrupt(&records);
+        let mut out = bytes[..c1].to_vec();
+        out.push(TAG_CHUNK);
+        out.extend_from_slice(&(CHUNK_RECORDS as u32).to_le_bytes());
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(&crc32(&payload).to_le_bytes());
+        out.extend_from_slice(&payload);
+        out.extend_from_slice(&bytes[c2..]);
+        out
+    }
+
+    /// Records delivered before the first error: the iterator's count,
+    /// which `fill` must match, records and all, at every batch size.
+    fn delivered_before_error(bytes: &[u8]) -> u64 {
+        let mut it = TraceReader::new(bytes).unwrap();
+        assert!(it.by_ref().take_while(Result::is_ok).count() > 0);
+        let want = it.delivered();
+        for batch in [1, 7, 777, 4095, 4096, 4097, 10_000] {
+            let mut r = TraceReader::new(bytes).unwrap();
+            let mut out = Vec::new();
+            let err = loop {
+                match r.fill(batch, &mut out) {
+                    Ok(0) => panic!("batch {batch}: corrupt chunk decoded clean"),
+                    Ok(_) => {}
+                    Err(e) => break e,
+                }
+            };
+            assert!(matches!(err, TraceIoError::CorruptChunk { chunk: 1, .. }), "{err}");
+            assert_eq!(r.delivered(), want, "batch {batch}");
+            assert_eq!(out.len() as u64, want, "batch {batch}");
+            assert_eq!(out[..], sample_trace(want)[..], "batch {batch}");
+        }
+        want
+    }
+
+    #[test]
+    fn fill_delivers_exactly_up_to_a_mid_chunk_corruption() {
+        // An overlong varint at record k of chunk 1, followed by filler;
+        // late records fall within the fast decoder's window of the
+        // payload's end, early ones do not.
+        for k in [0usize, 1, 777, 2_000, 4_090, 4_095] {
+            let bytes = with_chunk1(|records| {
+                let mut p: Vec<u8> = records[..k].concat();
+                p.push(0x00);
+                p.extend_from_slice(&[0xff; 11]);
+                p.extend(records[k..].concat());
+                p
+            });
+            assert_eq!(delivered_before_error(&bytes), 4096 + k as u64, "corruption at {k}");
+        }
+    }
+
+    #[test]
+    fn leftover_payload_withholds_the_chunks_last_record() {
+        let bytes = with_chunk1(|records| {
+            let mut p = records.concat();
+            p.push(0x00);
+            p
+        });
+        assert_eq!(delivered_before_error(&bytes), 4096 + 4095);
     }
 
     #[test]

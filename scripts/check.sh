@@ -21,15 +21,23 @@ run cargo test --workspace --offline -q
 
 # Trace-corpus smoke: record a trace with the CLI, verify its structure
 # and checksums, prove it replays bit-identically to regeneration, and
-# verify the checked-in golden fixture still decodes.
-smoke="$(mktemp -d)/smoke.asdt"
+# verify the checked-in golden fixture still decodes. The two-thread
+# recording spans several 4096-record chunks, so the batched decoder
+# crosses chunk and thread boundaries.
+smokedir="$(mktemp -d)"
+smoke="$smokedir/smoke.asdt"
+smt="$smokedir/smt.asdt"
 run cargo run -q -p asd-traceio --offline --bin asd-trace -- \
     record --profile milc --accesses 2000 --seed 7 --out "$smoke"
 run cargo run -q -p asd-traceio --offline --bin asd-trace -- verify "$smoke"
 run cargo run -q -p asd-traceio --offline --bin asd-trace -- check "$smoke"
+run cargo run -q -p asd-traceio --offline --bin asd-trace -- \
+    record --profile tpcc --threads 2 --accesses 5000 --out "$smt"
+run cargo run -q -p asd-traceio --offline --bin asd-trace -- verify "$smt"
+run cargo run -q -p asd-traceio --offline --bin asd-trace -- check "$smt"
 run cargo run -q -p asd-traceio --offline --bin asd-trace -- verify tests/data/golden.asdt
 run cargo run -q -p asd-traceio --offline --bin asd-trace -- check tests/data/golden.asdt
-rm -f "$smoke"
+rm -rf "$smokedir"
 
 # Telemetry smoke: regenerate one figure with full instrumentation, then
 # validate every exposition backend's output with the in-tree schema

@@ -7,9 +7,9 @@
 //! Temp files are named with `std::process::id()` (stable within a run)
 //! rather than wall-clock time, keeping the suite deterministic (D001).
 
-use asd_sim::{PrefetchKind, RunOpts, SystemConfig, TraceSource};
+use asd_sim::{PrefetchKind, RunOpts, SimError, SystemConfig, TraceSource};
 use asd_trace::{suites, thread_seed, TraceGenerator};
-use asd_traceio::{record_profile, TraceIoError, TraceReader};
+use asd_traceio::{record_profile, TraceIoError, TraceMeta, TraceReader, TraceWriter};
 use std::path::{Path, PathBuf};
 
 /// The checked-in fixture: `asd-trace record --profile milc
@@ -143,16 +143,104 @@ fn with_trace_override_replays() {
 }
 
 /// SMT runs (two decorrelated per-thread streams) survive the capture /
-/// replay round trip bit-identically as well.
+/// replay round trip bit-identically as well. At 5,000 accesses per
+/// thread the recording spans three 4,096-record chunks, so each thread's
+/// records cross a chunk boundary and chunk 1 holds both threads. Every
+/// commercial profile (the SMT suite) runs under PS, PMS and one engine
+/// of the prefetcher zoo.
 #[test]
 fn smt_replay_matches_generate() {
-    let opts = RunOpts { accesses: 1_000, seed: 11, smt: true };
+    let opts = RunOpts { accesses: 5_000, seed: 11, smt: true };
     let path = temp_path("smt-eq");
+    let configs = [
+        SystemConfig::for_kind(PrefetchKind::Ps, 2),
+        SystemConfig::for_kind(PrefetchKind::Pms, 2),
+        SystemConfig::for_kind(PrefetchKind::Np, 2).with_engine_named("stream-table").unwrap(),
+    ];
+    for profile in suites::commercial() {
+        let source = TraceSource::capture(&profile.name, opts.seed, &path);
+        for (i, cfg) in configs.iter().enumerate() {
+            let generated = asd_sim::System::new(cfg.clone(), &profile, &opts).unwrap().run();
+            let replayed = asd_sim::System::from_source(cfg.clone(), &source, &opts).unwrap().run();
+            assert_eq!(
+                format!("{generated:?}"),
+                format!("{replayed:?}"),
+                "SMT replay diverges from generation for {} under config {i}",
+                profile.name
+            );
+        }
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// Write `records` as a well-formed ASDT file whose header declares
+/// `threads` contexts, whatever thread ids the records carry.
+fn write_raw(path: &Path, threads: u8, records: &[asd_trace::MemAccess]) {
+    let meta = TraceMeta {
+        threads,
+        accesses: records.len() as u64,
+        ..TraceMeta::generated("milc", 3, 1, 0)
+    };
+    let mut w = TraceWriter::new(Vec::new(), meta).unwrap();
+    w.write_all_accesses(records.iter().copied()).unwrap();
+    std::fs::write(path, w.finish().unwrap()).unwrap();
+}
+
+/// A record tagged with a thread the header does not declare is a typed
+/// error when the system is built, not a silently shorter run. (Checksums
+/// and the record count are intact: only the routing can catch it.)
+#[test]
+fn replay_rejects_records_of_undeclared_threads() {
+    let path = temp_path("stray-thread");
+    let profile = suites::by_name("milc").unwrap();
+    let mut records: Vec<_> =
+        TraceGenerator::new(profile.clone(), thread_seed(3, 0)).iter(2_000).collect();
+    for a in records.iter_mut().skip(3).step_by(4) {
+        a.thread = 1;
+    }
+    assert_eq!(records.iter().filter(|a| a.thread == 1).count(), 500);
+    write_raw(&path, 1, &records);
+    let opts = RunOpts { accesses: 2_000, seed: 3, smt: false };
+    let cfg = SystemConfig::for_kind(PrefetchKind::Pms, 1);
+    let err = asd_sim::System::from_source(cfg, &TraceSource::replay(&path), &opts).err();
+    assert!(matches!(err, Some(SimError::TraceIo { .. })), "got: {err:?}");
+    std::fs::remove_file(&path).ok();
+}
+
+/// A two-thread file whose records split unevenly between its threads
+/// (total count intact) is a typed error too.
+#[test]
+fn replay_rejects_uneven_thread_shares() {
+    let path = temp_path("uneven");
     let profile = suites::by_name("tpcc").unwrap();
+    let mut records: Vec<_> =
+        TraceGenerator::new(profile.clone(), thread_seed(3, 0)).iter(2_000).collect();
+    for a in records.iter_mut().skip(1_500) {
+        a.thread = 1;
+    }
+    write_raw(&path, 2, &records);
+    let opts = RunOpts { accesses: 1_000, seed: 3, smt: true };
     let cfg = SystemConfig::for_kind(PrefetchKind::Pms, 2);
+    let err = asd_sim::System::from_source(cfg, &TraceSource::replay(&path), &opts).err();
+    assert!(matches!(err, Some(SimError::TraceIo { .. })), "got: {err:?}");
+    std::fs::remove_file(&path).ok();
+}
+
+/// The run reads the trace decoded when the system was built, never the
+/// file: truncating the file afterwards must not shorten the run.
+#[test]
+fn replay_is_immune_to_the_file_changing_after_build() {
+    let path = temp_path("truncate-after-build");
+    let opts = RunOpts { accesses: 20_000, seed: 5, smt: false };
+    let profile = suites::by_name("milc").unwrap();
+    let cfg = SystemConfig::for_kind(PrefetchKind::Ms, 1);
     let generated = asd_sim::System::new(cfg.clone(), &profile, &opts).unwrap().run();
-    let source = TraceSource::capture("tpcc", 11, &path);
-    let replayed = asd_sim::System::from_source(cfg, &source, &opts).unwrap().run();
+    record_profile(&path, &profile, opts.seed, 1, opts.accesses).unwrap();
+    let sys = asd_sim::System::from_source(cfg, &TraceSource::replay(&path), &opts).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::write(&path, &bytes[..bytes.len() / 4]).unwrap();
+    let replayed = sys.run();
+    assert_eq!(replayed.core.accesses, 20_000);
     assert_eq!(format!("{generated:?}"), format!("{replayed:?}"));
     std::fs::remove_file(&path).ok();
 }
