@@ -14,6 +14,10 @@
 
 use std::fmt::Write as _;
 
+/// 2^53, the first integer an `f64` cannot tell from its neighbour;
+/// [`Value::as_u64`] accepts only numbers below it.
+const EXACT_LIMIT: f64 = 9_007_199_254_740_992.0;
+
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
@@ -62,14 +66,12 @@ impl Value {
     }
 
     /// The numeric payload as an exact unsigned integer: `None` unless
-    /// this is a finite, non-negative [`Value::Num`] with no fractional
-    /// part inside `u64` range (2^53 round-trips losslessly; protocol
-    /// counters stay far below that).
+    /// this is a non-negative [`Value::Num`] with no fractional part below
+    /// 2^53. From 2^53 up, neighbouring integers parse to the same `f64`
+    /// (2^53 + 1 reads as 2^53), so no value there names one integer.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Num(n) if n.is_finite() && *n >= 0.0 && n.fract() == 0.0 && *n <= 2e18 => {
-                Some(*n as u64)
-            }
+            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < EXACT_LIMIT => Some(*n as u64),
             _ => None,
         }
     }
@@ -548,6 +550,10 @@ mod tests {
     #[test]
     fn as_u64_is_exact() {
         assert_eq!(Value::Num(42.0).as_u64(), Some(42));
+        assert_eq!(Value::Num(EXACT_LIMIT - 1.0).as_u64(), Some((1 << 53) - 1));
+        assert_eq!(Value::Num(EXACT_LIMIT).as_u64(), None);
+        assert_eq!(parse("9007199254740993").unwrap().as_u64(), None, "2^53 + 1");
+        assert_eq!(Value::Num(f64::INFINITY).as_u64(), None);
         assert_eq!(Value::Num(0.0).as_u64(), Some(0));
         assert_eq!(Value::Num(1.5).as_u64(), None);
         assert_eq!(Value::Num(-1.0).as_u64(), None);

@@ -1,190 +1,76 @@
-//! A bucketed calendar (timing-wheel) queue for simulation completions.
+//! The completion queue of the simulation kernel.
 //!
-//! The simulation kernel's completion queues hold a handful of events whose
-//! timestamps all lie within a bounded horizon of the current cycle (a DRAM
-//! round trip plus transit). A classic binary heap pays `O(log n)` plus
-//! pointer-chasing per operation; this wheel exploits the bounded horizon:
-//! events hash into `at & mask` buckets, the exact minimum timestamp is
-//! maintained eagerly (so `peek` is a field read), and draining due events
-//! walks forward from the floor — amortized over a run, the walk advances
-//! exactly as far as simulated time does.
+//! The kernel's completion queues hold a handful of events: no replay job
+//! measured ever had more than 7 pending at once. At that size a vector
+//! kept sorted by `(at, key, tag)` is cheap: `push` binary-searches its
+//! slot and inserts there, shifting a few words, and
+//! [`CalendarQueue::drain_due`] takes the due events off the front. The
+//! queue needs no horizon: construction reserves a few slots, and a queue
+//! that outgrows them grows like any `Vec`, correct at any size.
 //!
 //! Ordering contract: [`CalendarQueue::drain_due`] yields events in
 //! ascending `(at, key, tag)` order — bit-identical to popping a
 //! `BinaryHeap<Reverse<(u64, u64, u8)>>` of the same entries, which is the
 //! order the event loops were built on. `tests/` and the sim crate's
 //! equivalence suite pin this.
-//!
-//! Capacity: the wheel needs every live timestamp within one rotation
-//! (`window < buckets`) so a bucket never mixes two timestamps. Pushes
-//! that would violate the window grow the wheel (rare: the horizon is
-//! picked from the system configuration up front).
 
 /// One queued event: `(at, key, tag)`; `key`/`tag` are payload (cache line
 /// and hardware thread in the kernel's queues) and tie-break the order of
 /// events due on the same cycle.
 type Event = (u64, u64, u8);
 
-/// A bucketed calendar queue over `(at, key, tag)` events.
+/// Pending slots reserved at construction, above the deepest completion
+/// queue measured.
+const RESERVED: usize = 16;
+
+/// A queue of `(at, key, tag)` events, kept sorted ascending.
 #[derive(Debug, Clone)]
 pub struct CalendarQueue {
-    buckets: Vec<Vec<Event>>,
-    /// One bit per bucket (bit `b` of word `b / 64`): bucket non-empty.
-    /// Lets the drain jump straight to the next live timestamp with a
-    /// find-first-set instead of probing empty buckets one by one.
-    live: Vec<u64>,
-    mask: u64,
-    len: usize,
-    /// Exact minimum `at` over live events whenever `len > 0`.
-    floor: u64,
-    /// Maximum `at` ever pushed since the queue was last empty; together
-    /// with `floor` this bounds the live window for the rotation check.
-    ceil: u64,
+    /// Pending events in ascending `(at, key, tag)` order.
+    events: Vec<Event>,
+}
+
+impl Default for CalendarQueue {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl CalendarQueue {
-    /// A queue sized for events no farther than `horizon` cycles apart.
-    /// The bucket count is a power of two comfortably above the horizon;
-    /// pushes beyond it grow the wheel instead of corrupting it.
-    pub fn with_horizon(horizon: u64) -> Self {
-        let n = (horizon.max(32) * 2).next_power_of_two();
-        CalendarQueue {
-            buckets: Self::alloc(n),
-            live: vec![0; Self::words(n)],
-            mask: n - 1,
-            len: 0,
-            floor: 0,
-            ceil: 0,
-        }
-    }
-
-    fn alloc(n: u64) -> Vec<Vec<Event>> {
-        (0..n).map(|_| Vec::new()).collect()
-    }
-
-    /// Bitmap words covering `n` buckets (`n` is always a power of two
-    /// `>= 64`, but round up defensively).
-    fn words(n: u64) -> usize {
-        (n as usize).div_ceil(64).max(1)
-    }
-
-    /// Buckets from the one at circular index `start` (inclusive) to the
-    /// first live bucket. Requires `len > 0`.
-    #[inline]
-    fn live_dist(&self, start: usize) -> usize {
-        let w = start >> 6;
-        let first = self.live[w] >> (start & 63);
-        if first != 0 {
-            return first.trailing_zeros() as usize;
-        }
-        let mut dist = 64 - (start & 63);
-        let mut i = w + 1;
-        loop {
-            if i == self.live.len() {
-                i = 0;
-            }
-            let word = self.live[i];
-            if word != 0 {
-                return dist + word.trailing_zeros() as usize;
-            }
-            dist += 64;
-            i += 1;
-        }
+    /// An empty queue with room for a few pending events.
+    pub fn new() -> Self {
+        CalendarQueue { events: Vec::with_capacity(RESERVED) }
     }
 
     /// Number of queued events.
     pub fn len(&self) -> usize {
-        self.len
+        self.events.len()
     }
 
     /// Whether no events are queued.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.events.is_empty()
     }
 
-    /// The earliest queued timestamp. O(1): the floor is exact.
+    /// The earliest queued timestamp.
     pub fn peek(&self) -> Option<u64> {
-        if self.len == 0 {
-            None
-        } else {
-            Some(self.floor)
-        }
+        self.events.first().map(|e| e.0)
     }
 
-    /// Queue an event.
+    /// Queue an event after every event that orders at or before it.
     // asd-lint: hot
     pub fn push(&mut self, at: u64, key: u64, tag: u8) {
-        if self.len == 0 {
-            self.floor = at;
-            self.ceil = at;
-        } else {
-            let lo = self.floor.min(at);
-            let hi = self.ceil.max(at);
-            if hi - lo > self.mask {
-                self.grow(hi - lo);
-            }
-            self.floor = lo;
-            self.ceil = hi;
-        }
-        self.len += 1;
-        let b = (at & self.mask) as usize;
-        self.live[b >> 6] |= 1u64 << (b & 63);
-        self.buckets[b].push((at, key, tag));
-    }
-
-    /// Rebuild with enough buckets for a live window of `window` cycles.
-    // asd-lint: cold -- amortized: capacity doubles, so growth is O(log window) per run
-    fn grow(&mut self, window: u64) {
-        let n = (window + 1).next_power_of_two() * 2;
-        let mut buckets = Self::alloc(n);
-        let mut live = vec![0u64; Self::words(n)];
-        for b in &mut self.buckets {
-            for ev in b.drain(..) {
-                let i = (ev.0 & (n - 1)) as usize;
-                live[i >> 6] |= 1u64 << (i & 63);
-                buckets[i].push(ev);
-            }
-        }
-        self.buckets = buckets;
-        self.live = live;
-        self.mask = n - 1;
+        let ev = (at, key, tag);
+        let slot = self.events.partition_point(|&e| e <= ev);
+        self.events.insert(slot, ev);
     }
 
     /// Remove every event with `at <= now`, appending them to `out` in
-    /// ascending `(at, key, tag)` order, then re-establish the exact floor.
-    ///
-    /// The walk jumps between live buckets via the bitmap. Within one
-    /// rotation a non-empty bucket holds exactly one timestamp (the
-    /// window invariant), so visiting live buckets in circular index
-    /// order from the floor visits live timestamps in ascending order —
-    /// the same sequence the bucket-by-bucket probe produced.
+    /// ascending `(at, key, tag)` order.
     // asd-lint: hot
     pub fn drain_due(&mut self, now: u64, out: &mut Vec<Event>) {
-        if self.len == 0 || self.floor > now {
-            return;
-        }
-        // The floor is exact, so its bucket is live.
-        let mut t = self.floor;
-        loop {
-            let b = (t & self.mask) as usize;
-            let bucket = &mut self.buckets[b];
-            debug_assert!(!bucket.is_empty(), "floor/jump landed on an empty bucket");
-            debug_assert!(bucket.iter().all(|e| e.0 == t), "bucket mixes timestamps");
-            self.len -= bucket.len();
-            bucket.sort_unstable();
-            out.append(bucket);
-            self.live[b >> 6] &= !(1u64 << (b & 63));
-            if self.len == 0 {
-                return;
-            }
-            // Jump to the next live timestamp; past `now` it is the new
-            // (exact) floor.
-            t = t + 1 + self.live_dist(((t + 1) & self.mask) as usize) as u64;
-            if t > now {
-                self.floor = t;
-                return;
-            }
-        }
+        let due = self.events.partition_point(|e| e.0 <= now);
+        out.extend(self.events.drain(..due));
     }
 }
 
@@ -193,6 +79,14 @@ mod tests {
     use super::*;
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
+
+    impl CalendarQueue {
+        /// The timing wheel's constructor, which these tests were written
+        /// against. The sorted queue needs no horizon.
+        fn with_horizon(_horizon: u64) -> Self {
+            Self::new()
+        }
+    }
 
     /// Deterministic pseudo-random stream (no external crates, fixed seed).
     struct Lcg(u64);
@@ -296,5 +190,32 @@ mod tests {
         out.clear();
         q.drain_due(95, &mut out);
         assert_eq!(out, vec![(90, 2, 0)]);
+    }
+
+    #[test]
+    fn holds_hundreds_of_pending_events_with_ties() {
+        // 300 pending events, about six per cycle with repeated keys,
+        // pushed in scrambled order and drained in three slices: the
+        // queue's order must not rest on it staying small.
+        let mut rng = Lcg(0x0dd_ba11);
+        let mut q = CalendarQueue::new();
+        let mut heap: BinaryHeap<Reverse<(u64, u64, u8)>> = BinaryHeap::new();
+        for _ in 0..300 {
+            let at = 1_000 + rng.next() % 50;
+            let key = rng.next() % 4;
+            let tag = (rng.next() % 2) as u8;
+            q.push(at, key, tag);
+            heap.push(Reverse((at, key, tag)));
+        }
+        assert_eq!(q.len(), 300);
+        let mut out = Vec::new();
+        for now in [1_010, 1_030, 1_049] {
+            q.drain_due(now, &mut out);
+            assert_eq!(q.peek(), heap.iter().map(|&Reverse(e)| e.0).filter(|&at| at > now).min());
+        }
+        assert!(q.is_empty());
+        let expect: Vec<_> = std::iter::from_fn(|| heap.pop().map(|Reverse(e)| e)).collect();
+        assert_eq!(out, expect);
+        assert!(out.windows(2).any(|w| w[0] == w[1]), "duplicate events kept");
     }
 }

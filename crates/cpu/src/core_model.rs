@@ -100,12 +100,6 @@ struct ThreadCtx<I> {
     done: bool,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FillKind {
-    Demand,
-    Ps,
-}
-
 #[derive(Debug)]
 enum PsUnit {
     Power5(PsPrefetcher),
@@ -124,10 +118,9 @@ pub struct Core<I> {
     /// Prefetch fills awaiting data from memory.
     ps_pending: Vec<(u64, PsTarget)>,
     /// Completions the core itself schedules (responses delivered as
-    /// `Done { at }` by the port). Bucketed by cycle; delivery order is
-    /// identical to the binary heap this replaces.
+    /// `Done { at }` by the port), delivered in ascending
+    /// `(at, line, thread)` order.
     self_events: CalendarQueue,
-    self_event_kinds: Vec<(u64, u64, FillKind)>,
     /// Scratch for draining due self-events (capacity reused across steps).
     due_buf: Vec<(u64, u64, u8)>,
     writebacks: VecDeque<u64>,
@@ -171,11 +164,7 @@ impl<I: Iterator<Item = MemAccess>> Core<I> {
             ps,
             threads,
             ps_pending: Vec::with_capacity(16),
-            // Self-scheduled completions land within a DRAM round trip of
-            // `now`; the wheel grows on the rare configuration that pushes
-            // one farther out.
-            self_events: CalendarQueue::with_horizon(1024),
-            self_event_kinds: Vec::new(),
+            self_events: CalendarQueue::new(),
             due_buf: Vec::with_capacity(8),
             writebacks: VecDeque::new(),
             stats: CoreStats::default(),
@@ -256,14 +245,8 @@ impl<I: Iterator<Item = MemAccess>> Core<I> {
         if self.self_events.peek().is_some_and(|at| at <= now) {
             let mut due = std::mem::take(&mut self.due_buf);
             self.self_events.drain_due(now, &mut due);
-            for &(at, line, _) in &due {
-                // The kind table disambiguates demand vs prefetch; on_fill
-                // already routes correctly, so just consume the entry.
-                if let Some(pos) =
-                    self.self_event_kinds.iter().position(|&(a, l, _)| a == at && l == line)
-                {
-                    self.self_event_kinds.swap_remove(pos);
-                }
+            // `on_fill` routes each line to its demand miss or prefetch.
+            for &(_, line, _) in &due {
                 self.on_fill(line, now);
             }
             due.clear();
@@ -369,7 +352,6 @@ impl<I: Iterator<Item = MemAccess>> Core<I> {
                                 t.ready_at += 1;
                                 t.slipped += 1;
                                 self.self_events.push(at, line, tid);
-                                self.self_event_kinds.push((at, line, FillKind::Demand));
                             }
                             PortResponse::Queued => {
                                 let t = &mut self.threads[idx];
@@ -447,7 +429,6 @@ impl<I: Iterator<Item = MemAccess>> Core<I> {
                 self.ps_pending.push((req.line, req.target));
                 self.stats.ps_reads_sent += 1;
                 self.self_events.push(at, req.line, tid);
-                self.self_event_kinds.push((at, req.line, FillKind::Ps));
             }
             PortResponse::Queued => {
                 self.ps_pending.push((req.line, req.target));

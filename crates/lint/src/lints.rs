@@ -120,7 +120,7 @@ pub fn hint_for(code: &str) -> &'static str {
         "D005" => "return a typed error (e.g. asd_sim::SimError / asd_core::ConfigError), or allow(D005) with the invariant that makes this unreachable",
         "D006" => "every crate root carries the same three-line header block (see DESIGN.md, D006)",
         "D007" => "dependency direction is core/telemetry <- {trace,dram} <- {traceio,cache,cpu,mc} <- engines <- sim <- bench; invert the reference or move the code down a layer",
-        "D008" => "index-0 remove/insert memmoves the whole Vec every call; use a ring buffer (VecDeque, calendar queue) or push/swap at the back, or allow(D008) with why this path is cold",
+        "D008" => "index-0 remove/insert memmoves the whole Vec every call; use a ring buffer (VecDeque) or push/swap at the back, or allow(D008) with why this path is cold",
         "D009" => "functions marked `// asd-lint: hot` run per simulated cycle; reuse a buffer owned by the struct, or allow(D009) with why this branch is cold",
         "D010" => "this function is reachable from a `// asd-lint: hot` marker through the call graph; hoist the buffer to the owning struct, mark the callee `// asd-lint: cold` if it runs off-cycle, or allow(D010) at the allocation with why the path is cold",
         "D011" => "float addition is not associative, so the reduced value depends on iteration order; pin the order (sorted/slice iteration) and allow(D011) with the ordering argument, or restructure",
@@ -580,9 +580,8 @@ fn check_d007_source(ctx: &FileContext<'_>, tokens: &[Token], findings: &mut Vec
 /// per-cycle kernel loops they turn O(1) queue operations into quadratic
 /// scans (the pre-calendar completion queue did exactly this). Flagged on
 /// a literal-`0` index in non-test library code of simulation crates;
-/// ring buffers ([`asd_core`]'s calendar queue, `VecDeque`) or back-of-vec
-/// layouts are the fix, and a genuine cold-path use can carry
-/// `// asd-lint: allow(D008) -- reason`.
+/// ring buffers (`VecDeque`) or back-of-vec layouts are the fix, and a
+/// genuine cold-path use can carry `// asd-lint: allow(D008) -- reason`.
 fn check_d008(
     ctx: &FileContext<'_>,
     tokens: &[Token],
@@ -617,7 +616,7 @@ fn check_d008(
                 t.line,
                 "D008",
                 format!("front-of-Vec shift `.{name}(0{})`", if name == "remove" { "" } else { ", _" }),
-                "index-0 remove/insert memmoves the whole Vec every call; use a ring buffer (VecDeque, calendar queue) or push/swap at the back, or allow(D008) with why this path is cold",
+                "index-0 remove/insert memmoves the whole Vec every call; use a ring buffer (VecDeque) or push/swap at the back, or allow(D008) with why this path is cold",
             );
         }
     }

@@ -267,18 +267,31 @@ fn str_list(v: &Value, key: &str) -> Result<Vec<String>, ServeError> {
         .collect()
 }
 
+/// An optional integer field: `Ok(None)` when absent, an error when
+/// present but not an exact `u64` (a string, a negative or fractional
+/// number, or one at or above 2^53, where JSON numbers stop being exact).
+fn opt_u64(v: &Value, key: &str) -> Result<Option<u64>, ServeError> {
+    v.get(key)
+        .map(|field| {
+            field.as_u64().ok_or_else(|| ServeError::MalformedRequest {
+                message: format!("`{key}` must be an integer below 2^53"),
+            })
+        })
+        .transpose()
+}
+
 /// Parse and validate a job spec object. Unknown kinds, unknown
-/// benchmark/figure names, and empty sweeps are rejected here, before
-/// the job is accepted — a queued job can only fail inside the
-/// simulator.
+/// benchmark/figure names, empty sweeps, and `seed` or `accesses` fields
+/// that are present but not exact integers are rejected here, before the
+/// job is accepted — a queued job can only fail inside the simulator.
 ///
 /// # Errors
 ///
 /// [`ServeError::MalformedRequest`] with a message naming the offending
 /// field.
 pub fn parse_spec(v: &Value) -> Result<JobSpec, ServeError> {
-    let accesses = v.u64_field("accesses").unwrap_or_else(|| asd_bench::full_opts().accesses);
-    let seed = v.u64_field("seed").unwrap_or_else(|| RunOpts::default().seed);
+    let accesses = opt_u64(v, "accesses")?.unwrap_or_else(|| asd_bench::full_opts().accesses);
+    let seed = opt_u64(v, "seed")?.unwrap_or_else(|| RunOpts::default().seed);
     let spec = match v.str_field("kind") {
         Some("sweep") => JobSpec::Sweep {
             benchmarks: str_list(v, "benchmarks")?,
@@ -538,6 +551,38 @@ mod tests {
             smt: false,
         };
         assert!(validate_spec(&spec).is_err(), "unknown benchmark");
+    }
+
+    #[test]
+    fn seeds_and_accesses_must_be_exact_integers() {
+        let spec = |field: &str, value: Value| {
+            let mut v = Value::obj();
+            v.set("kind", "figure");
+            v.set("figure", "fig5");
+            v.set(field, value);
+            parse_spec(&v)
+        };
+        let bad = [
+            ("seed", json::parse("9007199254740993").unwrap()), // 2^53 + 1
+            ("seed", Value::Str("7".into())),
+            ("seed", Value::Num(-1.0)),
+            ("seed", Value::Num(7.5)),
+            ("accesses", Value::Str("2000".into())),
+            ("accesses", Value::Num(-1.0)),
+        ];
+        for (field, value) in bad {
+            let err = spec(field, value.clone()).unwrap_err();
+            assert!(
+                matches!(&err, ServeError::MalformedRequest { message } if message.contains(field)),
+                "{field} = {value:?}: {err:?}"
+            );
+        }
+        let below = spec("seed", Value::Num(((1u64 << 53) - 1) as f64)).unwrap();
+        assert_eq!(below.opts().seed, (1 << 53) - 1);
+        // Absent fields still default.
+        let absent = spec("unrelated", Value::Null).unwrap();
+        assert_eq!(absent.opts().seed, RunOpts::default().seed);
+        assert_eq!(absent.opts().accesses, asd_bench::full_opts().accesses);
     }
 
     #[test]

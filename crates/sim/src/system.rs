@@ -106,9 +106,8 @@ impl<E: PrefetchEngine> MemoryPort for McPort<'_, E> {
 struct Engined<E: PrefetchEngine> {
     core: Core<Trace>,
     mc: MemoryController<E>,
-    /// Read completions in flight, bucketed by delivery cycle. Delivery
-    /// order matches the `BinaryHeap<Reverse<(at, line, thread)>>` this
-    /// replaces exactly.
+    /// Read completions in flight, delivered in ascending
+    /// `(at, line, thread)` order.
     completions: CalendarQueue,
     /// Scratch for the completions due at the current cycle. Capacity is
     /// reused across iterations.
@@ -185,19 +184,6 @@ impl System {
         let ResolvedTrace { benchmark, streams } = resolved;
         let mut mc_cfg = cfg.mc.clone();
         mc_cfg.threads = streams.len();
-        // A completion lands at most one worst-case DRAM access (precharge
-        // + activate + CAS + burst) plus the controller's fixed latencies
-        // after the cycle it was scheduled, so the wheel sized from the
-        // configuration never has to grow mid-run.
-        let d = &cfg.dram;
-        let horizon = d.ras_cpu()
-            + d.rp_cpu()
-            + d.rcd_cpu()
-            + d.cl_cpu()
-            + d.burst_cpu()
-            + cfg.mc.transit_latency
-            + cfg.mc.pb_hit_latency
-            + 64;
         let threads = mc_cfg.threads;
         let dram = Dram::new(cfg.dram);
         // Select the monomorphized instantiation once, here; every cycle
@@ -205,40 +191,24 @@ impl System {
         // exactly as `asd_mc::build_engine` would.
         let machine = match mc_cfg.engine.clone() {
             EngineKind::None => {
-                Machine::None(Engined::new(&cfg, mc_cfg, dram, streams, horizon, NoPrefetch))
+                Machine::None(Engined::new(&cfg, mc_cfg, dram, streams, NoPrefetch))
             }
             EngineKind::Asd(acfg) => Machine::Asd(Engined::new(
                 &cfg,
                 mc_cfg,
                 dram,
                 streams,
-                horizon,
                 AsdEngine::new(&acfg, threads),
             )),
-            EngineKind::NextLine => Machine::NextLine(Engined::new(
-                &cfg,
-                mc_cfg,
-                dram,
-                streams,
-                horizon,
-                NextLineEngine,
-            )),
-            EngineKind::P5Style => Machine::P5Style(Engined::new(
-                &cfg,
-                mc_cfg,
-                dram,
-                streams,
-                horizon,
-                P5StyleEngine::new(),
-            )),
-            EngineKind::Custom(factory) => Machine::Custom(Engined::new(
-                &cfg,
-                mc_cfg,
-                dram,
-                streams,
-                horizon,
-                factory.build(threads),
-            )),
+            EngineKind::NextLine => {
+                Machine::NextLine(Engined::new(&cfg, mc_cfg, dram, streams, NextLineEngine))
+            }
+            EngineKind::P5Style => {
+                Machine::P5Style(Engined::new(&cfg, mc_cfg, dram, streams, P5StyleEngine::new()))
+            }
+            EngineKind::Custom(factory) => {
+                Machine::Custom(Engined::new(&cfg, mc_cfg, dram, streams, factory.build(threads)))
+            }
         };
         System { machine, benchmark, config_label: String::new(), tel_cfg: cfg.telemetry }
     }
@@ -284,7 +254,6 @@ impl<E: PrefetchEngine> Engined<E> {
         mc_cfg: asd_mc::McConfig,
         dram: Dram,
         streams: Vec<Trace>,
-        horizon: u64,
         engine: E,
     ) -> Self {
         let mut mc = MemoryController::with_engine(mc_cfg, dram, engine);
@@ -294,7 +263,7 @@ impl<E: PrefetchEngine> Engined<E> {
         Engined {
             core: Core::new(cfg.core.clone(), streams),
             mc,
-            completions: CalendarQueue::with_horizon(horizon),
+            completions: CalendarQueue::new(),
             due_buf: Vec::with_capacity(8),
             completion_buf: Vec::with_capacity(8),
             now: 0,

@@ -18,6 +18,10 @@ run cargo run -q -p asd-lint --offline -- --stats
 run cargo run -q -p asd-lint --offline -- --stats
 run cargo build --workspace --all-targets --offline
 run cargo test --workspace --offline -q
+# The kernel's packed layouts again in the build that ships: release drops
+# overflow checks and `debug_assert!`, so the cache directory word, the
+# way-count arithmetic and the completion queue are tested without them.
+run cargo test --release --offline -q -p asd-core -p asd-cache -p asd-cpu
 
 # Trace-corpus smoke: record a trace with the CLI, verify its structure
 # and checksums, prove it replays bit-identically to regeneration, and
