@@ -89,8 +89,11 @@ struct ThreadCtx<I> {
     trace: I,
     id: u8,
     ready_at: u64,
-    /// An access pulled from the trace (gap already charged) waiting to
-    /// issue — held across backpressure retries and stalls.
+    /// The next access, pulled from the trace with its compute gap already
+    /// charged to `ready_at` — at construction and in the step that issues
+    /// the previous access, so the thread wakes once per access, at the
+    /// cycle it can issue. Held across backpressure retries and stalls;
+    /// `None` once the trace is exhausted.
     staged: Option<MemAccess>,
     demand: VecDeque<Demand>,
     /// Accesses issued since the oldest outstanding miss.
@@ -98,6 +101,16 @@ struct ThreadCtx<I> {
     /// Blocked until a fill arrives.
     waiting: bool,
     done: bool,
+}
+
+impl<I: Iterator<Item = MemAccess>> ThreadCtx<I> {
+    /// Stage the trace's next access and charge its compute gap.
+    fn stage_next(&mut self) {
+        self.staged = self.trace.next();
+        if let Some(acc) = &self.staged {
+            self.ready_at += u64::from(acc.gap);
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -147,15 +160,19 @@ impl<I: Iterator<Item = MemAccess>> Core<I> {
         let threads = traces
             .into_iter()
             .enumerate()
-            .map(|(i, trace)| ThreadCtx {
-                trace,
-                id: i as u8,
-                ready_at: 0,
-                staged: None,
-                demand: VecDeque::with_capacity(cfg.mlp),
-                slipped: 0,
-                waiting: false,
-                done: false,
+            .map(|(i, trace)| {
+                let mut t = ThreadCtx {
+                    trace,
+                    id: i as u8,
+                    ready_at: 0,
+                    staged: None,
+                    demand: VecDeque::with_capacity(cfg.mlp),
+                    slipped: 0,
+                    waiting: false,
+                    done: false,
+                };
+                t.stage_next();
+                t
             })
             .collect();
         Core {
@@ -275,25 +292,13 @@ impl<I: Iterator<Item = MemAccess>> Core<I> {
             if t.waiting || t.ready_at > now {
                 return;
             }
-            // Stage the next access, charging its compute gap.
-            if t.staged.is_none() {
-                if t.done {
-                    return;
-                }
-                match t.trace.next() {
-                    Some(acc) => {
-                        t.ready_at += u64::from(acc.gap);
-                        t.staged = Some(acc);
-                        if t.ready_at > now {
-                            return;
-                        }
-                    }
-                    None => {
-                        t.done = true;
-                        return;
-                    }
-                }
-            }
+            // Nothing staged: the trace is exhausted. `done` waits for the
+            // first step at or after the last access's `ready_at`, so the
+            // run's final cycle count still covers that access's latency.
+            let Some(acc) = t.staged else {
+                t.done = true;
+                return;
+            };
             // Retirement-window stalls.
             if t.demand.len() >= self.cfg.mlp
                 || (!t.demand.is_empty() && t.slipped >= self.cfg.lookahead)
@@ -301,8 +306,7 @@ impl<I: Iterator<Item = MemAccess>> Core<I> {
                 t.waiting = true;
                 return;
             }
-            // asd-lint: allow(D005) -- the stage step directly above filled `t.staged` or returned
-            let acc = t.staged.take().expect("staged above");
+            t.staged = None;
             let line = acc.line();
             let is_write = acc.kind == AccessKind::Write;
             let tid = t.id;
@@ -414,6 +418,11 @@ impl<I: Iterator<Item = MemAccess>> Core<I> {
                 }
                 None => {}
             }
+
+            // Stage the next access now, so the thread's next wake-up is
+            // the cycle that access can issue rather than a step that only
+            // pulls it and charges its gap.
+            self.threads[idx].stage_next();
         }
     }
 
@@ -635,6 +644,36 @@ mod tests {
         assert_eq!(now, end_manual);
         assert_eq!(mem_b.reads, mem_a.reads);
         assert_eq!(core.stats().accesses, manual.stats().accesses);
+    }
+
+    #[test]
+    fn l1_hit_stages_the_next_access_and_its_gap() {
+        // A cold miss on line 7, an L1 hit on it once the fill has landed,
+        // then an access with compute gap `gap`. The step that issues the
+        // hit also stages the next access: the core's next event is the
+        // cycle that access can issue, not an intermediate wake-up to pull
+        // it from the trace.
+        let gap = 37u32;
+        let trace = vec![
+            MemAccess::read_line(7, 0),
+            MemAccess::read_line(7, 100),
+            MemAccess::read_line(8, gap),
+        ];
+        let cfg = CoreConfig::default();
+        let l1_latency = cfg.hierarchy.l1_latency;
+        let mut core = Core::new(cfg, vec![trace.into_iter()]);
+        let mut mem = FixedLatencyMemory::new(50);
+        let mut now = 0u64;
+        loop {
+            core.step(now, &mut mem);
+            if core.stats().accesses == 2 {
+                break;
+            }
+            now = core.next_event(now).map_or(now + 1, |t| t.max(now + 1));
+            assert!(now < 1_000, "second access never issued");
+        }
+        assert_eq!(core.stats().cache.l1.hits, 1, "the second access hits the L1");
+        assert_eq!(core.next_event(now), Some(now + l1_latency + u64::from(gap)));
     }
 
     #[test]

@@ -346,8 +346,8 @@ impl<E: PrefetchEngine> MemoryController<E> {
             lpq_capacity: self.lpq.capacity(),
             reorder_len: self.reads.len() + self.writes.len(),
             reorder_issuable: issuable,
-            lpq_head_ts: self.lpq.head_arrival(),
-            caq_head_ts: self.caq.head_arrival(),
+            lpq_head_ts: self.lpq.head().map(|c| c.arrival),
+            caq_head_ts: self.caq.head().map(|c| c.arrival),
         }
     }
 
@@ -371,11 +371,11 @@ impl<E: PrefetchEngine> MemoryController<E> {
         conflicts += self.writes.mark_new_conflicts(banks, now, |bank| {
             tel.event(now, EventKind::BankConflict, u64::from(bank), 1);
         });
-        if let Some((bank, counted)) = self.caq.head_conflict_probe() {
-            if !counted && banks[bank as usize] > now {
-                self.caq.mark_head_conflict();
+        if let Some(head) = self.caq.head_mut() {
+            if !head.conflict_counted && banks[head.bank as usize] > now {
+                head.conflict_counted = true;
                 conflicts += 1;
-                self.tel.event(now, EventKind::BankConflict, u64::from(bank), 1);
+                tel.event(now, EventKind::BankConflict, u64::from(head.bank), 1);
             }
         }
         if conflicts > 0 {
@@ -391,7 +391,7 @@ impl<E: PrefetchEngine> MemoryController<E> {
     /// Advance the controller one cycle, appending any read completions
     /// (possibly with future timestamps) to `out`.
     ///
-    /// Compatibility wrapper over [`MemoryController::advance`] +
+    /// Compatibility wrapper: the cycle's transitions, then
     /// [`MemoryController::drain_completions`]; event-driven callers use
     /// the [`Clocked`] implementation instead.
     pub fn step(&mut self, now: u64, out: &mut Vec<ReadCompletion>) {
@@ -399,8 +399,8 @@ impl<E: PrefetchEngine> MemoryController<E> {
         self.drain_completions(out);
     }
 
-    /// Move completions produced so far (by [`MemoryController::advance`]
-    /// or [`MemoryController::enqueue_read`] fast paths routed through
+    /// Move completions produced so far (by stepping the controller, or by
+    /// [`MemoryController::enqueue_read`] fast paths routed through
     /// `step`) into `out`. Timestamps may be in the future — the caller
     /// delivers each at its `at` cycle.
     pub fn drain_completions(&mut self, out: &mut Vec<ReadCompletion>) {
@@ -518,10 +518,9 @@ impl<E: PrefetchEngine> MemoryController<E> {
                 LpqArbiter::Fixed(p) => p.allows(view),
             };
             if lpq_allowed {
-                if let Some((bank, row)) = self.lpq.head_bank_row() {
-                    if self.dram.can_issue_mapped(bank as usize, row, now) {
-                        // asd-lint: allow(D005) -- `head_bank_row()` returned Some two lines up and nothing popped since
-                        let cmd = self.lpq.pop().expect("head exists");
+                if let Some(cmd) = self.lpq.head() {
+                    if self.dram.can_issue_mapped(cmd.bank as usize, cmd.row, now) {
+                        self.lpq.pop();
                         let completion = self.dram.issue(cmd.line, DramCmdKind::Read, now);
                         self.picker.note_issued(DramCmdKind::Read);
                         let bank = cmd.bank as usize;
@@ -615,40 +614,32 @@ impl<E: PrefetchEngine> MemoryController<E> {
             if self.bank_prefetch_until.len() <= 64 {
                 let mut hit_mask = 0u64;
                 let mut miss_mask = 0u64;
-                for q in [&self.reads, &self.writes] {
-                    let banks = q.banks();
-                    let rows = q.rows();
-                    for i in 0..banks.len() {
-                        let b = banks[i] as usize;
-                        let bit = 1u64 << b;
-                        let mask = if self.dram.row_hit_idx(b, rows[i]) {
-                            &mut hit_mask
-                        } else {
-                            &mut miss_mask
-                        };
-                        if *mask & bit == 0 {
-                            *mask |= bit;
-                            let at = self.dram.next_issue_at_mapped(b, rows[i], now);
-                            next = next.min(NextEvent::At(at.max(now + 1)));
-                        }
-                    }
-                }
-            } else {
-                for q in [&self.reads, &self.writes] {
-                    let banks = q.banks();
-                    let rows = q.rows();
-                    for i in 0..banks.len() {
-                        let at = self.dram.next_issue_at_mapped(banks[i] as usize, rows[i], now);
+                for c in self.reads.entries().iter().chain(self.writes.entries()) {
+                    let b = c.bank as usize;
+                    let bit = 1u64 << b;
+                    let mask = if self.dram.row_hit_idx(b, c.row) {
+                        &mut hit_mask
+                    } else {
+                        &mut miss_mask
+                    };
+                    if *mask & bit == 0 {
+                        *mask |= bit;
+                        let at = self.dram.next_issue_at_mapped(b, c.row, now);
                         next = next.min(NextEvent::At(at.max(now + 1)));
                     }
                 }
+            } else {
+                for c in self.reads.entries().iter().chain(self.writes.entries()) {
+                    let at = self.dram.next_issue_at_mapped(c.bank as usize, c.row, now);
+                    next = next.min(NextEvent::At(at.max(now + 1)));
+                }
             }
         }
-        if let Some((bank, row)) = self.caq.head_bank_row() {
-            let at = self.dram.next_issue_at_mapped(bank as usize, row, now);
+        if let Some(head) = self.caq.head() {
+            let at = self.dram.next_issue_at_mapped(head.bank as usize, head.row, now);
             next = next.min(NextEvent::At(at.max(now + 1)));
         }
-        if let Some((bank, row)) = self.lpq.head_bank_row() {
+        if let Some(head) = self.lpq.head() {
             // The LPQ head can only issue on a cycle where the arbiter
             // allows it, and between controller steps `allows` can only
             // flip from allowed to disallowed as time passes: every term
@@ -668,7 +659,7 @@ impl<E: PrefetchEngine> MemoryController<E> {
                 LpqArbiter::Fixed(p) => p.allows(view),
             };
             if allowed {
-                let at = self.dram.next_issue_at_mapped(bank as usize, row, now);
+                let at = self.dram.next_issue_at_mapped(head.bank as usize, head.row, now);
                 next = next.min(NextEvent::At(at.max(now + 1)));
             }
         }
@@ -721,8 +712,8 @@ impl<E: PrefetchEngine> MemoryController<E> {
 impl<E: PrefetchEngine> Clocked for MemoryController<E> {
     /// Event-driven stepping: performs the cycle's transitions, then
     /// reports when to step again. `now + 1` only when the next cycle is
-    /// genuinely interesting (see [`MemoryController::advance`] for the
-    /// three cases); otherwise it jumps straight to the next enablement
+    /// genuinely interesting (the three cases documented on the private
+    /// `advance`); otherwise it jumps straight to the next enablement
     /// time; idle controllers return [`NextEvent::Idle`]. Completions
     /// accumulate internally — collect them with
     /// [`MemoryController::drain_completions`].
@@ -738,12 +729,10 @@ impl<E: PrefetchEngine> Clocked for MemoryController<E> {
 }
 
 /// The DRAM-probing half of [`QueueView`]: how many queued commands could
-/// issue right now. Walks the queue's dense `(bank, row)` arrays.
+/// issue right now.
 // asd-lint: hot
 fn count_issuable(q: &ReorderQueue, dram: &Dram, now: u64) -> usize {
-    let banks = q.banks();
-    let rows = q.rows();
-    (0..banks.len()).filter(|&i| dram.can_issue_mapped(banks[i] as usize, rows[i], now)).count()
+    q.entries().iter().filter(|c| dram.can_issue_mapped(c.bank as usize, c.row, now)).count()
 }
 
 impl<E: PrefetchEngine> std::fmt::Debug for MemoryController<E> {

@@ -1,15 +1,12 @@
 //! Reorder queues, CAQ, and LPQ.
 //!
-//! Both queue types store commands in **struct-of-arrays** layout: one
-//! dense array per field (line, bank, row, ...) instead of an array of
-//! [`QueuedCommand`] structs. The per-cycle scans — the AHB scorer walking
-//! `(bank, row, arrival)`, the `next_event_hint` walk over `(bank, row)`,
-//! the conflict scan over `(bank, conflict_counted)` — each touch only the
-//! one or two arrays they need, so a full scan of an 8-entry queue reads a
-//! cache line or two rather than eight 48-byte structs. [`QueuedCommand`]
-//! remains the transfer type at the API boundary (push/pop/head assemble
-//! and scatter it), which keeps observable behavior identical to the
-//! array-of-structs layout.
+//! Both queue types store whole [`QueuedCommand`]s, 32 bytes each, in one
+//! array, and every scan walks that one slice. At the paper's depths (CAQ
+//! and LPQ 3, reorder queues 8) a whole queue spans one to four cache
+//! lines, so scans read little in any layout; what the layout decides is
+//! the cost of a push, pop or removal, which here moves one struct instead
+//! of gathering or scattering one array per field (see DESIGN.md, "Data
+//! layout").
 
 use asd_dram::DramCmdKind;
 
@@ -48,8 +45,19 @@ pub struct QueuedCommand {
     pub conflict_counted: bool,
 }
 
+/// An unoccupied ring slot (never observed: only `len` slots are live).
+const VACANT: QueuedCommand = QueuedCommand {
+    line: 0,
+    bank: 0,
+    row: 0,
+    kind: DramCmdKind::Read,
+    thread: 0,
+    arrival: 0,
+    conflict_counted: false,
+};
+
 /// A bounded FIFO used for the CAQ and LPQ: a fixed-capacity ring buffer
-/// over power-of-two storage.
+/// of commands over power-of-two storage.
 ///
 /// Indices advance with a single mask (`(head + k) & mask`), storage is
 /// allocated once at construction and never reallocated, and FIFO order is
@@ -59,13 +67,7 @@ pub struct QueuedCommand {
 /// arrival order of everything that stays.
 #[derive(Debug, Clone)]
 pub struct BoundedFifo {
-    lines: Box<[u64]>,
-    banks: Box<[u32]>,
-    rows: Box<[u64]>,
-    kinds: Box<[DramCmdKind]>,
-    threads: Box<[u8]>,
-    arrivals: Box<[u64]>,
-    conflict_counted: Box<[bool]>,
+    slots: Box<[QueuedCommand]>,
     /// Physical index of the oldest entry.
     head: usize,
     /// Logical occupancy (`<= cap`).
@@ -82,13 +84,7 @@ impl BoundedFifo {
     pub fn new(cap: usize) -> Self {
         let storage = cap.max(1).next_power_of_two();
         BoundedFifo {
-            lines: vec![0; storage].into_boxed_slice(),
-            banks: vec![0; storage].into_boxed_slice(),
-            rows: vec![0; storage].into_boxed_slice(),
-            kinds: vec![DramCmdKind::Read; storage].into_boxed_slice(),
-            threads: vec![0; storage].into_boxed_slice(),
-            arrivals: vec![0; storage].into_boxed_slice(),
-            conflict_counted: vec![false; storage].into_boxed_slice(),
+            slots: vec![VACANT; storage].into_boxed_slice(),
             head: 0,
             len: 0,
             cap,
@@ -102,98 +98,42 @@ impl BoundedFifo {
         (self.head + k) & self.mask
     }
 
-    /// Assemble the command at physical slot `i`.
-    #[inline]
-    fn get(&self, i: usize) -> QueuedCommand {
-        QueuedCommand {
-            line: self.lines[i],
-            bank: self.banks[i],
-            row: self.rows[i],
-            kind: self.kinds[i],
-            thread: self.threads[i],
-            arrival: self.arrivals[i],
-            conflict_counted: self.conflict_counted[i],
-        }
-    }
-
-    /// Scatter `cmd` into physical slot `i`.
-    #[inline]
-    fn set(&mut self, i: usize, cmd: QueuedCommand) {
-        self.lines[i] = cmd.line;
-        self.banks[i] = cmd.bank;
-        self.rows[i] = cmd.row;
-        self.kinds[i] = cmd.kind;
-        self.threads[i] = cmd.thread;
-        self.arrivals[i] = cmd.arrival;
-        self.conflict_counted[i] = cmd.conflict_counted;
-    }
-
     /// Push to the back; returns `false` (rejecting the item) when full.
     pub fn push(&mut self, cmd: QueuedCommand) -> bool {
         if self.len >= self.cap {
             return false;
         }
         let i = self.slot(self.len);
-        self.set(i, cmd);
+        self.slots[i] = cmd;
         self.len += 1;
         true
     }
 
     /// The oldest entry.
+    #[inline]
     pub fn head(&self) -> Option<QueuedCommand> {
         if self.len == 0 {
             None
         } else {
-            Some(self.get(self.head))
+            Some(self.slots[self.head])
+        }
+    }
+
+    /// The oldest entry, mutably (the conflict scan marks it counted).
+    pub fn head_mut(&mut self) -> Option<&mut QueuedCommand> {
+        if self.len == 0 {
+            None
+        } else {
+            Some(&mut self.slots[self.head])
         }
     }
 
     /// Remove and return the oldest entry.
     pub fn pop(&mut self) -> Option<QueuedCommand> {
-        if self.len == 0 {
-            return None;
-        }
-        let cmd = self.get(self.head);
+        let cmd = self.head()?;
         self.head = (self.head + 1) & self.mask;
         self.len -= 1;
         Some(cmd)
-    }
-
-    /// The oldest entry's `(bank, row)` — what the issue probes need,
-    /// without assembling the whole command from every stripe.
-    #[inline]
-    pub fn head_bank_row(&self) -> Option<(u32, u64)> {
-        if self.len == 0 {
-            None
-        } else {
-            Some((self.banks[self.head], self.rows[self.head]))
-        }
-    }
-
-    /// The oldest entry's arrival cycle.
-    #[inline]
-    pub fn head_arrival(&self) -> Option<u64> {
-        if self.len == 0 {
-            None
-        } else {
-            Some(self.arrivals[self.head])
-        }
-    }
-
-    /// The oldest entry's bank together with its conflict flag (the
-    /// conflict scan probes exactly these two fields).
-    pub fn head_conflict_probe(&self) -> Option<(u32, bool)> {
-        if self.len == 0 {
-            None
-        } else {
-            Some((self.banks[self.head], self.conflict_counted[self.head]))
-        }
-    }
-
-    /// Mark the oldest entry's blocked-by-prefetch conflict as counted.
-    pub fn mark_head_conflict(&mut self) {
-        debug_assert!(self.len > 0);
-        self.conflict_counted[self.head] = true;
     }
 
     /// Occupancy.
@@ -218,144 +158,90 @@ impl BoundedFifo {
 
     /// Whether any entry targets `line`.
     pub fn contains_line(&self, line: u64) -> bool {
-        (0..self.len).any(|k| self.lines[self.slot(k)] == line)
+        (0..self.len).any(|k| self.slots[self.slot(k)].line == line)
     }
 
     /// Remove the first (oldest) entry targeting `line`, if any. Younger
     /// entries shift back one slot, so FIFO order is preserved.
     pub fn remove_line(&mut self, line: u64) -> Option<QueuedCommand> {
-        let pos = (0..self.len).find(|&k| self.lines[self.slot(k)] == line)?;
-        let removed = self.get(self.slot(pos));
+        let pos = (0..self.len).find(|&k| self.slots[self.slot(k)].line == line)?;
+        let removed = self.slots[self.slot(pos)];
         for k in pos..self.len - 1 {
-            let from = self.slot(k + 1);
-            let cmd = self.get(from);
-            let to = self.slot(k);
-            self.set(to, cmd);
+            let (to, from) = (self.slot(k), self.slot(k + 1));
+            self.slots[to] = self.slots[from];
         }
         self.len -= 1;
         Some(removed)
     }
 
-    /// Iterate entries oldest-first (assembled by value).
+    /// Iterate entries oldest-first.
     pub fn iter(&self) -> impl Iterator<Item = QueuedCommand> + '_ {
-        (0..self.len).map(|k| self.get(self.slot(k)))
+        (0..self.len).map(|k| self.slots[self.slot(k)])
     }
 }
 
 /// An unbounded-order (but bounded-size) reorder queue: the scheduler may
 /// pick any entry, not just the head.
 ///
-/// Struct-of-arrays: field `f` of entry `i` lives at `self.f[i]`, entries
-/// are stored in arrival order, and removal is order-preserving
-/// (`Vec::remove` on every array). The scheduler and hint scans read the
-/// dense field slices directly ([`ReorderQueue::banks`] and friends).
+/// Entries are stored in arrival order and removal is order-preserving
+/// (`Vec::remove`). The scheduler, hint and conflict scans walk
+/// [`ReorderQueue::entries`] front to back, so index order is arrival
+/// order in every tie-break.
 #[derive(Debug, Clone)]
 pub struct ReorderQueue {
-    lines: Vec<u64>,
-    banks: Vec<u32>,
-    rows: Vec<u64>,
-    kinds: Vec<DramCmdKind>,
-    threads: Vec<u8>,
-    arrivals: Vec<u64>,
-    conflict_counted: Vec<bool>,
+    entries: Vec<QueuedCommand>,
     cap: usize,
 }
 
 impl ReorderQueue {
     /// An empty queue with the given capacity.
     pub fn new(cap: usize) -> Self {
-        ReorderQueue {
-            lines: Vec::with_capacity(cap),
-            banks: Vec::with_capacity(cap),
-            rows: Vec::with_capacity(cap),
-            kinds: Vec::with_capacity(cap),
-            threads: Vec::with_capacity(cap),
-            arrivals: Vec::with_capacity(cap),
-            conflict_counted: Vec::with_capacity(cap),
-            cap,
-        }
+        ReorderQueue { entries: Vec::with_capacity(cap), cap }
     }
 
     /// Insert; returns `false` when full.
     pub fn push(&mut self, cmd: QueuedCommand) -> bool {
-        if self.lines.len() >= self.cap {
+        if self.entries.len() >= self.cap {
             return false;
         }
-        self.lines.push(cmd.line);
-        self.banks.push(cmd.bank);
-        self.rows.push(cmd.row);
-        self.kinds.push(cmd.kind);
-        self.threads.push(cmd.thread);
-        self.arrivals.push(cmd.arrival);
-        self.conflict_counted.push(cmd.conflict_counted);
+        self.entries.push(cmd);
         true
     }
 
     /// Remove and return the entry at `idx` (order-preserving).
     pub fn remove(&mut self, idx: usize) -> QueuedCommand {
-        QueuedCommand {
-            line: self.lines.remove(idx),
-            bank: self.banks.remove(idx),
-            row: self.rows.remove(idx),
-            kind: self.kinds.remove(idx),
-            thread: self.threads.remove(idx),
-            arrival: self.arrivals.remove(idx),
-            conflict_counted: self.conflict_counted.remove(idx),
-        }
+        self.entries.remove(idx)
     }
 
-    /// Assemble the entry at `idx`.
-    pub fn get(&self, idx: usize) -> QueuedCommand {
-        QueuedCommand {
-            line: self.lines[idx],
-            bank: self.banks[idx],
-            row: self.rows[idx],
-            kind: self.kinds[idx],
-            thread: self.threads[idx],
-            arrival: self.arrivals[idx],
-            conflict_counted: self.conflict_counted[idx],
-        }
-    }
-
-    /// Banks, in arrival order (dense scan for the scheduler and hints).
-    pub fn banks(&self) -> &[u32] {
-        &self.banks
-    }
-
-    /// Rows, in arrival order.
-    pub fn rows(&self) -> &[u64] {
-        &self.rows
-    }
-
-    /// Arrival cycles, in arrival order.
-    pub fn arrivals(&self) -> &[u64] {
-        &self.arrivals
+    /// The queued commands, in arrival order.
+    #[inline]
+    pub fn entries(&self) -> &[QueuedCommand] {
+        &self.entries
     }
 
     /// Occupancy.
     pub fn len(&self) -> usize {
-        self.lines.len()
+        self.entries.len()
     }
 
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
-        self.lines.is_empty()
+        self.entries.is_empty()
     }
 
     /// Whether the queue is at capacity.
     pub fn is_full(&self) -> bool {
-        self.lines.len() >= self.cap
+        self.entries.len() >= self.cap
     }
 
     /// Whether any entry targets `line`.
     pub fn contains_line(&self, line: u64) -> bool {
-        self.lines.contains(&line)
+        self.entries.iter().any(|c| c.line == line)
     }
 
     /// Mark (at most once per entry) commands whose bank is occupied by a
     /// previously issued prefetch, calling `on_conflict(bank)` for each
-    /// newly marked entry. Returns the number of new conflicts. Touches
-    /// only the `banks` and `conflict_counted` arrays.
+    /// newly marked entry. Returns the number of new conflicts.
     pub fn mark_new_conflicts(
         &mut self,
         bank_prefetch_until: &[u64],
@@ -363,11 +249,11 @@ impl ReorderQueue {
         mut on_conflict: impl FnMut(u32),
     ) -> u64 {
         let mut conflicts = 0u64;
-        for (i, &bank) in self.banks.iter().enumerate() {
-            if !self.conflict_counted[i] && bank_prefetch_until[bank as usize] > now {
-                self.conflict_counted[i] = true;
+        for cmd in &mut self.entries {
+            if !cmd.conflict_counted && bank_prefetch_until[cmd.bank as usize] > now {
+                cmd.conflict_counted = true;
                 conflicts += 1;
-                on_conflict(bank);
+                on_conflict(cmd.bank);
             }
         }
         conflicts
@@ -377,6 +263,8 @@ impl ReorderQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asd_core::rng::Xoshiro256PlusPlus;
+    use std::collections::VecDeque;
 
     fn cmd(line: u64, arrival: u64) -> QueuedCommand {
         QueuedCommand {
@@ -463,6 +351,78 @@ mod tests {
         assert_eq!(f.pop(), None);
     }
 
+    /// A random command on one of `lines` distinct lines, so pushes
+    /// collide and `remove_line`/`contains_line` hit often.
+    fn random_cmd(rng: &mut Xoshiro256PlusPlus, lines: u64, arrival: u64) -> QueuedCommand {
+        let kind = if rng.next_u64() & 1 == 0 { DramCmdKind::Read } else { DramCmdKind::Write };
+        QueuedCommand {
+            line: rng.gen_range_u64(0, lines),
+            bank: rng.gen_range_u64(0, 16) as u32,
+            row: rng.next_u64(),
+            kind,
+            thread: rng.gen_range_u64(0, 2) as u8,
+            arrival,
+            conflict_counted: rng.next_u64() & 1 == 0,
+        }
+    }
+
+    #[test]
+    fn fifo_matches_a_vecdeque_model() {
+        // Capacities 3, 5, 6 and 7 ride on rounded-up storage; every
+        // return value and the whole FIFO order are compared after each
+        // operation, long enough for `head` to wrap many times.
+        for cap in 1..=8usize {
+            let mut rng = Xoshiro256PlusPlus::seed_from_u64(0xf1f0 + cap as u64);
+            let mut f = BoundedFifo::new(cap);
+            let mut model: VecDeque<QueuedCommand> = VecDeque::new();
+            let (mut wraps, mut wrapped_removals) = (0u64, 0u64);
+            for step in 0..20_000u64 {
+                let line = rng.gen_range_u64(0, 6);
+                match rng.gen_range_u64(0, 6) {
+                    0 | 1 => {
+                        let cmd = random_cmd(&mut rng, 6, step);
+                        let fits = model.len() < cap;
+                        if fits {
+                            model.push_back(cmd);
+                        }
+                        assert_eq!(f.push(cmd), fits);
+                    }
+                    2 => {
+                        // Popping the last physical slot wraps `head` to 0.
+                        wraps += u64::from(!f.is_empty() && f.head == f.mask);
+                        assert_eq!(f.pop(), model.pop_front());
+                    }
+                    3 => {
+                        // A live range that runs off the end of storage.
+                        let wrapped = f.head + f.len > f.mask + 1;
+                        let expect = model.iter().position(|c| c.line == line);
+                        let expect = expect.and_then(|pos| model.remove(pos));
+                        wrapped_removals += u64::from(wrapped && expect.is_some());
+                        assert_eq!(f.remove_line(line), expect);
+                    }
+                    4 => {
+                        if let Some(c) = model.front_mut() {
+                            c.conflict_counted = true;
+                        }
+                        if let Some(c) = f.head_mut() {
+                            c.conflict_counted = true;
+                        }
+                    }
+                    _ => assert_eq!(f.contains_line(line), model.iter().any(|c| c.line == line)),
+                }
+                assert_eq!(f.head(), model.front().copied());
+                assert_eq!(f.len(), model.len());
+                assert_eq!(f.is_empty(), model.is_empty());
+                assert_eq!(f.is_full(), model.len() == cap);
+                assert!(f.iter().eq(model.iter().copied()), "cap {cap}, step {step}");
+            }
+            assert!(wraps > 100, "cap {cap}: head wrapped only {wraps} times");
+            if cap > 1 {
+                assert!(wrapped_removals > 0, "cap {cap}: no removal from a wrapped range");
+            }
+        }
+    }
+
     #[test]
     fn reorder_queue_removal_by_index() {
         let mut q = ReorderQueue::new(4);
@@ -472,8 +432,8 @@ mod tests {
         let removed = q.remove(1);
         assert_eq!(removed.line, 2);
         assert_eq!(q.len(), 2);
-        assert_eq!(q.get(0).line, 1);
-        assert_eq!(q.get(1).line, 3);
+        assert_eq!(q.entries()[0].line, 1);
+        assert_eq!(q.entries()[1].line, 3);
     }
 
     #[test]
@@ -497,7 +457,7 @@ mod tests {
             conflict_counted: false,
         };
         q.push(c);
-        assert_eq!(q.get(0), c);
+        assert_eq!(q.entries(), &[c]);
         assert_eq!(q.remove(0), c);
         assert!(q.is_empty());
     }

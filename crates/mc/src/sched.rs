@@ -16,10 +16,8 @@ use std::cmp::Reverse;
 ///   that hit an open row and that keep a balanced read/write mix, using a
 ///   short history of issued commands.
 ///
-/// All three scans walk the reorder queues' dense field arrays
-/// ([`ReorderQueue::banks`]/[`ReorderQueue::rows`]/
-/// [`ReorderQueue::arrivals`]) — no per-entry struct is assembled while
-/// scoring.
+/// All three walk [`ReorderQueue::entries`] front to back, so index order
+/// is arrival order and every tie-break below is positional.
 #[derive(Debug, Clone)]
 pub struct CommandPicker {
     kind: SchedulerKind,
@@ -65,8 +63,8 @@ impl CommandPicker {
         match self.kind {
             SchedulerKind::InOrder => {
                 // Oldest command overall, even if its bank is busy.
-                let r = reads.arrivals().first();
-                let w = writes.arrivals().first();
+                let r = reads.entries().first().map(|c| c.arrival);
+                let w = writes.entries().first().map(|c| c.arrival);
                 match (r, w) {
                     (Some(ra), Some(wa)) => {
                         if ra <= wa {
@@ -114,15 +112,12 @@ impl CommandPicker {
 /// `min_by_key` over `(arrival, index)` the scan replaces.
 // asd-lint: hot
 fn oldest_ready(q: &ReorderQueue, dram: &Dram, now: u64) -> Option<(usize, u64)> {
-    let banks = q.banks();
-    let rows = q.rows();
-    let arrivals = q.arrivals();
     let mut best: Option<(usize, u64)> = None;
-    for i in 0..banks.len() {
-        if dram.can_issue_mapped(banks[i] as usize, rows[i], now)
-            && best.map_or(true, |(_, a)| arrivals[i] < a)
+    for (i, c) in q.entries().iter().enumerate() {
+        if dram.can_issue_mapped(c.bank as usize, c.row, now)
+            && best.map_or(true, |(_, a)| c.arrival < a)
         {
-            best = Some((i, arrivals[i]));
+            best = Some((i, c.arrival));
         }
     }
     best
@@ -130,8 +125,8 @@ fn oldest_ready(q: &ReorderQueue, dram: &Dram, now: u64) -> Option<(usize, u64)>
 
 /// The AHB-best entry of one queue: the *last* entry attaining the maximal
 /// `(score, Reverse(arrival))` key — exactly what `.max()` over
-/// `(key, index)` tuples selected in the struct-scan formulation, since
-/// the index rose monotonically and broke every key tie upward.
+/// `(key, index)` tuples selects, since the index rises monotonically and
+/// breaks every key tie upward.
 // asd-lint: hot
 fn best_scored(
     q: &ReorderQueue,
@@ -140,15 +135,12 @@ fn best_scored(
     kind: DramCmdKind,
     last_kind: Option<DramCmdKind>,
 ) -> Option<((i64, Reverse<u64>), usize)> {
-    let banks = q.banks();
-    let rows = q.rows();
-    let arrivals = q.arrivals();
     let base: i64 = i64::from(Some(kind) == last_kind) * 2 + i64::from(kind == DramCmdKind::Read);
     let mut best: Option<((i64, Reverse<u64>), usize)> = None;
-    for i in 0..banks.len() {
-        let (bank_free, issuable) = dram.issue_readiness_mapped(banks[i] as usize, rows[i], now);
+    for (i, c) in q.entries().iter().enumerate() {
+        let (bank_free, issuable) = dram.issue_readiness_mapped(c.bank as usize, c.row, now);
         let s = base + i64::from(bank_free) * 4 + i64::from(issuable) * 4;
-        let key = (s, Reverse(arrivals[i]));
+        let key = (s, Reverse(c.arrival));
         if best.map_or(true, |(k, _)| key >= k) {
             best = Some((key, i));
         }

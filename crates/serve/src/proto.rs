@@ -383,9 +383,10 @@ pub fn validate_spec(spec: &JobSpec) -> Result<(), ServeError> {
 ///
 /// # Errors
 ///
-/// [`SimError::UnknownProfile`] / [`SimError::UnknownEngine`] for
-/// unresolvable names; non-sweep specs are a caller bug reported as
-/// [`SimError::UnknownProfile`] on the spec kind.
+/// [`UnknownProfile`](asd_sim::SimError::UnknownProfile) /
+/// [`UnknownEngine`](asd_sim::SimError::UnknownEngine) for unresolvable
+/// names; non-sweep specs are a caller bug reported as
+/// [`UnknownProfile`](asd_sim::SimError::UnknownProfile) on the spec kind.
 pub fn build_sweep(spec: &JobSpec) -> Result<Sweep, asd_sim::SimError> {
     let JobSpec::Sweep { benchmarks, configs, smt, .. } = spec else {
         return Err(asd_sim::SimError::UnknownProfile { name: "<non-sweep spec>".to_string() });

@@ -6,7 +6,7 @@
 //! [`crate::proto::build_sweep`]), then drives the shared
 //! [`Chunker`](asd_sim::sweep::Chunker) discipline over pipes: each
 //! worker-feeder thread claims a range from the job's
-//! [`Scheduler`](asd_sim::sweep::Scheduler), sends `R <start> <end>` on
+//! [`Scheduler`], sends `R <start> <end>` on
 //! the worker's stdin, and deposits the wire-decoded results under
 //! their push indices — so the merged output is byte-identical to an
 //! in-process [`Sweep::run`](asd_sim::sweep::Sweep::run), regardless of shard count or scheduling.

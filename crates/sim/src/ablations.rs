@@ -13,7 +13,7 @@
 //!
 //! Each section is defined once as a `(label, SystemConfig)` variant
 //! list; the per-section drivers run them through [`run_custom`], while
-//! [`full_report`] (and the pipeline's [`report_plan`]) batch every
+//! [`full_report`] (and the pipeline's `report_plan`) batch every
 //! section of every benchmark into one job list.
 
 use crate::config::{PrefetchKind, RunOpts, SystemConfig};

@@ -210,7 +210,7 @@ const CHUNK: usize = 256;
 
 /// One bounded per-thread access stream, from any origin.
 ///
-/// All origins refill a dense chunk buffer [`CHUNK`] accesses at a time;
+/// All origins refill a dense chunk buffer `CHUNK` accesses at a time;
 /// the consumer-facing [`Iterator::next`] is an indexed read from that
 /// buffer, with no per-access dispatch into the underlying source.
 pub struct TraceStream {

@@ -10,7 +10,8 @@
 //! corrupt, or over-long input returns `None` — the disk tier and the
 //! shard merger treat that as "recompute", never as a panic.
 //!
-//! **Scope.** Results carrying a telemetry [`Snapshot`] are *not*
+//! **Scope.** Results carrying a telemetry
+//! [`Snapshot`](asd_telemetry::Snapshot) are *not*
 //! encodable ([`encode_result`] returns `None`): snapshots hold
 //! arbitrary instrument trees and event rings that only matter to the
 //! process that recorded them. Sweeps run telemetry-off by default, so

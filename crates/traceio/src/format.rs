@@ -1,5 +1,6 @@
 //! The ASDT1 on-disk format: constants, CRC32, varints, and the
-//! per-record codec shared by [`crate::writer`] and [`crate::reader`].
+//! per-record codec shared by [`TraceWriter`](crate::TraceWriter) and
+//! [`TraceReader`](crate::TraceReader).
 //!
 //! ```text
 //! file    := header chunk* end

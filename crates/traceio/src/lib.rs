@@ -8,7 +8,7 @@
 //! recorded once, verified, shared, and replayed bit-identically
 //! instead of being regenerated in memory on every run.
 //!
-//! The format (see [`format`] for the byte-level layout) stores
+//! The format (see [`format`](mod@format) for the byte-level layout) stores
 //! delta+varint-encoded line addresses in independently decodable
 //! chunks, each guarded by an in-tree CRC32. [`TraceWriter`] and
 //! [`TraceReader`] stream in bounded memory, and every way a file can

@@ -17,11 +17,16 @@ run cargo clippy --workspace --all-targets --offline -- -D warnings
 run cargo run -q -p asd-lint --offline -- --stats
 run cargo run -q -p asd-lint --offline -- --stats
 run cargo build --workspace --all-targets --offline
+# Rustdoc with warnings as errors: a broken or private intra-doc link
+# (say, to a method a refactor deleted) fails the gate instead of
+# rendering as plain text.
+run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 run cargo test --workspace --offline -q
 # The kernel's packed layouts again in the build that ships: release drops
 # overflow checks and `debug_assert!`, so the cache directory word, the
-# way-count arithmetic and the completion queue are tested without them.
-run cargo test --release --offline -q -p asd-core -p asd-cache -p asd-cpu
+# way-count arithmetic, the completion queue and the controller's queue
+# rings are tested without them.
+run cargo test --release --offline -q -p asd-core -p asd-cache -p asd-cpu -p asd-mc
 
 # Trace-corpus smoke: record a trace with the CLI, verify its structure
 # and checksums, prove it replays bit-identically to regeneration, and
