@@ -6,8 +6,10 @@
 //! fig6's, the PB/LPQ size sweeps of fig14/fig15 include the default
 //! point, fig11's first configuration is the stock PMS machine — can
 //! share one simulation per distinct point. [`Sweep`](crate::sweep::Sweep)
-//! consults this process-wide cache before running a job and re-stamps
-//! the cached [`RunResult`] with the job's label.
+//! consults the process-wide [`RunCache`] ([`global`]) before running a
+//! job and re-stamps the cached [`RunResult`] with the job's label. A
+//! [`RunCache`] owns its memory tier, disk tier, single-flight table and
+//! counters, so a second instance shares none of them with the first.
 //!
 //! **Soundness.** The key is the full `Debug` rendering of every input
 //! (no hashing, so no collisions); entries are stored with the label
@@ -25,7 +27,7 @@
 //! Set `ASD_RUN_CACHE=0` to disable (every lookup misses and nothing is
 //! stored); [`stats`] reports hits/misses for telemetry exposition.
 //!
-//! **Disk tier.** On top of the process-wide memory store sits an
+//! **Disk tier.** On top of each cache's memory store sits an
 //! optional persistent tier: a directory of content-addressed record
 //! files ([`set_disk_dir`], or the `ASD_DISK_CACHE` environment
 //! variable), one per cache key, named by the key's FNV-1a hash with the
@@ -50,26 +52,13 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-static FLIGHT_LEADS: AtomicU64 = AtomicU64::new(0);
-static FLIGHT_JOINS: AtomicU64 = AtomicU64::new(0);
-static TRACE_HITS: AtomicU64 = AtomicU64::new(0);
-static TRACE_MISSES: AtomicU64 = AtomicU64::new(0);
-static DISK_HITS: AtomicU64 = AtomicU64::new(0);
-static DISK_MISSES: AtomicU64 = AtomicU64::new(0);
-static DISK_WRITES: AtomicU64 = AtomicU64::new(0);
-static DISK_EVICTIONS: AtomicU64 = AtomicU64::new(0);
-
-fn store() -> &'static Mutex<BTreeMap<String, RunResult>> {
-    static STORE: OnceLock<Mutex<BTreeMap<String, RunResult>>> = OnceLock::new();
-    STORE.get_or_init(|| Mutex::new(BTreeMap::new()))
-}
-
 fn trace_store() -> &'static Mutex<BTreeMap<String, Arc<Vec<MemAccess>>>> {
     static STORE: OnceLock<Mutex<BTreeMap<String, Arc<Vec<MemAccess>>>>> = OnceLock::new();
     STORE.get_or_init(|| Mutex::new(BTreeMap::new()))
 }
+
+static TRACE_HITS: AtomicU64 = AtomicU64::new(0);
+static TRACE_MISSES: AtomicU64 = AtomicU64::new(0);
 
 /// Whether the cache is enabled (`ASD_RUN_CACHE` unset or not `"0"`).
 /// Checked once per process.
@@ -78,10 +67,53 @@ pub fn enabled() -> bool {
     *ENABLED.get_or_init(|| std::env::var("ASD_RUN_CACHE").map_or(true, |v| v != "0"))
 }
 
-/// Hit/miss counters since process start (misses are only counted for
-/// cacheable jobs; uncacheable jobs bypass the cache entirely).
+/// One run cache: the memory tier, the optional disk tier, the
+/// single-flight table, and the counters of all three. The process-wide
+/// instance ([`global`]) serves every sweep, figure and `asd-serve`
+/// request; a [`Pipeline`](crate::pipeline::Pipeline) handed its own
+/// instance ([`Pipeline::with_cache`](crate::pipeline::Pipeline::with_cache))
+/// shares no entry, flight or counter with it, so that instance's
+/// counters count exactly that pipeline's runs.
+#[derive(Default)]
+pub struct RunCache {
+    store: Mutex<BTreeMap<String, RunResult>>,
+    /// The keys being computed right now, and the condvar joiners park
+    /// on. See [`RunCache::claim`].
+    flights: Mutex<BTreeSet<String>>,
+    landed: Condvar,
+    disk_dir: Mutex<Option<PathBuf>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    flight_leads: AtomicU64,
+    flight_joins: AtomicU64,
+    disk_hits: AtomicU64,
+    disk_misses: AtomicU64,
+    disk_writes: AtomicU64,
+    disk_evictions: AtomicU64,
+}
+
+/// The process-wide run cache. Its disk tier starts at the
+/// `ASD_DISK_CACHE` environment variable (unset, empty, or `"0"` means
+/// off).
+pub fn global() -> &'static RunCache {
+    static GLOBAL: OnceLock<RunCache> = OnceLock::new();
+    GLOBAL.get_or_init(|| {
+        let cache = RunCache::new();
+        cache.set_disk_dir(
+            std::env::var("ASD_DISK_CACHE")
+                .ok()
+                .filter(|v| !v.is_empty() && v != "0")
+                .map(PathBuf::from),
+        );
+        cache
+    })
+}
+
+/// Hit/miss counters of the [`global`] cache since process start
+/// (misses are only counted for cacheable jobs; uncacheable jobs bypass
+/// the cache entirely).
 pub fn stats() -> (u64, u64) {
-    (HITS.load(Ordering::Relaxed), MISSES.load(Ordering::Relaxed))
+    global().stats()
 }
 
 /// Hit/miss counters of the per-thread trace memo.
@@ -89,43 +121,45 @@ pub fn trace_stats() -> (u64, u64) {
     (TRACE_HITS.load(Ordering::Relaxed), TRACE_MISSES.load(Ordering::Relaxed))
 }
 
-/// Disk-tier counters since process start:
-/// `(hits, misses, writes, evictions)`. Misses are only counted while a
-/// disk directory is configured; evictions count corrupt or unreadable
-/// records that were deleted and recomputed.
+/// Disk-tier counters of the [`global`] cache since process start:
+/// `(hits, misses, writes, evictions)`.
 pub fn disk_stats() -> (u64, u64, u64, u64) {
-    (
-        DISK_HITS.load(Ordering::Relaxed),
-        DISK_MISSES.load(Ordering::Relaxed),
-        DISK_WRITES.load(Ordering::Relaxed),
-        DISK_EVICTIONS.load(Ordering::Relaxed),
-    )
+    global().disk_stats()
 }
 
-fn disk_dir_slot() -> &'static Mutex<Option<PathBuf>> {
-    static SLOT: OnceLock<Mutex<Option<PathBuf>>> = OnceLock::new();
-    SLOT.get_or_init(|| {
-        let from_env = std::env::var("ASD_DISK_CACHE")
-            .ok()
-            .filter(|v| !v.is_empty() && v != "0")
-            .map(PathBuf::from);
-        Mutex::new(from_env)
-    })
+/// Single-flight counters of the [`global`] cache since process start:
+/// `(leads, joins)`.
+pub fn flight_stats() -> (u64, u64) {
+    global().flight_stats()
 }
 
-/// Configure the persistent disk tier at runtime: `Some(dir)` enables it
-/// (the directory is created on first write), `None` disables it. The
-/// initial value comes from the `ASD_DISK_CACHE` environment variable
-/// (unset, empty, or `"0"` means off). The in-memory tier is unaffected.
+/// Configure the [`global`] cache's disk tier at runtime: `Some(dir)`
+/// enables it (the directory is created on first write), `None` disables
+/// it. The in-memory tier is unaffected.
 pub fn set_disk_dir(dir: Option<PathBuf>) {
-    // asd-lint: allow(D005) -- configuration slot; poisoning means a sibling thread panicked mid-run and propagating is correct
-    *disk_dir_slot().lock().expect("disk dir slot poisoned") = dir;
+    global().set_disk_dir(dir);
 }
 
-/// The directory the disk tier currently persists to, if enabled.
+/// The directory the [`global`] cache's disk tier persists to, if
+/// enabled.
 pub fn disk_dir() -> Option<PathBuf> {
-    // asd-lint: allow(D005) -- configuration slot; poisoning means a sibling thread panicked mid-run and propagating is correct
-    disk_dir_slot().lock().expect("disk dir slot poisoned").clone()
+    global().disk_dir()
+}
+
+/// Write the [`global`] cache's disk index; see
+/// [`RunCache::persist_disk_index`].
+///
+/// # Errors
+///
+/// Any I/O error reading the directory or writing the index.
+pub fn persist_disk_index() -> std::io::Result<usize> {
+    global().persist_disk_index()
+}
+
+/// Number of record files in the [`global`] cache's disk tier; see
+/// [`RunCache::disk_entry_count`].
+pub fn disk_entry_count() -> usize {
+    global().disk_entry_count()
 }
 
 /// FNV-1a 64-bit hash of `key` — the content address a disk record files
@@ -199,103 +233,6 @@ fn decode_disk_record(bytes: &[u8]) -> Option<(String, Vec<u8>)> {
     Some((key, body.get(key_len..)?.to_vec()))
 }
 
-/// Look `key` up in the disk tier. Corrupt records are evicted. The
-/// returned result carries an empty label, exactly like the memory
-/// store's entries.
-fn disk_load(key: &str) -> Option<RunResult> {
-    let dir = disk_dir()?;
-    let path = disk_path(&dir, key);
-    let bytes = match std::fs::read(&path) {
-        Ok(b) => b,
-        Err(_) => {
-            DISK_MISSES.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-    };
-    let decoded = decode_disk_record(&bytes)
-        .filter(|(k, _)| k == key)
-        .and_then(|(_, payload)| crate::wire::decode_result(&payload));
-    match decoded {
-        Some(result) => {
-            DISK_HITS.fetch_add(1, Ordering::Relaxed);
-            Some(result)
-        }
-        None => {
-            // Corrupt, truncated, version-skewed, or an FNV collision:
-            // drop the record so the slot is recomputed cleanly.
-            let _ = std::fs::remove_file(&path);
-            DISK_EVICTIONS.fetch_add(1, Ordering::Relaxed);
-            DISK_MISSES.fetch_add(1, Ordering::Relaxed);
-            None
-        }
-    }
-}
-
-/// Persist a (label-cleared) result under `key`. Failures are silent —
-/// the disk tier is an optimization, never a correctness dependency.
-fn disk_store(key: &str, stored: &RunResult) {
-    let Some(dir) = disk_dir() else { return };
-    let Some(payload) = crate::wire::encode_result(stored) else { return };
-    if std::fs::create_dir_all(&dir).is_err() {
-        return;
-    }
-    let record = encode_disk_record(key, &payload);
-    let final_path = disk_path(&dir, key);
-    let tmp = dir.join(format!("{:016x}.tmp-{}", fnv64(key), std::process::id()));
-    let write = std::fs::File::create(&tmp)
-        .and_then(|mut f| f.write_all(&record).and_then(|()| f.sync_all()));
-    if write.is_ok() && std::fs::rename(&tmp, &final_path).is_ok() {
-        DISK_WRITES.fetch_add(1, Ordering::Relaxed);
-    } else {
-        let _ = std::fs::remove_file(&tmp);
-    }
-}
-
-/// Write a human-readable index of the disk tier (`index.txt` in the
-/// cache directory): one `hash<TAB>benchmark<TAB>key` line per valid
-/// record, sorted by hash. The daemon persists this on graceful shutdown
-/// so operators can see what a cache directory holds without a decoder.
-///
-/// # Errors
-///
-/// Any I/O error reading the directory or writing the index.
-pub fn persist_disk_index() -> std::io::Result<usize> {
-    let Some(dir) = disk_dir() else { return Ok(0) };
-    // An idle daemon may shut down before its first disk write; an empty
-    // index is still a valid index.
-    std::fs::create_dir_all(&dir)?;
-    let mut lines: Vec<String> = Vec::new();
-    for entry in std::fs::read_dir(&dir)? {
-        let path = entry?.path();
-        if path.extension().and_then(|e| e.to_str()) != Some("run") {
-            continue;
-        }
-        let Ok(bytes) = std::fs::read(&path) else { continue };
-        if let Some((key, payload)) = decode_disk_record(&bytes) {
-            let bench = crate::wire::decode_result(&payload)
-                .map_or_else(|| "?".to_string(), |r| r.benchmark);
-            lines.push(format!("{:016x}\t{bench}\t{key}", fnv64(&key)));
-        }
-    }
-    lines.sort();
-    let count = lines.len();
-    let mut body = lines.join("\n");
-    body.push('\n');
-    std::fs::write(dir.join("index.txt"), body)?;
-    Ok(count)
-}
-
-/// Number of valid-looking record files currently in the disk tier (a
-/// cheap directory scan; contents are not verified).
-pub fn disk_entry_count() -> usize {
-    let Some(dir) = disk_dir() else { return 0 };
-    let Ok(entries) = std::fs::read_dir(&dir) else { return 0 };
-    entries
-        .filter_map(Result::ok)
-        .filter(|e| e.path().extension().and_then(|x| x.to_str()) == Some("run"))
-        .count()
-}
-
 /// A memoized per-thread access stream: runs that differ only in system
 /// configuration (the four-way comparisons, the MC/PB/filter sweeps)
 /// consume byte-for-byte the same trace, so it is generated once per
@@ -357,160 +294,292 @@ pub(crate) fn key(cfg: &SystemConfig, profile: &WorkloadProfile, opts: &RunOpts)
     ))
 }
 
-/// Tier lookup without touching the hit/miss counters: memory tier
-/// first, then the disk tier (a disk hit is promoted into memory so
-/// later lookups stay lock-cheap). The result is re-stamped with
-/// `label`. [`get`] and [`claim`] layer their own accounting on top so
-/// a single-flight joiner's retry loop does not inflate the miss count.
-fn lookup(key: &str, label: &str) -> Option<RunResult> {
-    // asd-lint: allow(D005) -- cache poisoning means a sibling worker panicked mid-run; propagating is correct
-    let hit = store().lock().expect("run cache poisoned").get(key).cloned();
-    let hit = match hit {
-        Some(r) => Some(r),
-        None => {
-            let from_disk = disk_load(key);
-            if let Some(r) = &from_disk {
-                // asd-lint: allow(D005) -- cache poisoning means a sibling worker panicked mid-run; propagating is correct
-                store().lock().expect("run cache poisoned").insert(key.to_string(), r.clone());
-            }
-            from_disk
-        }
-    };
-    hit.map(|mut r| {
-        r.config = label.to_string();
-        r
-    })
-}
+impl RunCache {
+    /// An empty cache with the disk tier off.
+    pub fn new() -> Self {
+        RunCache::default()
+    }
 
-/// Look up a cached result, re-stamped with `label`. Counts as one
-/// run-cache hit whichever tier served it — both avoid a simulation.
-/// Production code goes through [`claim`]; the tests exercise the tiers
-/// directly through this.
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn get(key: &str, label: &str) -> Option<RunResult> {
-    match lookup(key, label) {
-        Some(r) => {
-            HITS.fetch_add(1, Ordering::Relaxed);
-            Some(r)
+    // asd-lint: cold -- counter exposition, read once per report, never per cycle
+    /// Hit/miss counters (misses are only counted for cacheable jobs;
+    /// uncacheable jobs bypass the cache entirely).
+    pub fn stats(&self) -> (u64, u64) {
+        (self.hits.load(Ordering::Relaxed), self.misses.load(Ordering::Relaxed))
+    }
+
+    /// Disk-tier counters: `(hits, misses, writes, evictions)`. Misses
+    /// are only counted while a disk directory is configured; evictions
+    /// count corrupt or unreadable records that were deleted and
+    /// recomputed.
+    pub fn disk_stats(&self) -> (u64, u64, u64, u64) {
+        (
+            self.disk_hits.load(Ordering::Relaxed),
+            self.disk_misses.load(Ordering::Relaxed),
+            self.disk_writes.load(Ordering::Relaxed),
+            self.disk_evictions.load(Ordering::Relaxed),
+        )
+    }
+
+    /// Single-flight counters: `(leads, joins)`. A lead is a claim that
+    /// went on to simulate; a join is a claim that parked on someone
+    /// else's in-flight run instead of recomputing it.
+    pub fn flight_stats(&self) -> (u64, u64) {
+        (self.flight_leads.load(Ordering::Relaxed), self.flight_joins.load(Ordering::Relaxed))
+    }
+
+    /// Configure the disk tier: `Some(dir)` enables it (the directory is
+    /// created on first write), `None` disables it. The in-memory tier is
+    /// unaffected.
+    pub fn set_disk_dir(&self, dir: Option<PathBuf>) {
+        // asd-lint: allow(D005) -- configuration slot; poisoning means a sibling thread panicked mid-run and propagating is correct
+        *self.disk_dir.lock().expect("disk dir slot poisoned") = dir;
+    }
+
+    /// The directory the disk tier currently persists to, if enabled.
+    pub fn disk_dir(&self) -> Option<PathBuf> {
+        // asd-lint: allow(D005) -- configuration slot; poisoning means a sibling thread panicked mid-run and propagating is correct
+        self.disk_dir.lock().expect("disk dir slot poisoned").clone()
+    }
+
+    /// Look `key` up in the disk tier. Corrupt records are evicted. The
+    /// returned result carries an empty label, exactly like the memory
+    /// store's entries.
+    fn disk_load(&self, key: &str) -> Option<RunResult> {
+        let dir = self.disk_dir()?;
+        let path = disk_path(&dir, key);
+        let bytes = match std::fs::read(&path) {
+            Ok(b) => b,
+            Err(_) => {
+                self.disk_misses.fetch_add(1, Ordering::Relaxed);
+                return None;
+            }
+        };
+        let decoded = decode_disk_record(&bytes)
+            .filter(|(k, _)| k == key)
+            .and_then(|(_, payload)| crate::wire::decode_result(&payload));
+        match decoded {
+            Some(result) => {
+                self.disk_hits.fetch_add(1, Ordering::Relaxed);
+                Some(result)
+            }
+            None => {
+                // Corrupt, truncated, version-skewed, or an FNV collision:
+                // drop the record so the slot is recomputed cleanly.
+                let _ = std::fs::remove_file(&path);
+                self.disk_evictions.fetch_add(1, Ordering::Relaxed);
+                self.disk_misses.fetch_add(1, Ordering::Relaxed);
+                None
+            }
         }
-        None => {
-            MISSES.fetch_add(1, Ordering::Relaxed);
-            None
+    }
+
+    /// Persist a (label-cleared) result under `key`. Failures are silent —
+    /// the disk tier is an optimization, never a correctness dependency.
+    fn disk_store(&self, key: &str, stored: &RunResult) {
+        let Some(dir) = self.disk_dir() else { return };
+        let Some(payload) = crate::wire::encode_result(stored) else { return };
+        if std::fs::create_dir_all(&dir).is_err() {
+            return;
         }
+        let record = encode_disk_record(key, &payload);
+        let final_path = disk_path(&dir, key);
+        let tmp = dir.join(format!("{:016x}.tmp-{}", fnv64(key), std::process::id()));
+        let write = std::fs::File::create(&tmp)
+            .and_then(|mut f| f.write_all(&record).and_then(|()| f.sync_all()));
+        if write.is_ok() && std::fs::rename(&tmp, &final_path).is_ok() {
+            self.disk_writes.fetch_add(1, Ordering::Relaxed);
+        } else {
+            let _ = std::fs::remove_file(&tmp);
+        }
+    }
+
+    /// Write a human-readable index of the disk tier (`index.txt` in the
+    /// cache directory): one `hash<TAB>benchmark<TAB>key` line per valid
+    /// record, sorted by hash. The daemon persists this on graceful shutdown
+    /// so operators can see what a cache directory holds without a decoder.
+    ///
+    /// # Errors
+    ///
+    /// Any I/O error reading the directory or writing the index.
+    pub fn persist_disk_index(&self) -> std::io::Result<usize> {
+        let Some(dir) = self.disk_dir() else { return Ok(0) };
+        // An idle daemon may shut down before its first disk write; an empty
+        // index is still a valid index.
+        std::fs::create_dir_all(&dir)?;
+        let mut lines: Vec<String> = Vec::new();
+        for entry in std::fs::read_dir(&dir)? {
+            let path = entry?.path();
+            if path.extension().and_then(|e| e.to_str()) != Some("run") {
+                continue;
+            }
+            let Ok(bytes) = std::fs::read(&path) else { continue };
+            if let Some((key, payload)) = decode_disk_record(&bytes) {
+                let bench = crate::wire::decode_result(&payload)
+                    .map_or_else(|| "?".to_string(), |r| r.benchmark);
+                lines.push(format!("{:016x}\t{bench}\t{key}", fnv64(&key)));
+            }
+        }
+        lines.sort();
+        let count = lines.len();
+        let mut body = lines.join("\n");
+        body.push('\n');
+        std::fs::write(dir.join("index.txt"), body)?;
+        Ok(count)
+    }
+
+    /// Number of valid-looking record files currently in the disk tier (a
+    /// cheap directory scan; contents are not verified).
+    pub fn disk_entry_count(&self) -> usize {
+        let Some(dir) = self.disk_dir() else { return 0 };
+        let Ok(entries) = std::fs::read_dir(&dir) else { return 0 };
+        entries
+            .filter_map(Result::ok)
+            .filter(|e| e.path().extension().and_then(|x| x.to_str()) == Some("run"))
+            .count()
+    }
+
+    /// Tier lookup without touching the hit/miss counters: memory tier
+    /// first, then the disk tier (a disk hit is promoted into memory so
+    /// later lookups stay lock-cheap). The result is re-stamped with
+    /// `label`. [`Self::get`] and [`Self::claim`] layer their own
+    /// accounting on top so a single-flight joiner's retry loop does not
+    /// inflate the miss count.
+    fn lookup(&self, key: &str, label: &str) -> Option<RunResult> {
+        // asd-lint: allow(D005) -- cache poisoning means a sibling worker panicked mid-run; propagating is correct
+        let hit = self.store.lock().expect("run cache poisoned").get(key).cloned();
+        let hit = match hit {
+            Some(r) => Some(r),
+            None => {
+                let from_disk = self.disk_load(key);
+                if let Some(r) = &from_disk {
+                    // asd-lint: allow(D005) -- cache poisoning means a sibling worker panicked mid-run; propagating is correct
+                    let mut store = self.store.lock().expect("run cache poisoned");
+                    store.insert(key.to_string(), r.clone());
+                }
+                from_disk
+            }
+        };
+        hit.map(|mut r| {
+            r.config = label.to_string();
+            r
+        })
+    }
+
+    // asd-lint: cold -- one lookup per simulation run, never per cycle
+    /// Look up a cached result, re-stamped with `label`. Counts as one
+    /// run-cache hit whichever tier served it — both avoid a simulation.
+    /// Production code goes through [`Self::claim`]; the tests exercise
+    /// the tiers directly through this.
+    #[cfg_attr(not(test), allow(dead_code))]
+    pub(crate) fn get(&self, key: &str, label: &str) -> Option<RunResult> {
+        match self.lookup(key, label) {
+            Some(r) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                Some(r)
+            }
+            None => {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                None
+            }
+        }
+    }
+
+    /// Store a result under `key` with the reporting label cleared, in both
+    /// tiers (the disk write is skipped when no directory is configured or
+    /// the result carries a telemetry snapshot).
+    fn put(&self, key: String, result: &RunResult) {
+        let mut stored = result.clone();
+        stored.config = String::new();
+        self.disk_store(&key, &stored);
+        // asd-lint: allow(D005) -- cache poisoning means a sibling worker panicked mid-run; propagating is correct
+        self.store.lock().expect("run cache poisoned").insert(key, stored);
+    }
+
+    /// Claim `key`, the single-flight entry point: a cached result returns
+    /// as [`Claim::Hit`]; an unclaimed key makes the caller the leader
+    /// ([`Claim::Lead`]); a key already in flight parks the caller until the
+    /// leader lands, then retries (normally a hit — a re-claim only happens
+    /// when the leader failed). Exactly one simulation runs per key no
+    /// matter how many figures or connections request it concurrently.
+    ///
+    /// Lock order is flight table → store (via `lookup`); `put` and
+    /// `release` each take one lock at a time, so the order is acyclic.
+    pub(crate) fn claim(&self, key: &str, label: &str) -> Claim<'_> {
+        loop {
+            if let Some(hit) = self.lookup(key, label) {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Claim::Hit(Box::new(hit));
+            }
+            // asd-lint: allow(D005) -- flight table poisoning means a sibling worker panicked mid-run; propagating is correct
+            let mut keys = self.flights.lock().expect("flight table poisoned");
+            if !keys.contains(key) {
+                // Re-check the store under the flight lock: a leader may have
+                // completed between our miss above and acquiring the lock.
+                if let Some(hit) = self.lookup(key, label) {
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    return Claim::Hit(Box::new(hit));
+                }
+                keys.insert(key.to_string());
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                self.flight_leads.fetch_add(1, Ordering::Relaxed);
+                return Claim::Lead(FlightLease {
+                    cache: self,
+                    key: key.to_string(),
+                    completed: false,
+                });
+            }
+            self.flight_joins.fetch_add(1, Ordering::Relaxed);
+            while keys.contains(key) {
+                // asd-lint: allow(D005) -- flight table poisoning means a sibling worker panicked mid-run; propagating is correct
+                keys = self.landed.wait(keys).expect("flight table poisoned");
+            }
+        }
+    }
+
+    fn release(&self, key: &str) {
+        // asd-lint: allow(D005) -- flight table poisoning means a sibling worker panicked mid-run; propagating is correct
+        self.flights.lock().expect("flight table poisoned").remove(key);
+        self.landed.notify_all();
     }
 }
 
-/// Store a result under `key` with the reporting label cleared, in both
-/// tiers (the disk write is skipped when no directory is configured or
-/// the result carries a telemetry snapshot).
-pub(crate) fn put(key: String, result: &RunResult) {
-    let mut stored = result.clone();
-    stored.config = String::new();
-    disk_store(&key, &stored);
-    // asd-lint: allow(D005) -- cache poisoning means a sibling worker panicked mid-run; propagating is correct
-    store().lock().expect("run cache poisoned").insert(key, stored);
-}
-
-/// The set of cache keys currently being computed somewhere in this
-/// process, plus the condvar joiners park on. See [`claim`].
-struct FlightTable {
-    keys: Mutex<BTreeSet<String>>,
-    landed: Condvar,
-}
-
-fn flights() -> &'static FlightTable {
-    static TABLE: OnceLock<FlightTable> = OnceLock::new();
-    TABLE.get_or_init(|| FlightTable { keys: Mutex::new(BTreeSet::new()), landed: Condvar::new() })
-}
-
-/// Single-flight counters since process start: `(leads, joins)`. A lead
-/// is a claim that went on to simulate; a join is a claim that parked on
-/// someone else's in-flight run instead of recomputing it.
-pub fn flight_stats() -> (u64, u64) {
-    (FLIGHT_LEADS.load(Ordering::Relaxed), FLIGHT_JOINS.load(Ordering::Relaxed))
-}
-
-/// Outcome of [`claim`]: either the cache already holds (or an in-flight
-/// leader just produced) the result, or the caller is now the leader and
-/// must simulate, then [`FlightLease::complete`] the lease.
-pub(crate) enum Claim {
+/// Outcome of [`RunCache::claim`]: either the cache already holds (or an
+/// in-flight leader just produced) the result, or the caller is now the
+/// leader and must simulate, then [`FlightLease::complete`] the lease.
+pub(crate) enum Claim<'a> {
     /// A cached result, re-stamped with the claimant's label (boxed:
     /// [`RunResult`] is an order of magnitude larger than the lease).
     Hit(Box<RunResult>),
     /// The claimant leads this key; every concurrent claimant for the
     /// same key parks until the lease completes or drops.
-    Lead(FlightLease),
+    Lead(FlightLease<'a>),
 }
 
-/// Exclusive right to compute one cache key. Obtained from [`claim`];
-/// the holder runs the simulation and calls [`FlightLease::complete`].
-/// Dropping the lease without completing (the simulation failed) wakes
-/// parked joiners so one of them re-claims and recomputes — an error is
-/// never published as a result.
-pub(crate) struct FlightLease {
+/// Exclusive right to compute one cache key. Obtained from
+/// [`RunCache::claim`]; the holder runs the simulation and calls
+/// [`FlightLease::complete`]. Dropping the lease without completing (the
+/// simulation failed) wakes parked joiners so one of them re-claims and
+/// recomputes — an error is never published as a result.
+pub(crate) struct FlightLease<'a> {
+    cache: &'a RunCache,
     key: String,
     completed: bool,
 }
 
-impl FlightLease {
+impl FlightLease<'_> {
     /// Publish `result` to both cache tiers and release every joiner
     /// parked on this key.
     pub(crate) fn complete(mut self, result: &RunResult) {
-        put(self.key.clone(), result);
+        self.cache.put(self.key.clone(), result);
         self.completed = true;
-        release(&self.key);
+        self.cache.release(&self.key);
     }
 }
 
-impl Drop for FlightLease {
+impl Drop for FlightLease<'_> {
     fn drop(&mut self) {
         if !self.completed {
-            release(&self.key);
-        }
-    }
-}
-
-fn release(key: &str) {
-    let table = flights();
-    // asd-lint: allow(D005) -- flight table poisoning means a sibling worker panicked mid-run; propagating is correct
-    table.keys.lock().expect("flight table poisoned").remove(key);
-    table.landed.notify_all();
-}
-
-/// Claim `key`, the single-flight entry point: a cached result returns
-/// as [`Claim::Hit`]; an unclaimed key makes the caller the leader
-/// ([`Claim::Lead`]); a key already in flight parks the caller until the
-/// leader lands, then retries (normally a hit — a re-claim only happens
-/// when the leader failed). Exactly one simulation runs per key no
-/// matter how many figures or connections request it concurrently.
-///
-/// Lock order is flight table → store (via [`lookup`]); [`put`] and
-/// [`release`] each take one lock at a time, so the order is acyclic.
-pub(crate) fn claim(key: &str, label: &str) -> Claim {
-    loop {
-        if let Some(hit) = lookup(key, label) {
-            HITS.fetch_add(1, Ordering::Relaxed);
-            return Claim::Hit(Box::new(hit));
-        }
-        let table = flights();
-        // asd-lint: allow(D005) -- flight table poisoning means a sibling worker panicked mid-run; propagating is correct
-        let mut keys = table.keys.lock().expect("flight table poisoned");
-        if !keys.contains(key) {
-            // Re-check the store under the flight lock: a leader may have
-            // completed between our miss above and acquiring the lock.
-            if let Some(hit) = lookup(key, label) {
-                HITS.fetch_add(1, Ordering::Relaxed);
-                return Claim::Hit(Box::new(hit));
-            }
-            keys.insert(key.to_string());
-            MISSES.fetch_add(1, Ordering::Relaxed);
-            FLIGHT_LEADS.fetch_add(1, Ordering::Relaxed);
-            return Claim::Lead(FlightLease { key: key.to_string(), completed: false });
-        }
-        FLIGHT_JOINS.fetch_add(1, Ordering::Relaxed);
-        while keys.contains(key) {
-            // asd-lint: allow(D005) -- flight table poisoning means a sibling worker panicked mid-run; propagating is correct
-            keys = table.landed.wait(keys).expect("flight table poisoned");
+            self.cache.release(&self.key);
         }
     }
 }
@@ -551,11 +620,12 @@ mod tests {
         assert_eq!(key(&cfg, &milc(), &opts), None);
     }
 
-    /// Disk-tier tests mutate the process-global directory slot, so they
-    /// serialize on this lock and restore `None` before releasing it.
-    fn disk_test_lock() -> &'static Mutex<u32> {
-        static LOCK: OnceLock<Mutex<u32>> = OnceLock::new();
-        LOCK.get_or_init(|| Mutex::new(0))
+    /// A fresh cache whose disk tier is `dir`: no sibling test's
+    /// simulation writes there or moves its counters.
+    fn disk_cache(dir: &Path) -> RunCache {
+        let cache = RunCache::new();
+        cache.set_disk_dir(Some(dir.to_path_buf()));
+        cache
     }
 
     fn scratch_dir(tag: &str) -> PathBuf {
@@ -593,23 +663,22 @@ mod tests {
 
     #[test]
     fn disk_tier_stores_loads_and_evicts_corrupt_records() {
-        let _guard = disk_test_lock().lock().expect("test lock");
         let dir = scratch_dir("roundtrip");
-        set_disk_dir(Some(dir.clone()));
+        let cache = disk_cache(&dir);
         let result = sample_result();
         let mut stored = result.clone();
         stored.config = String::new();
 
         let key = "disk-tier-test|roundtrip";
-        disk_store(key, &stored);
+        cache.disk_store(key, &stored);
         let path = disk_path(&dir, key);
         assert!(path.exists(), "record file written");
-        let loaded = disk_load(key).expect("disk hit");
+        let loaded = cache.disk_load(key).expect("disk hit");
         assert_eq!(format!("{loaded:?}"), format!("{stored:?}"));
 
         // A key that hashes elsewhere misses without touching the record.
-        let (_, _, _, ev0) = disk_stats();
-        assert!(disk_load("disk-tier-test|other").is_none());
+        let (_, _, _, ev0) = cache.disk_stats();
+        assert!(cache.disk_load("disk-tier-test|other").is_none());
         assert!(path.exists());
 
         // Corrupt the payload: the load fails, the record is evicted,
@@ -618,59 +687,55 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
         std::fs::write(&path, &bytes).expect("write corrupt record");
-        assert!(disk_load(key).is_none(), "corrupt record must not decode");
+        assert!(cache.disk_load(key).is_none(), "corrupt record must not decode");
         assert!(!path.exists(), "corrupt record evicted");
-        let (_, _, _, ev1) = disk_stats();
+        let (_, _, _, ev1) = cache.disk_stats();
         assert!(ev1 > ev0, "eviction counted");
 
-        set_disk_dir(None);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn disk_tier_serves_get_after_memory_miss() {
-        let _guard = disk_test_lock().lock().expect("test lock");
         let dir = scratch_dir("get");
-        set_disk_dir(Some(dir.clone()));
+        let cache = disk_cache(&dir);
         let mut stored = sample_result();
         stored.config = String::new();
 
         // A synthetic key no simulation path produces: the memory store
         // cannot contain it, so `get` must fall through to disk.
         let key = "disk-tier-test|get-path";
-        disk_store(key, &stored);
-        let (h0, _) = stats();
-        let hit = get(key, "RELABELED").expect("disk-backed get");
+        cache.disk_store(key, &stored);
+        let (h0, _) = cache.stats();
+        let hit = cache.get(key, "RELABELED").expect("disk-backed get");
         assert_eq!(hit.config, "RELABELED");
         assert_eq!(hit.cycles, stored.cycles);
-        let (h1, _) = stats();
+        let (h1, _) = cache.stats();
         assert_eq!(h1, h0 + 1, "disk hit counts as a run-cache hit");
         // Promotion: the second get is served from memory even with the
         // disk tier off.
-        set_disk_dir(None);
-        assert!(get(key, "AGAIN").is_some());
+        cache.set_disk_dir(None);
+        assert!(cache.get(key, "AGAIN").is_some());
 
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn disk_index_lists_valid_records() {
-        let _guard = disk_test_lock().lock().expect("test lock");
         let dir = scratch_dir("index");
-        set_disk_dir(Some(dir.clone()));
+        let cache = disk_cache(&dir);
         let mut stored = sample_result();
         stored.config = String::new();
-        disk_store("disk-tier-test|index-a", &stored);
-        disk_store("disk-tier-test|index-b", &stored);
+        cache.disk_store("disk-tier-test|index-a", &stored);
+        cache.disk_store("disk-tier-test|index-b", &stored);
         std::fs::write(dir.join("feedbeefdeadc0de.run"), b"garbage").expect("write junk");
-        assert_eq!(disk_entry_count(), 3);
-        let indexed = persist_disk_index().expect("index written");
+        assert_eq!(cache.disk_entry_count(), 3);
+        let indexed = cache.persist_disk_index().expect("index written");
         assert_eq!(indexed, 2, "only valid records indexed");
         let body = std::fs::read_to_string(dir.join("index.txt")).expect("index file");
         assert!(body.contains("disk-tier-test|index-a"));
         assert!(body.contains("\tmilc\t"));
 
-        set_disk_dir(None);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

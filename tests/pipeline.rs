@@ -4,19 +4,16 @@
 //! (trace-sourced) jobs, error propagation order matching [`Sweep::run`],
 //! and deterministic output order under a threaded run.
 //!
-//! The run cache and flight registry are process-global, so tests that
-//! assert on counter *deltas* serialize behind [`COUNTER_LOCK`] and use
-//! seeds unique to this file (and to each test) so no other test binary
-//! or sibling test can pre-populate their cache keys.
+//! A test that asserts on cache counters runs its pipeline against its
+//! own [`cache::RunCache`], whose counters no sibling test moves. Seeds
+//! are unique to this file (and to each test) so no other test binary
+//! or sibling test can pre-populate the process-wide cache's keys.
 
 use asd_sim::pipeline::{FigureOutput, FigurePlan, Job, Pipeline};
 use asd_sim::sweep::Sweep;
 use asd_sim::{cache, figures, PrefetchKind, RunOpts, SimError, SystemConfig, TraceSource};
 use asd_trace::suites;
-use std::sync::Mutex;
-
-/// Serializes tests that assert on process-global cache/flight counters.
-static COUNTER_LOCK: Mutex<()> = Mutex::new(());
+use std::sync::Arc;
 
 /// Short runs with a per-test seed: `0x91be` tags this binary, the low
 /// byte tags the test, so every test owns fresh cache keys.
@@ -82,7 +79,6 @@ fn single_job_figure_matches_barrier_mode() {
 
 #[test]
 fn duplicate_jobs_across_figures_simulate_once() {
-    let _serial = COUNTER_LOCK.lock().unwrap();
     if !cache::enabled() {
         return; // dedup is keyed on the cache; nothing to assert with it off
     }
@@ -90,16 +86,17 @@ fn duplicate_jobs_across_figures_simulate_once() {
     let lbm = suites::by_name("lbm").unwrap();
     let plan = |name: &str| echo_plan(name, &o, vec![Job::new(&lbm, np(1), "NP")]);
 
-    let mut pipe = Pipeline::new();
+    let own = Arc::new(cache::RunCache::new());
+    let mut pipe = Pipeline::new().with_cache(Arc::clone(&own));
     pipe.submit(plan("first"));
     pipe.submit(plan("second"));
     assert_eq!(pipe.submitted_jobs(), 2);
     assert_eq!(pipe.unique_jobs(), 1, "identical jobs collapse at submission");
     assert_eq!(pipe.inflight_joins(), 1);
 
-    let (hits_before, misses_before) = cache::stats();
+    let (hits_before, misses_before) = own.stats();
     let run = pipe.run(&|| 0.0).unwrap();
-    let (hits_after, misses_after) = cache::stats();
+    let (hits_after, misses_after) = own.stats();
     // One node, one simulation: the fresh key misses exactly once and the
     // joined figure never touches the cache again.
     assert_eq!(misses_after - misses_before, 1, "exactly one simulation ran");
