@@ -103,7 +103,7 @@ impl Server {
         let listener = TcpListener::bind(&addr)
             .map_err(|e| ServeError::Bind { addr: addr.clone(), message: e.to_string() })?;
         if std::env::var("ASD_DISK_CACHE").is_err() {
-            asd_sim::cache::set_disk_dir(Some(cfg.root.join("cache")));
+            asd_sim::cache::global().set_disk_dir(Some(cfg.root.join("cache")));
         }
         let corpus = Arc::new(Corpus::new(cfg.root.join("corpus")));
         Ok(Server {
@@ -186,7 +186,7 @@ impl Server {
                 let _ = TcpStream::connect(addr);
             }
         });
-        match asd_sim::cache::persist_disk_index() {
+        match asd_sim::cache::global().persist_disk_index() {
             Ok(n) => eprintln!("asd-serve: persisted cache index ({n} entries)"),
             Err(e) => eprintln!("asd-serve: could not persist cache index: {e}"),
         }
@@ -302,9 +302,10 @@ fn snapshot_value(snap: &JobSnapshot) -> Value {
 /// numbers and the text can never disagree.
 fn stats_value(table: &JobTable) -> Value {
     let (accepted, completed, depth) = table.counts();
-    let (run_hits, run_misses) = asd_sim::cache::stats();
-    let (disk_hits, disk_misses, disk_writes, disk_evictions) = asd_sim::cache::disk_stats();
-    let (flight_leads, flight_joins) = asd_sim::cache::flight_stats();
+    let cache = asd_sim::cache::global();
+    let (run_hits, run_misses) = cache.stats();
+    let (disk_hits, disk_misses, disk_writes, disk_evictions) = cache.disk_stats();
+    let (flight_leads, flight_joins) = cache.flight_stats();
     let mut tel = Registry::section("serve.", &TelemetryConfig::metrics_only());
     for (metric, help, v) in [
         ("jobs_accepted", "jobs accepted into the queue", accepted),
@@ -346,7 +347,7 @@ fn stats_value(table: &JobTable) -> Value {
     ] {
         v.set(metric, snap.gauge(&format!("serve.{metric}")).unwrap_or(0.0));
     }
-    v.set("disk_entries", asd_sim::cache::disk_entry_count());
+    v.set("disk_entries", cache.disk_entry_count());
     v.set("prom", expo::prom::render(&snap));
     v
 }

@@ -81,8 +81,9 @@ pub fn decode_chunk(buf: &[u8], expected: usize) -> Option<Vec<Result<RunResult,
 fn spawn_worker(shard: usize) -> Result<Child, ServeError> {
     let exe = std::env::current_exe()
         .map_err(|e| ServeError::ShardWorker { shard, message: format!("no current_exe: {e}") })?;
-    let disk =
-        asd_sim::cache::disk_dir().map_or_else(|| "0".to_string(), |d| d.display().to_string());
+    let disk = asd_sim::cache::global()
+        .disk_dir()
+        .map_or_else(|| "0".to_string(), |d| d.display().to_string());
     Command::new(exe)
         .arg("shard-worker")
         .env("ASD_DISK_CACHE", disk)

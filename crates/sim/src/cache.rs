@@ -7,9 +7,7 @@
 //! point, fig11's first configuration is the stock PMS machine — can
 //! share one simulation per distinct point. [`Sweep`](crate::sweep::Sweep)
 //! consults the process-wide [`RunCache`] ([`global`]) before running a
-//! job and re-stamps the cached [`RunResult`] with the job's label. A
-//! [`RunCache`] owns its memory tier, disk tier, single-flight table and
-//! counters, so a second instance shares none of them with the first.
+//! job and re-stamps the cached [`RunResult`] with the job's label.
 //!
 //! **Soundness.** The key is the full `Debug` rendering of every input
 //! (no hashing, so no collisions); entries are stored with the label
@@ -25,17 +23,18 @@
 //! same deterministic result, so the duplicate insert is benign.
 //!
 //! Set `ASD_RUN_CACHE=0` to disable (every lookup misses and nothing is
-//! stored); [`stats`] reports hits/misses for telemetry exposition.
+//! stored); [`RunCache::stats`] reports hits/misses for telemetry
+//! exposition.
 //!
 //! **Disk tier.** On top of each cache's memory store sits an
 //! optional persistent tier: a directory of content-addressed record
-//! files ([`set_disk_dir`], or the `ASD_DISK_CACHE` environment
-//! variable), one per cache key, named by the key's FNV-1a hash with the
-//! full key stored inside the record as a collision guard. Records carry
-//! a CRC-32 over their contents in a header mirroring the ASDT chunk
-//! framing ([`asd_traceio::format`]); a corrupt, truncated, or
-//! version-skewed record is **evicted and recomputed** — never served and
-//! never a panic. Results survive process restarts and dedupe across
+//! files ([`RunCache::set_disk_dir`], or the `ASD_DISK_CACHE`
+//! environment variable for [`global`]), one per cache key, named by the
+//! key's FNV-1a hash with the full key stored inside the record as a
+//! collision guard. Records carry a CRC-32 over their contents in a
+//! header mirroring the ASDT chunk framing ([`asd_traceio::format`]); a
+//! corrupt, truncated, or version-skewed record is **evicted and
+//! recomputed** — never served and never a panic. Results survive process restarts and dedupe across
 //! clients of the `asd-serve` daemon; only telemetry-free results are
 //! persisted (see [`crate::wire`]). Concurrent writers may race on one
 //! key, but both write byte-identical records via an atomic
@@ -70,10 +69,10 @@ pub fn enabled() -> bool {
 /// One run cache: the memory tier, the optional disk tier, the
 /// single-flight table, and the counters of all three. The process-wide
 /// instance ([`global`]) serves every sweep, figure and `asd-serve`
-/// request; a [`Pipeline`](crate::pipeline::Pipeline) handed its own
-/// instance ([`Pipeline::with_cache`](crate::pipeline::Pipeline::with_cache))
-/// shares no entry, flight or counter with it, so that instance's
-/// counters count exactly that pipeline's runs.
+/// request; a second instance shares no entry, flight or counter with
+/// it, which is what lets the disk-tier tests count exactly their own
+/// records while sibling tests simulate. `RunCache::default()` is empty,
+/// with the disk tier off.
 #[derive(Default)]
 pub struct RunCache {
     store: Mutex<BTreeMap<String, RunResult>>,
@@ -98,7 +97,7 @@ pub struct RunCache {
 pub fn global() -> &'static RunCache {
     static GLOBAL: OnceLock<RunCache> = OnceLock::new();
     GLOBAL.get_or_init(|| {
-        let cache = RunCache::new();
+        let cache = RunCache::default();
         cache.set_disk_dir(
             std::env::var("ASD_DISK_CACHE")
                 .ok()
@@ -109,57 +108,9 @@ pub fn global() -> &'static RunCache {
     })
 }
 
-/// Hit/miss counters of the [`global`] cache since process start
-/// (misses are only counted for cacheable jobs; uncacheable jobs bypass
-/// the cache entirely).
-pub fn stats() -> (u64, u64) {
-    global().stats()
-}
-
 /// Hit/miss counters of the per-thread trace memo.
 pub fn trace_stats() -> (u64, u64) {
     (TRACE_HITS.load(Ordering::Relaxed), TRACE_MISSES.load(Ordering::Relaxed))
-}
-
-/// Disk-tier counters of the [`global`] cache since process start:
-/// `(hits, misses, writes, evictions)`.
-pub fn disk_stats() -> (u64, u64, u64, u64) {
-    global().disk_stats()
-}
-
-/// Single-flight counters of the [`global`] cache since process start:
-/// `(leads, joins)`.
-pub fn flight_stats() -> (u64, u64) {
-    global().flight_stats()
-}
-
-/// Configure the [`global`] cache's disk tier at runtime: `Some(dir)`
-/// enables it (the directory is created on first write), `None` disables
-/// it. The in-memory tier is unaffected.
-pub fn set_disk_dir(dir: Option<PathBuf>) {
-    global().set_disk_dir(dir);
-}
-
-/// The directory the [`global`] cache's disk tier persists to, if
-/// enabled.
-pub fn disk_dir() -> Option<PathBuf> {
-    global().disk_dir()
-}
-
-/// Write the [`global`] cache's disk index; see
-/// [`RunCache::persist_disk_index`].
-///
-/// # Errors
-///
-/// Any I/O error reading the directory or writing the index.
-pub fn persist_disk_index() -> std::io::Result<usize> {
-    global().persist_disk_index()
-}
-
-/// Number of record files in the [`global`] cache's disk tier; see
-/// [`RunCache::disk_entry_count`].
-pub fn disk_entry_count() -> usize {
-    global().disk_entry_count()
 }
 
 /// FNV-1a 64-bit hash of `key` — the content address a disk record files
@@ -295,11 +246,6 @@ pub(crate) fn key(cfg: &SystemConfig, profile: &WorkloadProfile, opts: &RunOpts)
 }
 
 impl RunCache {
-    /// An empty cache with the disk tier off.
-    pub fn new() -> Self {
-        RunCache::default()
-    }
-
     // asd-lint: cold -- counter exposition, read once per report, never per cycle
     /// Hit/miss counters (misses are only counted for cacheable jobs;
     /// uncacheable jobs bypass the cache entirely).
@@ -623,7 +569,7 @@ mod tests {
     /// A fresh cache whose disk tier is `dir`: no sibling test's
     /// simulation writes there or moves its counters.
     fn disk_cache(dir: &Path) -> RunCache {
-        let cache = RunCache::new();
+        let cache = RunCache::default();
         cache.set_disk_dir(Some(dir.to_path_buf()));
         cache
     }

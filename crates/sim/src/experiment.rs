@@ -1,6 +1,5 @@
 //! Experiment drivers: run benchmarks under configurations and compare.
 
-use crate::cache::RunCache;
 use crate::config::{PrefetchKind, RunOpts, SystemConfig};
 use crate::error::SimError;
 use crate::sweep::Sweep;
@@ -40,22 +39,10 @@ pub fn run_custom(
     label: &str,
     opts: &RunOpts,
 ) -> Result<RunResult, SimError> {
-    run_cached(crate::cache::global(), profile, cfg, label, opts)
-}
-
-/// [`run_custom`] against a given run cache instead of the process-wide
-/// one.
-pub(crate) fn run_cached(
-    cache: &RunCache,
-    profile: &WorkloadProfile,
-    cfg: SystemConfig,
-    label: &str,
-    opts: &RunOpts,
-) -> Result<RunResult, SimError> {
     let Some(key) = crate::cache::key(&cfg, profile, opts) else {
         return Ok(System::new(cfg, profile, opts)?.with_label(label).run());
     };
-    match cache.claim(&key, label) {
+    match crate::cache::global().claim(&key, label) {
         crate::cache::Claim::Hit(hit) => Ok(*hit),
         crate::cache::Claim::Lead(lease) => {
             // A `?` here drops the lease un-completed, releasing joiners

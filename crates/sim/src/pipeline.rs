@@ -31,27 +31,24 @@
 //!   earliest submission-order figure's earliest job error — the same
 //!   error [`Sweep::run`] would pick.
 //!
-//! Node execution goes through the run cache's *single-flight* registry,
-//! as [`crate::experiment::run_custom`] does: even two independent
+//! Node execution goes through [`crate::experiment::run_custom`], which
+//! adds the cache's *single-flight* registry: even two independent
 //! `Pipeline`s (e.g. concurrent `asd-serve` connections) computing the
 //! same key run one simulation, with the loser joining the winner's
-//! in-flight run (see [`crate::cache::flight_stats`]). A pipeline runs
-//! against the process-wide cache unless [`Pipeline::with_cache`] gives
-//! it its own.
+//! in-flight run (see [`RunCache::flight_stats`](crate::cache::RunCache::flight_stats)).
 //!
 //! The `ASD_PIPELINE=barrier` environment variable ([`barrier_mode`])
 //! restores the sequential per-figure behavior for A/B verification;
 //! [`FigurePlan::run`] is exactly that fallback.
 
-use crate::cache::RunCache;
 use crate::config::{RunOpts, SystemConfig};
 use crate::error::SimError;
-use crate::experiment::run_cached;
+use crate::experiment::run_custom;
 use crate::sweep::{worker_count, Chunker, Sweep};
 use crate::system::RunResult;
 use asd_trace::WorkloadProfile;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 
 /// One simulation a figure needs: a workload under a configuration,
 /// with a label for reporting (mirrors what [`Sweep::push`] takes).
@@ -250,7 +247,6 @@ pub struct Pipeline {
     submitted: usize,
     joins: u64,
     threads: Option<usize>,
-    cache: Option<Arc<RunCache>>,
 }
 
 impl Pipeline {
@@ -264,15 +260,6 @@ impl Pipeline {
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
-        self
-    }
-
-    /// Run the nodes against `cache` instead of the process-wide
-    /// [`crate::cache::global`]: the pipeline then shares no cached
-    /// result, in-flight run or counter with any other caller.
-    #[must_use]
-    pub fn with_cache(mut self, cache: Arc<RunCache>) -> Self {
-        self.cache = Some(cache);
         self
     }
 
@@ -362,7 +349,7 @@ impl Pipeline {
     /// [`SimError`] (matching [`Sweep::run`] semantics per figure), or
     /// the first figure's assembly error.
     pub fn run(self, clock: &(dyn Fn() -> f64 + Sync)) -> Result<PipelineRun, SimError> {
-        let Pipeline { nodes, figures, submitted, joins, threads, cache, .. } = self;
+        let Pipeline { nodes, figures, submitted, joins, threads, .. } = self;
         let total = nodes.len();
         let workers = threads.unwrap_or_else(worker_count).clamp(1, total.max(1));
 
@@ -402,10 +389,6 @@ impl Pipeline {
             track: &Mutex::new(track),
             chunker: &Chunker::new(total, workers),
             clock,
-            cache: match &cache {
-                Some(own) => own,
-                None => crate::cache::global(),
-            },
         };
         std::thread::scope(|scope| {
             // One worker runs on the calling thread; spawning all of
@@ -489,7 +472,6 @@ struct Exec<'a> {
     track: &'a Mutex<Track>,
     chunker: &'a Chunker,
     clock: &'a (dyn Fn() -> f64 + Sync),
-    cache: &'a RunCache,
 }
 
 impl Exec<'_> {
@@ -536,8 +518,7 @@ impl Exec<'_> {
     /// any figure whose last dependency this was.
     fn run_node(&self, index: usize) {
         let node = &self.nodes[index];
-        let result =
-            run_cached(self.cache, &node.profile, node.cfg.clone(), &node.label, &node.opts);
+        let result = run_custom(&node.profile, node.cfg.clone(), &node.label, &node.opts);
         let ok = result.is_ok();
         {
             // asd-lint: allow(D005) -- slot poisoning means a sibling worker panicked mid-run; propagating is correct

@@ -12,7 +12,15 @@
 //! Buffer and scheduler stats included), and the bits of the DRAM energy.
 //! On a mismatch the test prints the whole table as Rust source; an
 //! intended model change re-blesses by pasting it over `GOLDEN`.
+//!
+//! The Power5+ hierarchy's 36 MB L3 evicts no dirty line within a run this
+//! short, so its rows never write DRAM. The `+small` rows rerun every
+//! profile on a shrunken L2 and L3 under each reorder-queue scheduler, so
+//! that the table also pins the write path: the write queue, AHB's
+//! read/write grouping and the bus turnaround.
 
+use asd_cache::CacheConfig;
+use asd_mc::SchedulerKind;
 use asd_sim::{PrefetchKind, RunOpts, RunResult, System, SystemConfig};
 use asd_trace::suites;
 
@@ -24,6 +32,12 @@ const PROFILES: [(&str, bool); 4] =
 /// The paper's four configurations plus two zoo engines with the
 /// processor-side prefetcher off.
 const CONFIGS: [&str; 6] = ["NP", "PS", "MS", "PMS", "next-line", "stream-table"];
+
+/// Configurations run on the shrunken hierarchy ([`shrink_hierarchy`]):
+/// NP and PMS under the default AHB scheduler, and PMS under the other
+/// two schedulers, whose write-queue scans differ.
+const WRITE_CONFIGS: [&str; 4] =
+    ["NP+small", "PMS+small", "PMS+small+memoryless", "PMS+small+in-order"];
 
 const ACCESSES: u64 = 4_000;
 
@@ -38,9 +52,10 @@ struct Row {
     energy_bits: u64,
 }
 
-/// `("benchmark/config", row)` in `PROFILES` x `CONFIGS` order.
+/// `("benchmark/config", row)` in `PROFILES` x `CONFIGS` order, then
+/// `PROFILES` x `WRITE_CONFIGS`.
 #[rustfmt::skip]
-const GOLDEN: [(&str, Row); 24] = [
+const GOLDEN: [(&str, Row); 40] = [
     ("milc/NP", Row { cycles: 404183, dram: [2892, 0, 2781, 111], core_digest: 0x0efa07a67f25b167, mc_digest: 0x935a511cdeb66db3, energy_bits: 0x3f5ce444716327b0 }),
     ("milc/PS", Row { cycles: 401627, dram: [3063, 0, 2947, 116], core_digest: 0x1fcc3c14a63483c8, mc_digest: 0x2c299c0f49007f04, energy_bits: 0x3f5ceea36b6eea76 }),
     ("milc/MS", Row { cycles: 386813, dram: [3092, 0, 2979, 113], core_digest: 0x2f5df2b5b6724061, mc_digest: 0xe8d9bd0019b63565, energy_bits: 0x3f5c08bbdc71cd75 }),
@@ -65,6 +80,22 @@ const GOLDEN: [(&str, Row); 24] = [
     ("tpcc/PMS", Row { cycles: 364131, dram: [4357, 0, 4175, 182], core_digest: 0xa4ecfd753a60212a, mc_digest: 0xa08b1e96fb1b6041, energy_bits: 0x3f5c13f4a6feca74 }),
     ("tpcc/next-line", Row { cycles: 349539, dram: [5485, 0, 5206, 279], core_digest: 0xacf2c5da6280da86, mc_digest: 0x34390c617cae0272, energy_bits: 0x3f5c73df2962ccc8 }),
     ("tpcc/stream-table", Row { cycles: 355670, dram: [5260, 0, 5041, 219], core_digest: 0xe9cb050fc8a7c5c8, mc_digest: 0xdd8c5f56a61198d1, energy_bits: 0x3f5c9a89beec8107 }),
+    ("milc/NP+small", Row { cycles: 434274, dram: [2950, 165, 2993, 122], core_digest: 0xa1ea3d81d5995165, mc_digest: 0x6a2390614ff83ed6, energy_bits: 0x3f5f0fa54fb7ed4f }),
+    ("milc/PMS+small", Row { cycles: 412921, dram: [3357, 162, 3388, 131], core_digest: 0x5ac65c6ee2070d71, mc_digest: 0x255ba0b4ac2b7ce4, energy_bits: 0x3f5e313582c95b35 }),
+    ("milc/PMS+small+memoryless", Row { cycles: 409455, dram: [3362, 162, 3396, 128], core_digest: 0xe3cf344ddeff820d, mc_digest: 0xc1cf4edf971356f2, energy_bits: 0x3f5dfb332ddd734f }),
+    ("milc/PMS+small+in-order", Row { cycles: 413231, dram: [3355, 162, 3387, 130], core_digest: 0x3809b10beec3a101, mc_digest: 0xddf31d64462fddcc, energy_bits: 0x3f5e35bebb3fd05b }),
+    ("lbm/NP+small", Row { cycles: 470164, dram: [3378, 260, 3538, 100], core_digest: 0x1cf5fdadb6b01bb4, mc_digest: 0x8a112718570bbedb, energy_bits: 0x3f60fc07159729db }),
+    ("lbm/PMS+small", Row { cycles: 340172, dram: [3945, 122, 3879, 188], core_digest: 0x96725c858c516b6d, mc_digest: 0x089a1b7dc8a433b1, energy_bits: 0x3f5a39799511621a }),
+    ("lbm/PMS+small+memoryless", Row { cycles: 326064, dram: [3969, 126, 3939, 156], core_digest: 0x0ebefbec081edb59, mc_digest: 0x59c147f519082a74, energy_bits: 0x3f5962ddff16b746 }),
+    ("lbm/PMS+small+in-order", Row { cycles: 338037, dram: [3949, 127, 3896, 180], core_digest: 0x2003819e346c9916, mc_digest: 0x6ac78d673b6e2aaf, energy_bits: 0x3f5a1afae39434b4 }),
+    ("tonto/NP+small", Row { cycles: 375660, dram: [2092, 34, 1925, 201], core_digest: 0xcbdd2c05633aae15, mc_digest: 0x7d655e7645cabe86, energy_bits: 0x3f5a20e212a45abf }),
+    ("tonto/PMS+small", Row { cycles: 376966, dram: [2222, 32, 2061, 193], core_digest: 0x30e37dc085d54568, mc_digest: 0x33d8f8ee6db37b72, energy_bits: 0x3f5a5e45557fda22 }),
+    ("tonto/PMS+small+memoryless", Row { cycles: 374908, dram: [2221, 32, 2061, 192], core_digest: 0x4956576c0de69341, mc_digest: 0x4ec70bbcc2d8dae0, energy_bits: 0x3f5a3ce0163558c2 }),
+    ("tonto/PMS+small+in-order", Row { cycles: 375094, dram: [2222, 32, 2061, 193], core_digest: 0x057537ec200c6b13, mc_digest: 0x33d8f8ee6db37b72, energy_bits: 0x3f5a400ad9b840ba }),
+    ("tpcc/NP+small", Row { cycles: 418370, dram: [4076, 570, 4463, 183], core_digest: 0xf6b16662e117635f, mc_digest: 0x614abe479d00e35f, energy_bits: 0x3f5fe1b2792260e9 }),
+    ("tpcc/PMS+small", Row { cycles: 417318, dram: [4447, 547, 4802, 192], core_digest: 0x420df3d57042158a, mc_digest: 0x88b4e2cb8b3bf3f0, energy_bits: 0x3f601ccbd95a0999 }),
+    ("tpcc/PMS+small+memoryless", Row { cycles: 393469, dram: [4476, 543, 4834, 185], core_digest: 0x0ca458b7f1b4c9ea, mc_digest: 0x5e6d00f6d339d401, energy_bits: 0x3f5ec112866abb2b }),
+    ("tpcc/PMS+small+in-order", Row { cycles: 415036, dram: [4436, 546, 4798, 184], core_digest: 0xbdca793d36544fe8, mc_digest: 0x83215e6acc917c3a, energy_bits: 0x3f600918c279e92c }),
 ];
 
 fn fnv64(bytes: &[u8]) -> u64 {
@@ -75,8 +106,18 @@ fn fnv64(bytes: &[u8]) -> u64 {
     h
 }
 
+/// L2 64 KB and L3 256 KB (the L1 keeps its 32 KB): a 4,000-access run
+/// overflows both, so dirty lines leave the chip as DRAM writes.
+fn shrink_hierarchy(cfg: &mut SystemConfig) {
+    cfg.core.hierarchy.l2 = CacheConfig { size_bytes: 64 * 1024, assoc: 8, line_bytes: 128 };
+    cfg.core.hierarchy.l3 = CacheConfig { size_bytes: 256 * 1024, assoc: 8, line_bytes: 128 };
+}
+
+/// `label` is a configuration name, optionally followed by `+small` (the
+/// shrunken hierarchy) and `+memoryless` or `+in-order` (the scheduler).
 fn system_config(label: &str, threads: usize) -> SystemConfig {
-    match label {
+    let mut parts = label.split('+');
+    let mut cfg = match parts.next().unwrap() {
         "NP" => SystemConfig::for_kind(PrefetchKind::Np, threads),
         "PS" => SystemConfig::for_kind(PrefetchKind::Ps, threads),
         "MS" => SystemConfig::for_kind(PrefetchKind::Ms, threads),
@@ -84,7 +125,16 @@ fn system_config(label: &str, threads: usize) -> SystemConfig {
         engine => SystemConfig::for_kind(PrefetchKind::Np, threads)
             .with_engine_named(engine)
             .unwrap_or_else(|e| panic!("{engine}: {e}")),
+    };
+    for part in parts {
+        match part {
+            "small" => shrink_hierarchy(&mut cfg),
+            "memoryless" => cfg.mc.scheduler = SchedulerKind::Memoryless,
+            "in-order" => cfg.mc.scheduler = SchedulerKind::InOrder,
+            other => panic!("unknown config part {other:?} in {label:?}"),
+        }
     }
+    cfg
 }
 
 fn run(bench: &str, smt: bool, label: &str) -> RunResult {
@@ -122,16 +172,18 @@ fn source(rows: &[(String, Row)]) -> String {
 fn kernel_outputs_match_the_recorded_table() {
     let mut actual = Vec::new();
     let mut diffs = Vec::new();
-    for &(bench, smt) in &PROFILES {
-        for &label in &CONFIGS {
-            let name = format!("{bench}/{label}");
-            let r = run(bench, smt, label);
-            let got = row(&r);
-            if GOLDEN.get(actual.len()) != Some(&(name.as_str(), got)) {
-                diffs.push(format!("{name}: core {:?}\n    mc {:?}", r.core, r.mc));
-            }
-            actual.push((name, got));
+    let runs = PROFILES
+        .iter()
+        .flat_map(|&p| CONFIGS.iter().map(move |&c| (p, c)))
+        .chain(PROFILES.iter().flat_map(|&p| WRITE_CONFIGS.iter().map(move |&c| (p, c))));
+    for ((bench, smt), label) in runs {
+        let name = format!("{bench}/{label}");
+        let r = run(bench, smt, label);
+        let got = row(&r);
+        if GOLDEN.get(actual.len()) != Some(&(name.as_str(), got)) {
+            diffs.push(format!("{name}: core {:?}\n    mc {:?}", r.core, r.mc));
         }
+        actual.push((name, got));
     }
     assert!(
         diffs.is_empty() && GOLDEN.len() == actual.len(),
@@ -140,5 +192,13 @@ fn kernel_outputs_match_the_recorded_table() {
         actual.len(),
         diffs.join("\n"),
         source(&actual)
+    );
+    // The `+small` rows exist to pin the write path: each must write DRAM,
+    // or a re-blessed table would silently stop covering it.
+    let writing = GOLDEN.iter().filter(|(name, g)| name.contains("+small") && g.dram[1] > 0);
+    assert_eq!(
+        writing.count(),
+        PROFILES.len() * WRITE_CONFIGS.len(),
+        "a +small row writes no DRAM"
     );
 }

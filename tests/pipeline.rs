@@ -1,19 +1,18 @@
 //! Edge-case tests for the global job-graph pipeline
 //! ([`asd_sim::pipeline`]): empty figure sets, zero-job figures,
-//! submission-time dedup with single-flight accounting, uncacheable
-//! (trace-sourced) jobs, error propagation order matching [`Sweep::run`],
-//! and deterministic output order under a threaded run.
+//! duplicate labels, uncacheable (trace-sourced) jobs, error propagation
+//! order matching [`Sweep::run`], and deterministic output order under a
+//! threaded run. Submission-time dedup with its cache accounting lives in
+//! `tests/pipeline_dedup.rs`, a binary of its own, because it asserts
+//! exact deltas of process-wide counters that sibling tests here move.
 //!
-//! A test that asserts on cache counters runs its pipeline against its
-//! own [`cache::RunCache`], whose counters no sibling test moves. Seeds
-//! are unique to this file (and to each test) so no other test binary
-//! or sibling test can pre-populate the process-wide cache's keys.
+//! Seeds are unique to this file (and to each test) so no other test
+//! binary or sibling test can pre-populate their cache keys.
 
 use asd_sim::pipeline::{FigureOutput, FigurePlan, Job, Pipeline};
 use asd_sim::sweep::Sweep;
 use asd_sim::{cache, figures, PrefetchKind, RunOpts, SimError, SystemConfig, TraceSource};
 use asd_trace::suites;
-use std::sync::Arc;
 
 /// Short runs with a per-test seed: `0x91be` tags this binary, the low
 /// byte tags the test, so every test owns fresh cache keys.
@@ -75,36 +74,6 @@ fn single_job_figure_matches_barrier_mode() {
     let graph = pipe.run(&|| 0.0).unwrap();
     assert_eq!(graph.figures[0].output.text, barrier.text);
     assert_eq!(graph.stats.unique_jobs, 1);
-}
-
-#[test]
-fn duplicate_jobs_across_figures_simulate_once() {
-    if !cache::enabled() {
-        return; // dedup is keyed on the cache; nothing to assert with it off
-    }
-    let o = opts(3);
-    let lbm = suites::by_name("lbm").unwrap();
-    let plan = |name: &str| echo_plan(name, &o, vec![Job::new(&lbm, np(1), "NP")]);
-
-    let own = Arc::new(cache::RunCache::new());
-    let mut pipe = Pipeline::new().with_cache(Arc::clone(&own));
-    pipe.submit(plan("first"));
-    pipe.submit(plan("second"));
-    assert_eq!(pipe.submitted_jobs(), 2);
-    assert_eq!(pipe.unique_jobs(), 1, "identical jobs collapse at submission");
-    assert_eq!(pipe.inflight_joins(), 1);
-
-    let (hits_before, misses_before) = own.stats();
-    let run = pipe.run(&|| 0.0).unwrap();
-    let (hits_after, misses_after) = own.stats();
-    // One node, one simulation: the fresh key misses exactly once and the
-    // joined figure never touches the cache again.
-    assert_eq!(misses_after - misses_before, 1, "exactly one simulation ran");
-    assert_eq!(hits_after - hits_before, 0, "the duplicate joined; it did not re-look-up");
-    assert_eq!(run.stats.peak_live_jobs, 1);
-    let first = run.figures[0].output.text.strip_prefix("first").unwrap();
-    let second = run.figures[1].output.text.strip_prefix("second").unwrap();
-    assert_eq!(first, second, "both figures saw the same result");
 }
 
 #[test]

@@ -82,10 +82,10 @@ fn cache_traffic_is_observable() {
     let opts = RunOpts { seed: 0x57a75, ..opts() };
     let profile = suites::by_name("tpcc").unwrap();
     let cfg = SystemConfig::for_kind(PrefetchKind::Ps, 1);
-    let (h0, m0) = asd_sim::cache::stats();
+    let (h0, m0) = asd_sim::cache::global().stats();
     experiment::run_custom(&profile, cfg.clone(), "PS", &opts).unwrap();
     experiment::run_custom(&profile, cfg, "PS", &opts).unwrap();
-    let (h1, m1) = asd_sim::cache::stats();
+    let (h1, m1) = asd_sim::cache::global().stats();
     if asd_sim::cache::enabled() {
         assert!(m1 > m0, "first run of a distinct key must count a miss");
         assert!(h1 > h0, "second run of the same key must count a hit");
