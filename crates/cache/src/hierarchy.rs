@@ -48,7 +48,7 @@ impl Default for HierarchyConfig {
 /// Result of a hierarchy access or fill: where it hit, the load-to-use
 /// latency for cache hits, and any dirty lines displaced all the way out to
 /// memory (which the caller must enqueue as DRAM writes).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessOutcome {
     /// Level that serviced the access ([`HitLevel::Memory`] means the
     /// caller must fetch the line and then call
@@ -59,7 +59,45 @@ pub struct AccessOutcome {
     /// the caller's to add).
     pub latency: u64,
     /// Dirty victim lines displaced out of the L3 by this operation.
-    pub writebacks: Vec<u64>,
+    pub writebacks: Writebacks,
+}
+
+/// The dirty lines one hierarchy operation displaced out of the L3, in
+/// the order they left. There are at most three: an operation installs
+/// its line into at most three levels, and each install starts a chain in
+/// which every fill displaces at most one victim into the level below, so
+/// each chain sends at most one line out of the L3. Held inline
+/// (`[u64; 3]` and a length), so an operation allocates nothing; it
+/// derefs to `&[u64]` and iterates by value. Entries past the length are
+/// always zero.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Writebacks {
+    lines: [u64; 3],
+    len: u8,
+}
+
+impl Writebacks {
+    fn push(&mut self, line: u64) {
+        self.lines[usize::from(self.len)] = line;
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for Writebacks {
+    type Target = [u64];
+
+    fn deref(&self) -> &[u64] {
+        &self.lines[..usize::from(self.len)]
+    }
+}
+
+impl IntoIterator for Writebacks {
+    type Item = u64;
+    type IntoIter = std::iter::Take<std::array::IntoIter<u64, 3>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.lines.into_iter().take(usize::from(self.len))
+    }
 }
 
 /// Per-level statistics.
@@ -111,49 +149,27 @@ impl Hierarchy {
     /// * Miss: outcome says [`HitLevel::Memory`]; once the caller has the
     ///   data it calls [`fill_from_memory`](Hierarchy::fill_from_memory).
     pub fn access(&mut self, line: u64, is_write: bool) -> AccessOutcome {
-        if self.l1.access(line, is_write) {
-            return AccessOutcome {
-                level: HitLevel::L1,
-                latency: self.cfg.l1_latency,
-                // asd-lint: allow(D010) -- Vec::new is allocation-free; nothing is ever pushed
-                writebacks: Vec::new(),
-            };
-        }
-        if self.l2.access(line, false) {
-            // asd-lint: allow(D010) -- Vec::new is allocation-free; pushes only on dirty evictions
-            let mut wb = Vec::new();
+        let mut wb = Writebacks::default();
+        let (level, latency) = if self.l1.access(line, is_write) {
+            (HitLevel::L1, self.cfg.l1_latency)
+        } else if self.l2.access(line, false) {
             self.promote_to_l1(line, is_write, &mut wb);
-            return AccessOutcome {
-                level: HitLevel::L2,
-                latency: self.cfg.l2_latency,
-                writebacks: wb,
-            };
-        }
-        if self.l3.access(line, false) {
-            // asd-lint: allow(D010) -- Vec::new is allocation-free; pushes only on dirty evictions
-            let mut wb = Vec::new();
+            (HitLevel::L2, self.cfg.l2_latency)
+        } else if self.l3.access(line, false) {
             self.promote_to_l2(line, false, &mut wb);
             self.promote_to_l1(line, is_write, &mut wb);
-            return AccessOutcome {
-                level: HitLevel::L3,
-                latency: self.cfg.l3_latency,
-                writebacks: wb,
-            };
-        }
-        AccessOutcome {
-            level: HitLevel::Memory,
-            latency: self.cfg.l3_latency,
-            // asd-lint: allow(D010) -- Vec::new is allocation-free; nothing is ever pushed
-            writebacks: Vec::new(),
-        }
+            (HitLevel::L3, self.cfg.l3_latency)
+        } else {
+            (HitLevel::Memory, self.cfg.l3_latency)
+        };
+        AccessOutcome { level, latency, writebacks: wb }
     }
 
     /// Install a line fetched from memory into all levels (the demand-fill
     /// path; the Power5+ fills L1 and L2 on demand misses, and our L3 is a
     /// lookaside copy). `is_write` marks the L1 copy dirty.
     pub fn fill_from_memory(&mut self, line: u64, is_write: bool) -> AccessOutcome {
-        // asd-lint: allow(D010) -- Vec::new is allocation-free; pushes only on dirty evictions
-        let mut wb = Vec::new();
+        let mut wb = Writebacks::default();
         self.install_l3(line, false, &mut wb);
         self.promote_to_l2(line, false, &mut wb);
         self.promote_to_l1(line, is_write, &mut wb);
@@ -163,8 +179,7 @@ impl Hierarchy {
     /// Install a processor-side-prefetched line into L1 (and L2), as the
     /// Power5 stream prefetcher does for the "one line ahead" fill.
     pub fn prefetch_fill_l1(&mut self, line: u64) -> AccessOutcome {
-        // asd-lint: allow(D010) -- Vec::new is allocation-free; pushes only on dirty evictions
-        let mut wb = Vec::new();
+        let mut wb = Writebacks::default();
         self.promote_to_l2(line, false, &mut wb);
         self.promote_to_l1(line, false, &mut wb);
         AccessOutcome { level: HitLevel::Memory, latency: 0, writebacks: wb }
@@ -173,8 +188,7 @@ impl Hierarchy {
     /// Install a processor-side-prefetched line into L2 only (the "one
     /// further line" fill of the Power5 prefetcher).
     pub fn prefetch_fill_l2(&mut self, line: u64) -> AccessOutcome {
-        // asd-lint: allow(D010) -- Vec::new is allocation-free; pushes only on dirty evictions
-        let mut wb = Vec::new();
+        let mut wb = Writebacks::default();
         self.promote_to_l2(line, false, &mut wb);
         AccessOutcome { level: HitLevel::Memory, latency: 0, writebacks: wb }
     }
@@ -195,7 +209,7 @@ impl Hierarchy {
         }
     }
 
-    fn promote_to_l1(&mut self, line: u64, dirty: bool, wb: &mut Vec<u64>) {
+    fn promote_to_l1(&mut self, line: u64, dirty: bool, wb: &mut Writebacks) {
         if let Some((victim, victim_dirty)) = self.l1.fill(line, dirty) {
             if victim_dirty {
                 // Write-back into L2.
@@ -204,7 +218,7 @@ impl Hierarchy {
         }
     }
 
-    fn promote_to_l2(&mut self, line: u64, dirty: bool, wb: &mut Vec<u64>) {
+    fn promote_to_l2(&mut self, line: u64, dirty: bool, wb: &mut Writebacks) {
         if let Some((victim, victim_dirty)) = self.l2.fill(line, dirty) {
             if victim_dirty {
                 self.install_l3_dirty(victim, wb);
@@ -212,7 +226,7 @@ impl Hierarchy {
         }
     }
 
-    fn install_l2_dirty(&mut self, line: u64, wb: &mut Vec<u64>) {
+    fn install_l2_dirty(&mut self, line: u64, wb: &mut Writebacks) {
         if let Some((victim, victim_dirty)) = self.l2.fill(line, true) {
             if victim_dirty {
                 self.install_l3_dirty(victim, wb);
@@ -220,7 +234,7 @@ impl Hierarchy {
         }
     }
 
-    fn install_l3(&mut self, line: u64, dirty: bool, wb: &mut Vec<u64>) {
+    fn install_l3(&mut self, line: u64, dirty: bool, wb: &mut Writebacks) {
         if let Some((victim, victim_dirty)) = self.l3.fill(line, dirty) {
             if victim_dirty {
                 self.memory_writebacks += 1;
@@ -229,7 +243,7 @@ impl Hierarchy {
         }
     }
 
-    fn install_l3_dirty(&mut self, line: u64, wb: &mut Vec<u64>) {
+    fn install_l3_dirty(&mut self, line: u64, wb: &mut Writebacks) {
         self.install_l3(line, true, wb);
     }
 
@@ -364,6 +378,54 @@ mod tests {
         let s = h.stats();
         assert_eq!(s.l1.hits, 1);
         assert!(s.l1.misses >= 1);
+    }
+
+    #[test]
+    fn writebacks_are_bounded_by_three_and_all_counted() {
+        // A seeded random stream of every hierarchy operation over tiny
+        // geometries (1-8 ways, one or two sets per level) and a handful
+        // of lines, half the accesses and demand fills writes, so dirty
+        // victims cascade out of every level at once. No operation may
+        // return more than three writebacks (a fourth would overrun the
+        // inline list and panic in `push`), some must return exactly
+        // three, and the hierarchy's count is the sum of what the
+        // operations returned.
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut triples = 0;
+        for _ in 0..400 {
+            let mut level = || {
+                let r = next();
+                let assoc = 1 + (r % 8) as usize;
+                let sets = 1 + (r >> 8) % 2;
+                CacheConfig { size_bytes: sets * assoc as u64 * 128, assoc, line_bytes: 128 }
+            };
+            let (l1, l2, l3) = (level(), level(), level());
+            let mut h =
+                Hierarchy::new(HierarchyConfig { l1, l2, l3, ..HierarchyConfig::default() });
+            let lines = 2 + next() % 30;
+            let mut returned = 0;
+            for _ in 0..2_000 {
+                let r = next();
+                let line = (r >> 8) % lines;
+                let out = match r % 8 {
+                    0..=2 => h.access(line, r & 0x10 != 0),
+                    3..=5 => h.fill_from_memory(line, r & 0x10 != 0),
+                    6 => h.prefetch_fill_l1(line),
+                    _ => h.prefetch_fill_l2(line),
+                };
+                assert!(out.writebacks.len() <= 3, "{:?}", out.writebacks);
+                triples += usize::from(out.writebacks.len() == 3);
+                returned += out.writebacks.len() as u64;
+            }
+            assert_eq!(h.stats().memory_writebacks, returned);
+        }
+        assert!(triples > 0, "some operation writes back three lines");
     }
 
     #[test]

@@ -17,5 +17,7 @@
 mod hierarchy;
 mod set_assoc;
 
-pub use hierarchy::{AccessOutcome, Hierarchy, HierarchyConfig, HierarchyStats, HitLevel};
+pub use hierarchy::{
+    AccessOutcome, Hierarchy, HierarchyConfig, HierarchyStats, HitLevel, Writebacks,
+};
 pub use set_assoc::{CacheConfig, CacheStats, SetAssocCache};

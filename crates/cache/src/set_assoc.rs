@@ -50,6 +50,9 @@ const LINE_MASK: u64 = DIRTY - 1;
 const COUNT_BITS: u32 = 8;
 /// Mask extracting the valid-way count from a directory word.
 const COUNT_MASK: u32 = (1 << COUNT_BITS) - 1;
+/// Most ways a set can have: its recency word holds one 4-bit way number
+/// per rank.
+const MAX_WAYS: usize = 16;
 
 /// A set-associative cache indexed by cache-line address (the address with
 /// the line offset already stripped). Lookup and fill are separate
@@ -59,8 +62,8 @@ const COUNT_MASK: u32 = (1 << COUNT_BITS) - 1;
 ///
 /// * `dir` has one `u32` per set: 0 while the set has never been filled,
 ///   otherwise `(block + 1) << COUNT_BITS | valid_ways`.
-/// * `slab` holds one block of `2 * assoc` words per touched set — its
-///   tag words, then its LRU stamps. A set's block is appended on its
+/// * `slab` holds one block of `1 + assoc` words per touched set — its
+///   recency word, then its tag words. A set's block is appended on its
 ///   first fill, into capacity [`SetAssocCache::new`] reserves for every
 ///   set, so blocks sit in first-touch order and a fill never
 ///   reallocates. The 36 MB L3 has 24,576 sets; a 20k-access replay job
@@ -69,15 +72,20 @@ const COUNT_MASK: u32 = (1 << COUNT_BITS) - 1;
 /// A set's valid ways are packed at the front of its block, so a probe
 /// compares only the occupied ways, and an untouched or emptied set
 /// answers from its directory word alone. A tag word is the line address
-/// with `DIRTY` above it. A line occupies at most one way of its set and
-/// LRU stamps are unique (one clock for the whole cache), so hits,
-/// victims, evictions and stats do not depend on way order: `invalidate`
-/// moves the set's last valid way into the hole it leaves.
+/// with `DIRTY` above it. A line occupies at most one way of its set.
+///
+/// True LRU is kept as the set's recency order: nibble `r` of the
+/// recency word is the way at rank `r`, rank 0 the most recently used.
+/// Ranks `0..valid` name each valid way once; higher nibbles are stale.
+/// A hit or refill moves its way to rank 0, and a fill shifts its way in
+/// at rank 0: a free way, or in a full set the victim, the way at rank
+/// `assoc − 1`. `invalidate` drops its way's rank and moves the set's
+/// last valid way into the hole, renaming that way in the recency word.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     /// Per set: 0 if untouched, else `(block + 1) << COUNT_BITS | valid`.
     dir: Box<[u32]>,
-    /// Touched sets' blocks: `assoc` tag words, then `assoc` LRU stamps.
+    /// Touched sets' blocks: a recency word, then `assoc` tag words.
     slab: Vec<u64>,
     assoc: usize,
     /// Number of sets.
@@ -86,8 +94,37 @@ pub struct SetAssocCache {
     /// and [`SetAssocCache::set_of`] falls back to modulo (e.g. the
     /// 1536-set L2).
     pow2_mask: u64,
-    lru_clock: u64,
     stats: CacheStats,
+}
+
+/// The rank of `way` in a recency word: its lowest nibble equal to `way`,
+/// found without a loop by a SWAR zero-nibble test on
+/// `order ^ way × 0x1…1`. Borrows run only upward from a true zero
+/// nibble, so the lowest flagged nibble is exact: the first `valid`
+/// ranks, which hold `way` once, answer before any stale higher nibble.
+#[inline]
+fn rank_of(order: u64, way: usize) -> usize {
+    const ONES: u64 = 0x1111_1111_1111_1111;
+    const HIGHS: u64 = 0x8888_8888_8888_8888;
+    let x = order ^ (way as u64 * ONES);
+    (x.wrapping_sub(ONES) & !x & HIGHS).trailing_zeros() as usize / 4
+}
+
+/// The recency word with the way at rank `r` moved to rank 0; ranks
+/// `0..r` age by one, ranks above `r` stay.
+#[inline]
+fn to_front(order: u64, r: usize) -> u64 {
+    let through = u64::MAX >> (60 - 4 * r); // ranks 0..=r
+    let way = (order >> (4 * r)) & 0xF;
+    (order & !through) | ((order << 4) & through) | way
+}
+
+/// The recency word with rank `r` removed; the ranks above it move down
+/// by one.
+#[inline]
+fn drop_rank(order: u64, r: usize) -> u64 {
+    let below = (1u64 << (4 * r)) - 1;
+    (order & below) | ((order >> 4) & !below)
 }
 
 impl SetAssocCache {
@@ -96,21 +133,20 @@ impl SetAssocCache {
     /// # Panics
     ///
     /// Panics if the geometry is inconsistent (static configuration bug),
-    /// or too large for the packed directory word: at most 255 ways and
-    /// 2^24 − 1 sets.
+    /// or too large for the packed directory word and the recency word:
+    /// at most 16 ways and 2^24 − 1 sets.
     pub fn new(cfg: CacheConfig) -> Self {
         let sets = cfg.sets();
         assert!(
-            cfg.assoc <= COUNT_MASK as usize && sets <= (u32::MAX >> COUNT_BITS) as usize,
-            "geometry does not fit the packed directory word"
+            cfg.assoc <= MAX_WAYS && sets <= (u32::MAX >> COUNT_BITS) as usize,
+            "geometry does not fit the packed directory word and recency word"
         );
         SetAssocCache {
             dir: vec![0; sets].into_boxed_slice(),
-            slab: Vec::with_capacity(sets * 2 * cfg.assoc),
+            slab: Vec::with_capacity(sets * (1 + cfg.assoc)),
             assoc: cfg.assoc,
             sets: sets as u64,
             pow2_mask: if sets.is_power_of_two() { sets as u64 - 1 } else { 0 },
-            lru_clock: 0,
             stats: CacheStats::default(),
         }
     }
@@ -121,37 +157,38 @@ impl SetAssocCache {
         (if self.pow2_mask != 0 { line & self.pow2_mask } else { line % self.sets }) as usize
     }
 
-    /// Slab offset of the block named by a touched set's directory word.
+    /// Slab offset of the block (its recency word) named by a touched
+    /// set's directory word.
     #[inline]
     fn base(&self, word: u32) -> usize {
-        ((word >> COUNT_BITS) as usize - 1) * 2 * self.assoc
+        ((word >> COUNT_BITS) as usize - 1) * (1 + self.assoc)
     }
 
-    /// The slab index of `line`'s tag word, if resident: one compare per
+    /// `line`'s block offset and way, if resident: one compare per
     /// occupied way of its set.
     // asd-lint: hot
     #[inline]
-    fn find(&self, line: u64) -> Option<usize> {
+    fn find(&self, line: u64) -> Option<(usize, usize)> {
         let word = self.dir[self.set_of(line)];
         let valid = (word & COUNT_MASK) as usize;
         if valid == 0 {
             return None;
         }
         let base = self.base(word);
-        let tags = &self.slab[base..base + valid];
-        tags.iter().position(|&t| t & LINE_MASK == line).map(|i| base + i)
+        let tags = &self.slab[base + 1..base + 1 + valid];
+        tags.iter().position(|&t| t & LINE_MASK == line).map(|way| (base, way))
     }
 
     /// Look up `line`; on a hit, refresh LRU and (for writes) set dirty.
     /// Counts toward hit/miss statistics.
     // asd-lint: hot
     pub fn access(&mut self, line: u64, is_write: bool) -> bool {
-        self.lru_clock += 1;
         match self.find(line) {
-            Some(i) => {
-                self.slab[i + self.assoc] = self.lru_clock;
+            Some((base, way)) => {
+                let order = self.slab[base];
+                self.slab[base] = to_front(order, rank_of(order, way));
                 if is_write {
-                    self.slab[i] |= DIRTY;
+                    self.slab[base + 1 + way] |= DIRTY;
                 }
                 self.stats.hits += 1;
                 true
@@ -173,48 +210,43 @@ impl SetAssocCache {
     /// evicted line as `Some((line, was_dirty))`.
     ///
     /// The occupied tag words alone answer "already present?", and the
-    /// count says whether a way is free; the LRU stamps are read only
-    /// when the set is full and a victim must be chosen.
+    /// count says whether a way is free; a full set's victim is the way
+    /// at the last rank of its recency word.
     // asd-lint: hot
     pub fn fill(&mut self, line: u64, dirty: bool) -> Option<(u64, bool)> {
-        self.lru_clock += 1;
-        let clock = self.lru_clock;
         let new_tag = line | if dirty { DIRTY } else { 0 };
         let set = self.set_of(line);
+        let stride = 1 + self.assoc;
         let mut word = self.dir[set];
         if word == 0 {
             // First touch: append the set's block, within the capacity
             // `new` reserved for every set.
-            let block = self.slab.len() / (2 * self.assoc);
-            self.slab.resize(self.slab.len() + 2 * self.assoc, 0);
+            let block = self.slab.len() / stride;
+            self.slab.resize(self.slab.len() + stride, 0);
             word = (block as u32 + 1) << COUNT_BITS;
         }
         let valid = (word & COUNT_MASK) as usize;
         let base = self.base(word);
-        let (tags, lrus) = self.slab[base..base + 2 * self.assoc].split_at_mut(self.assoc);
+        let (head, tags) = self.slab[base..base + stride].split_at_mut(1);
+        let order = &mut head[0];
         // Already present (e.g. racing fills): refresh.
-        if let Some(i) = tags[..valid].iter().position(|&t| t & LINE_MASK == line) {
-            tags[i] |= new_tag;
-            lrus[i] = clock;
+        if let Some(way) = tags[..valid].iter().position(|&t| t & LINE_MASK == line) {
+            tags[way] |= new_tag;
+            *order = to_front(*order, rank_of(*order, way));
             return None;
         }
         if valid < self.assoc {
             tags[valid] = new_tag;
-            lrus[valid] = clock;
+            *order = *order << 4 | valid as u64;
             self.dir[set] = word + 1;
             return None;
         }
-        // The set is full: evict the least recently used way (stamps are
-        // unique, so the first minimum is the only one).
-        let mut victim = 0;
-        for i in 1..valid {
-            if lrus[i] < lrus[victim] {
-                victim = i;
-            }
-        }
+        // The set is full: evict the least recently used way, the last
+        // rank's. Shifting it back in at rank 0 ages every other way.
+        let victim = (*order >> (4 * (self.assoc - 1))) as usize & 0xF;
         let evicted = (tags[victim] & LINE_MASK, tags[victim] & DIRTY != 0);
         tags[victim] = new_tag;
-        lrus[victim] = clock;
+        *order = *order << 4 | victim as u64;
         self.stats.evictions += 1;
         if evicted.1 {
             self.stats.dirty_evictions += 1;
@@ -225,13 +257,18 @@ impl SetAssocCache {
     /// Remove `line` if present, returning whether it was dirty. The set's
     /// last valid way moves into the hole, keeping the valid ways packed.
     pub fn invalidate(&mut self, line: u64) -> Option<bool> {
-        let i = self.find(line)?;
+        let (base, way) = self.find(line)?;
         let set = self.set_of(line);
         let word = self.dir[set];
-        let last = self.base(word) + (word & COUNT_MASK) as usize - 1;
-        let dirty = self.slab[i] & DIRTY != 0;
-        self.slab[i] = self.slab[last];
-        self.slab[i + self.assoc] = self.slab[last + self.assoc];
+        let last = (word & COUNT_MASK) as usize - 1;
+        let dirty = self.slab[base + 1 + way] & DIRTY != 0;
+        self.slab[base + 1 + way] = self.slab[base + 1 + last];
+        let mut order = drop_rank(self.slab[base], rank_of(self.slab[base], way));
+        if way != last {
+            // Rename the moved way: `last` becomes `way` at its rank.
+            order ^= ((last ^ way) as u64) << (4 * rank_of(order, last));
+        }
+        self.slab[base] = order;
         self.dir[set] = word - 1;
         Some(dirty)
     }
@@ -459,7 +496,7 @@ mod tests {
 
     /// `Some(dirty)` if `line` is resident in `c`.
     fn dirty_bit(c: &SetAssocCache, line: u64) -> Option<bool> {
-        c.find(line).map(|i| c.slab[i] & DIRTY != 0)
+        c.find(line).map(|(base, way)| c.slab[base + 1 + way] & DIRTY != 0)
     }
 
     #[test]
@@ -469,7 +506,8 @@ mod tests {
         // lines from up to 32 sets spread over the whole index range,
         // 3 x assoc lines per set in each of two ranges: from line 0 up,
         // and just below 2^62 (the largest line a tag word holds). Small
-        // geometries, then the Power5+ L1 (64 x 4, mask indexing), L2
+        // geometries (the 16-way one fills every nibble of the recency
+        // word), then the Power5+ L1 (64 x 4, mask indexing), L2
         // (1536 x 10) and L3 (24 576 x 12, both modulo).
         let mut x = 0x2545_f491_4f6c_dd1du64;
         let mut next = move || {
@@ -478,7 +516,7 @@ mod tests {
             x ^= x << 17;
             x
         };
-        for (sets, assoc) in [(8, 4), (6, 10), (1, 1), (64, 4), (1536, 10), (24_576, 12)] {
+        for (sets, assoc) in [(8, 4), (6, 10), (1, 1), (5, 16), (64, 4), (1536, 10), (24_576, 12)] {
             let cfg = CacheConfig {
                 size_bytes: sets * assoc * 128,
                 assoc: assoc as usize,
@@ -541,7 +579,7 @@ mod tests {
         assert!(c.fill(8, false).is_none());
         assert!(c.fill(0, false).is_none());
         assert!(c.contains(8) && c.contains(0));
-        assert_eq!(c.slab.len(), 2 * 2, "the set's one block is reused");
+        assert_eq!(c.slab.len(), 1 + 2, "the set's one block is reused");
         assert_eq!(c.stats().evictions, 0);
         assert_eq!(c.fill(4, false), Some((8, false)), "8 is the LRU way");
     }
@@ -587,7 +625,7 @@ mod tests {
         c.fill(123, false);
         c.fill(123 + 24_576, false); // same set
         c.fill(7, false);
-        assert_eq!(c.slab.len(), 2 * 2 * 12, "one block per touched set");
+        assert_eq!(c.slab.len(), 2 * (1 + 12), "one block per touched set");
         assert_eq!(c.resident_lines(), 3);
     }
 
@@ -595,6 +633,92 @@ mod tests {
     #[should_panic(expected = "packed directory word")]
     fn too_many_ways_rejected() {
         SetAssocCache::new(CacheConfig { size_bytes: 256 * 128, assoc: 256, line_bytes: 128 });
+    }
+
+    #[test]
+    fn sixteen_ways_fit_the_recency_word() {
+        // One full 16-way set: after a hit on line 0, each fill evicts the
+        // way at rank 15, lines 1, 2 and 3 in turn.
+        let cfg = CacheConfig { size_bytes: 16 * 128, assoc: 16, line_bytes: 128 };
+        let mut c = SetAssocCache::new(cfg);
+        for line in 0..16 {
+            assert!(c.fill(line, line == 3).is_none());
+        }
+        assert!(c.access(0, false), "line 0 becomes most recent");
+        assert_eq!(c.fill(16, false), Some((1, false)));
+        assert_eq!(c.fill(17, false), Some((2, false)));
+        assert_eq!(c.fill(18, false), Some((3, true)));
+        assert!(c.contains(0) && c.contains(15));
+        assert_eq!(c.resident_lines(), 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "packed directory word")]
+    fn seventeen_ways_rejected() {
+        SetAssocCache::new(CacheConfig { size_bytes: 17 * 128, assoc: 17, line_bytes: 128 });
+    }
+
+    #[test]
+    fn recency_word_matches_a_move_to_front_list() {
+        // The rank, move-to-front and drop helpers against a list of ways
+        // in recency order, for every associativity up to 16 (rank 15 is
+        // reached only by the 16-way runs). Each step inserts a new way
+        // at the front, touches a present way, evicts the last rank of a
+        // full set, or invalidates a way the way `invalidate` does.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for assoc in 1..=MAX_WAYS {
+            let mut order = 0u64;
+            let mut list: Vec<usize> = Vec::new();
+            let mut deepest = 0;
+            for _ in 0..20_000 {
+                let r = next();
+                let pick = (r >> 8) as usize % list.len().max(1);
+                match r % 4 {
+                    0 | 1 if list.len() < assoc => {
+                        order = order << 4 | list.len() as u64;
+                        list.insert(0, list.len());
+                    }
+                    0 | 1 => {
+                        let victim = (order >> (4 * (assoc - 1))) as usize & 0xF;
+                        assert_eq!(victim, list[assoc - 1]);
+                        order = order << 4 | victim as u64;
+                        list.rotate_right(1);
+                    }
+                    2 if !list.is_empty() => {
+                        let way = list[pick];
+                        let rank = rank_of(order, way);
+                        assert_eq!(rank, pick, "way {way} in {order:#x}");
+                        deepest = deepest.max(rank);
+                        order = to_front(order, rank);
+                        list.remove(pick);
+                        list.insert(0, way);
+                    }
+                    3 if !list.is_empty() => {
+                        let way = list[pick];
+                        let last = list.len() - 1;
+                        order = drop_rank(order, rank_of(order, way));
+                        list.remove(pick);
+                        if way != last {
+                            let at = rank_of(order, last);
+                            order ^= ((last ^ way) as u64) << (4 * at);
+                            let moved = list.iter().position(|&w| w == last).unwrap();
+                            list[moved] = way;
+                        }
+                    }
+                    _ => {}
+                }
+                for (rank, &way) in list.iter().enumerate() {
+                    assert_eq!((order >> (4 * rank)) as usize & 0xF, way, "rank {rank}");
+                }
+            }
+            assert_eq!(deepest, assoc - 1, "a way at the last rank was touched");
+        }
     }
 
     #[test]

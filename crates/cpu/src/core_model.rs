@@ -204,9 +204,12 @@ impl<I: Iterator<Item = MemAccess>> Core<I> {
         let mut consider = |t: u64| {
             next = Some(next.map_or(t, |n: u64| n.min(t)));
         };
+        // A waiting thread wakes on a fill, and a done thread has nothing
+        // left to stage or issue: the fills it still awaits reach the core
+        // through `on_fill`, which the event loop follows with a step, or
+        // through `self_events` below.
         for t in &self.threads {
-            let drains_after_done = !t.demand.is_empty() || t.staged.is_some();
-            if !t.waiting && (!t.done || drains_after_done) {
+            if !t.waiting && !t.done {
                 consider(t.ready_at.max(now));
             }
         }
@@ -228,8 +231,10 @@ impl<I: Iterator<Item = MemAccess>> Core<I> {
             if let Some(pos) = t.demand.iter().position(|d| d.line == line) {
                 // asd-lint: allow(D005) -- `pos` was produced by `position` on the same deque one line up
                 let d = t.demand.remove(pos).expect("position valid");
-                let outcome = self.hierarchy.fill_from_memory(d.line, d.is_write);
-                self.writebacks.extend(outcome.writebacks);
+                let wb = self.hierarchy.fill_from_memory(d.line, d.is_write).writebacks;
+                if !wb.is_empty() {
+                    self.writebacks.extend(wb);
+                }
                 t.slipped = t.demand.len();
                 if t.waiting {
                     t.waiting = false;
@@ -243,11 +248,14 @@ impl<I: Iterator<Item = MemAccess>> Core<I> {
         }
         if let Some(pos) = self.ps_pending.iter().position(|(l, _)| *l == line) {
             let (l, target) = self.ps_pending.swap_remove(pos);
-            let outcome = match target {
+            let wb = match target {
                 PsTarget::L1 => self.hierarchy.prefetch_fill_l1(l),
                 PsTarget::L2 => self.hierarchy.prefetch_fill_l2(l),
-            };
-            self.writebacks.extend(outcome.writebacks);
+            }
+            .writebacks;
+            if !wb.is_empty() {
+                self.writebacks.extend(wb);
+            }
         }
         // Unmatched fills (duplicates) are ignored.
     }
@@ -312,7 +320,9 @@ impl<I: Iterator<Item = MemAccess>> Core<I> {
             let tid = t.id;
 
             let outcome = self.hierarchy.access(line, is_write);
-            self.writebacks.extend(outcome.writebacks.iter().copied());
+            if !outcome.writebacks.is_empty() {
+                self.writebacks.extend(outcome.writebacks);
+            }
             self.stats.accesses += 1;
             if is_write {
                 self.stats.writes += 1;
@@ -674,6 +684,24 @@ mod tests {
         }
         assert_eq!(core.stats().cache.l1.hits, 1, "the second access hits the L1");
         assert_eq!(core.next_event(now), Some(now + l1_latency + u64::from(gap)));
+    }
+
+    #[test]
+    fn finished_thread_sleeps_until_its_fill() {
+        // One access, a miss served 1000 cycles later. The step at cycle 1
+        // finds the trace exhausted and marks the thread done; with its
+        // only fill outstanding, the core's next event is that fill, not
+        // a step every cycle until it lands.
+        let mut core = Core::new(CoreConfig::default(), vec![seq_trace(1, 0)]);
+        let mut mem = FixedLatencyMemory::new(1000);
+        core.step(0, &mut mem);
+        assert_eq!(core.next_event(0), Some(1));
+        core.step(1, &mut mem);
+        assert!(core.threads[0].done && !core.finished());
+        assert_eq!(core.next_event(1), Some(1000));
+        core.step(1000, &mut mem);
+        assert!(core.finished());
+        assert_eq!(core.next_event(1000), None);
     }
 
     #[test]
