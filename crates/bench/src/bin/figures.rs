@@ -130,8 +130,9 @@ impl Report {
         // Surface the cross-figure run cache through the same registry the
         // wall-time gauges live on, so every exposition backend (and this
         // JSON document) sees how much of the pipeline was deduplicated.
-        let (run_hits, run_misses) = asd_sim::cache::global().stats();
-        let (trace_hits, trace_misses) = asd_sim::cache::trace_stats();
+        let cache = asd_sim::cache::global();
+        let (run_hits, run_misses) = cache.stats();
+        let (trace_hits, trace_misses) = cache.trace_stats();
         for (name, help, v) in [
             ("cache.run_hits", "figure points served from the cross-figure run cache", run_hits),
             ("cache.run_misses", "figure points actually simulated", run_misses),

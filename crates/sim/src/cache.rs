@@ -19,12 +19,19 @@
 //! factories that do declare a stable id (the prefetcher zoo) are keyed
 //! by that id alongside the `Debug` render, which is sound under the
 //! `stable_id` contract documented in `asd-mc`.
-//! Concurrent workers may race to compute the same key; both compute the
-//! same deterministic result, so the duplicate insert is benign.
+//! Concurrent requests for one key compute it once: `RunCache::claim`
+//! hands the first a single-flight lease and parks the rest until its
+//! result lands.
 //!
-//! Set `ASD_RUN_CACHE=0` to disable (every lookup misses and nothing is
-//! stored); [`RunCache::stats`] reports hits/misses for telemetry
-//! exposition.
+//! **Trace memo.** Beside the runs, each cache memoizes the per-thread
+//! traces they consume, packed 8 bytes per access ([`PackedAccess`]):
+//! runs that differ only in system configuration share one generated
+//! trace per `(profile, seed, thread, accesses)`, which the first request
+//! generates while concurrent requests for it wait.
+//!
+//! Set `ASD_RUN_CACHE=0` to disable both (every lookup misses and nothing
+//! is stored); [`RunCache::stats`] and [`RunCache::trace_stats`] report
+//! hits/misses for telemetry exposition.
 //!
 //! **Disk tier.** On top of each cache's memory store sits an
 //! optional persistent tier: a directory of content-addressed record
@@ -43,21 +50,13 @@
 use crate::config::{RunOpts, SystemConfig};
 use crate::system::RunResult;
 use asd_mc::EngineKind;
-use asd_trace::{thread_seed, MemAccess, TraceGenerator, WorkloadProfile};
+use asd_trace::{thread_seed, PackedAccess, TraceGenerator, WorkloadProfile};
 use asd_traceio::format::crc32;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
-
-fn trace_store() -> &'static Mutex<BTreeMap<String, Arc<Vec<MemAccess>>>> {
-    static STORE: OnceLock<Mutex<BTreeMap<String, Arc<Vec<MemAccess>>>>> = OnceLock::new();
-    STORE.get_or_init(|| Mutex::new(BTreeMap::new()))
-}
-
-static TRACE_HITS: AtomicU64 = AtomicU64::new(0);
-static TRACE_MISSES: AtomicU64 = AtomicU64::new(0);
 
 /// Whether the cache is enabled (`ASD_RUN_CACHE` unset or not `"0"`).
 /// Checked once per process.
@@ -66,13 +65,18 @@ pub fn enabled() -> bool {
     *ENABLED.get_or_init(|| std::env::var("ASD_RUN_CACHE").map_or(true, |v| v != "0"))
 }
 
+/// One memoized trace: empty until the first request for its key has
+/// generated it, then the packed records, or `None` when some access did
+/// not pack.
+type TraceCell = Arc<OnceLock<Option<Arc<[PackedAccess]>>>>;
+
 /// One run cache: the memory tier, the optional disk tier, the
-/// single-flight table, and the counters of all three. The process-wide
-/// instance ([`global`]) serves every sweep, figure and `asd-serve`
-/// request; a second instance shares no entry, flight or counter with
-/// it, which is what lets the disk-tier tests count exactly their own
-/// records while sibling tests simulate. `RunCache::default()` is empty,
-/// with the disk tier off.
+/// single-flight table, the trace memo, and the counters of all four. The
+/// process-wide instance ([`global`]) serves every sweep, figure and
+/// `asd-serve` request; a second instance shares no entry, flight, trace
+/// or counter with it, which is what lets the disk-tier and trace-memo
+/// tests count exactly their own records while sibling tests simulate.
+/// `RunCache::default()` is empty, with the disk tier off.
 #[derive(Default)]
 pub struct RunCache {
     store: Mutex<BTreeMap<String, RunResult>>,
@@ -81,6 +85,8 @@ pub struct RunCache {
     flights: Mutex<BTreeSet<String>>,
     landed: Condvar,
     disk_dir: Mutex<Option<PathBuf>>,
+    /// One cell per trace key. See [`RunCache::trace`].
+    traces: Mutex<BTreeMap<String, TraceCell>>,
     hits: AtomicU64,
     misses: AtomicU64,
     flight_leads: AtomicU64,
@@ -89,6 +95,8 @@ pub struct RunCache {
     disk_misses: AtomicU64,
     disk_writes: AtomicU64,
     disk_evictions: AtomicU64,
+    trace_hits: AtomicU64,
+    trace_misses: AtomicU64,
 }
 
 /// The process-wide run cache. Its disk tier starts at the
@@ -106,11 +114,6 @@ pub fn global() -> &'static RunCache {
         );
         cache
     })
-}
-
-/// Hit/miss counters of the per-thread trace memo.
-pub fn trace_stats() -> (u64, u64) {
-    (TRACE_HITS.load(Ordering::Relaxed), TRACE_MISSES.load(Ordering::Relaxed))
 }
 
 /// FNV-1a 64-bit hash of `key` — the content address a disk record files
@@ -184,44 +187,6 @@ fn decode_disk_record(bytes: &[u8]) -> Option<(String, Vec<u8>)> {
     Some((key, body.get(key_len..)?.to_vec()))
 }
 
-/// A memoized per-thread access stream: runs that differ only in system
-/// configuration (the four-way comparisons, the MC/PB/filter sweeps)
-/// consume byte-for-byte the same trace, so it is generated once per
-/// `(profile, seed, thread, accesses)` and shared. Returns `None` when
-/// the cache is disabled — the caller then streams from the generator
-/// exactly as before.
-///
-/// The materialized vector is what `generator.take(accesses)` yields, so
-/// replaying it is bit-identical to generating by construction.
-pub(crate) fn trace(
-    profile: &WorkloadProfile,
-    seed: u64,
-    thread: u8,
-    accesses: u64,
-) -> Option<Arc<Vec<MemAccess>>> {
-    if !enabled() {
-        return None;
-    }
-    let key = format!("{profile:?}|{seed}|{thread}|{accesses}");
-    {
-        // asd-lint: allow(D005) -- cache poisoning means a sibling worker panicked mid-run; propagating is correct
-        let store = trace_store().lock().expect("trace cache poisoned");
-        if let Some(v) = store.get(&key) {
-            TRACE_HITS.fetch_add(1, Ordering::Relaxed);
-            return Some(Arc::clone(v));
-        }
-    }
-    TRACE_MISSES.fetch_add(1, Ordering::Relaxed);
-    // Generate outside the lock: concurrent workers may duplicate the
-    // work, but both produce the identical vector (deterministic seed),
-    // so whichever insert lands last is indistinguishable.
-    let gen = TraceGenerator::new(profile.clone(), thread_seed(seed, thread)).with_thread(thread);
-    let v: Arc<Vec<MemAccess>> = Arc::new(gen.take(accesses as usize).collect());
-    // asd-lint: allow(D005) -- cache poisoning means a sibling worker panicked mid-run; propagating is correct
-    trace_store().lock().expect("trace cache poisoned").insert(key, Arc::clone(&v));
-    Some(v)
-}
-
 /// The canonical cache key for a job, or `None` when the job must not be
 /// cached (cache disabled, file-backed trace source, or anonymous custom
 /// engine).
@@ -264,6 +229,13 @@ impl RunCache {
             self.disk_writes.load(Ordering::Relaxed),
             self.disk_evictions.load(Ordering::Relaxed),
         )
+    }
+
+    /// Trace-memo counters: `(hits, misses)`. A miss is a request that
+    /// generated its trace; a hit is one the memo served, including one
+    /// that waited while a concurrent request generated it.
+    pub fn trace_stats(&self) -> (u64, u64) {
+        (self.trace_hits.load(Ordering::Relaxed), self.trace_misses.load(Ordering::Relaxed))
     }
 
     /// Single-flight counters: `(leads, joins)`. A lead is a claim that
@@ -487,6 +459,49 @@ impl RunCache {
         self.flights.lock().expect("flight table poisoned").remove(key);
         self.landed.notify_all();
     }
+
+    /// The memoized trace of `thread` under `(profile, seed, accesses)`:
+    /// what `generator.take(accesses)` yields, each access packed, so
+    /// replaying it is bit-identical to generating by construction. Runs
+    /// that differ only in system configuration (the four-way comparisons,
+    /// the MC/PB/filter sweeps) share it.
+    ///
+    /// The first request for a key generates the trace, outside the map
+    /// lock, and counts a trace miss; concurrent requests for the same key
+    /// wait for it rather than generate it again, and each request the
+    /// memo serves counts a hit. Returns `None` when the cache is disabled
+    /// or an access does not pack (see [`PackedAccess::pack`]), and the
+    /// caller streams from the generator exactly as with the cache off.
+    pub(crate) fn trace(
+        &self,
+        profile: &WorkloadProfile,
+        seed: u64,
+        thread: u8,
+        accesses: u64,
+    ) -> Option<Arc<[PackedAccess]>> {
+        if !enabled() {
+            return None;
+        }
+        let key = format!("{profile:?}|{seed}|{thread}|{accesses}");
+        let cell = {
+            // asd-lint: allow(D005) -- memo poisoning means a sibling worker panicked mid-run; propagating is correct
+            let mut traces = self.traces.lock().expect("trace memo poisoned");
+            Arc::clone(traces.entry(key).or_default())
+        };
+        let mut generated = false;
+        let records = cell.get_or_init(|| {
+            generated = true;
+            let gen =
+                TraceGenerator::new(profile.clone(), thread_seed(seed, thread)).with_thread(thread);
+            gen.take(accesses as usize).map(|a| PackedAccess::pack(&a)).collect()
+        });
+        if generated {
+            self.trace_misses.fetch_add(1, Ordering::Relaxed);
+        } else if records.is_some() {
+            self.trace_hits.fetch_add(1, Ordering::Relaxed);
+        }
+        records.clone()
+    }
 }
 
 /// Outcome of [`RunCache::claim`]: either the cache already holds (or an
@@ -683,6 +698,51 @@ mod tests {
         assert!(body.contains("\tmilc\t"));
 
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_requests_generate_a_trace_once() {
+        if !enabled() {
+            return; // the memo is off; every request streams from the generator
+        }
+        let cache = RunCache::default();
+        let barrier = std::sync::Barrier::new(4);
+        let traces: Vec<Arc<[PackedAccess]>> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        cache.trace(&milc(), 0x5eed, 0, 20_000).expect("suite traces pack")
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().expect("worker panicked")).collect()
+        });
+        assert_eq!(cache.trace_stats(), (3, 1), "one request generates, three are served");
+        assert!(traces.iter().all(|t| Arc::ptr_eq(t, &traces[0])), "one shared trace");
+    }
+
+    #[test]
+    fn memoized_trace_holds_eight_bytes_per_access() {
+        if !enabled() {
+            return;
+        }
+        let cache = RunCache::default();
+        let records = cache.trace(&milc(), 0x5eed, 0, 100_000).expect("suite traces pack");
+        assert_eq!(std::mem::size_of_val(&*records), 800_000);
+        assert_eq!(cache.trace_stats(), (0, 1));
+    }
+
+    #[test]
+    fn a_trace_that_does_not_pack_is_not_memoized() {
+        let cache = RunCache::default();
+        // Lines up to 2^45 overflow the packed record's 44-bit line field.
+        let wide = WorkloadProfile { name: "wide".into(), footprint_lines: 1 << 45, ..milc() };
+        assert!(cache.trace(&wide, 0x5eed, 0, 5_000).is_none());
+        assert!(cache.trace(&wide, 0x5eed, 0, 5_000).is_none());
+        // Generated (and abandoned) once, never served.
+        let misses = u64::from(enabled());
+        assert_eq!(cache.trace_stats(), (0, misses));
     }
 
     #[test]

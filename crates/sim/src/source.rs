@@ -16,7 +16,9 @@
 
 use crate::config::RunOpts;
 use crate::error::SimError;
-use asd_trace::{suites, thread_seed, MemAccess, TraceGenerator, WorkloadProfile, LINE_SHIFT};
+use asd_trace::{
+    suites, thread_seed, MemAccess, PackedAccess, TraceGenerator, WorkloadProfile, LINE_SHIFT,
+};
 use asd_traceio::format::CHUNK_RECORDS;
 use asd_traceio::{record_profile, TraceIoError, TraceReader};
 use std::path::{Path, PathBuf};
@@ -125,13 +127,14 @@ impl std::fmt::Debug for ResolvedTrace {
 impl ResolvedTrace {
     /// In-memory generation: one seeded generator per thread, exactly the
     /// streams [`System::new`](crate::System::new) has always built. When
-    /// the run cache is enabled the stream is served from the process-wide
-    /// trace memo (see [`crate::cache`]) — runs that differ only in system
-    /// configuration then share one materialized trace per thread.
+    /// the run cache is enabled the stream is served from the trace memo
+    /// of the process-wide run cache ([`crate::cache::global`]) — runs
+    /// that differ only in system configuration then share one packed
+    /// trace per thread.
     pub fn generated(profile: &WorkloadProfile, seed: u64, threads: u8, accesses: u64) -> Self {
         let streams = (0..threads)
-            .map(|t| match crate::cache::trace(profile, seed, t, accesses) {
-                Some(accs) => TraceStream::materialized(accs),
+            .map(|t| match crate::cache::global().trace(profile, seed, t, accesses) {
+                Some(records) => TraceStream::packed(records, t),
                 None => TraceStream::generated(
                     TraceGenerator::new(profile.clone(), thread_seed(seed, t)).with_thread(t),
                     accesses,
@@ -143,8 +146,8 @@ impl ResolvedTrace {
 
     /// File replay: one pass over the file decodes and verifies every
     /// record and routes it into its thread's buffer, which the run then
-    /// reads like a memoized trace. Costs 16 B per access per thread, the
-    /// same as the generate path's trace memo.
+    /// reads from memory. Costs 16 B per access per thread, twice the
+    /// generate path's packed trace memo.
     fn replayed(path: &Path, threads: u8, accesses: u64) -> Result<Self, SimError> {
         let io = |e: TraceIoError| trace_io(path, &e);
         let mismatch = |message: String| SimError::TraceIo { path: path.to_path_buf(), message };
@@ -195,7 +198,7 @@ impl ResolvedTrace {
                 buf.len()
             )));
         }
-        let streams = bufs.into_iter().map(|b| TraceStream::materialized(Arc::new(b))).collect();
+        let streams = bufs.into_iter().map(TraceStream::materialized).collect();
         Ok(ResolvedTrace { benchmark: meta.profile, streams })
     }
 }
@@ -203,9 +206,9 @@ impl ResolvedTrace {
 /// Accesses decoded per refill of a [`TraceStream`]'s chunk buffer.
 ///
 /// Large enough to amortize the per-refill dispatch into the source
-/// (generator step or copy out of a materialized trace) over hundreds of
-/// accesses; small enough that a refill stays within one L1 cache's
-/// worth of records.
+/// (generator step, unpack of memoized records, or copy out of a replay
+/// buffer) over hundreds of accesses; small enough that a refill stays
+/// within one L1 cache's worth of records.
 const CHUNK: usize = 256;
 
 /// One bounded per-thread access stream, from any origin.
@@ -225,12 +228,15 @@ pub struct TraceStream {
 enum StreamSrc {
     /// Generated in memory, `remaining` accesses still to come (boxed:
     /// the generator's state is an order of magnitude larger than the
-    /// other variant's).
+    /// other variants').
     Generated { gen: Box<TraceGenerator>, remaining: u64 },
-    /// A fully materialized trace: from the process-wide trace memo
-    /// (same records the generator would produce, made once and shared)
-    /// or decoded from an ASDT file; `taken` records copied out so far.
-    Materialized { accs: Arc<Vec<MemAccess>>, taken: usize },
+    /// A run cache's trace memo entry: the records the generator would
+    /// produce, packed, made once and shared; `taken` records unpacked so
+    /// far, each as an access of `thread`.
+    Packed { records: Arc<[PackedAccess]>, thread: u8, taken: usize },
+    /// A trace decoded from an ASDT file; `taken` records copied out so
+    /// far.
+    Materialized { accs: Vec<MemAccess>, taken: usize },
 }
 
 impl TraceStream {
@@ -243,8 +249,13 @@ impl TraceStream {
         TraceStream::new(StreamSrc::Generated { gen: Box::new(gen), remaining: accesses })
     }
 
-    /// A stream serving a fully materialized trace.
-    fn materialized(accs: Arc<Vec<MemAccess>>) -> Self {
+    /// A stream unpacking a memoized trace of `thread`.
+    fn packed(records: Arc<[PackedAccess]>, thread: u8) -> Self {
+        TraceStream::new(StreamSrc::Packed { records, thread, taken: 0 })
+    }
+
+    /// A stream serving a decoded trace.
+    fn materialized(accs: Vec<MemAccess>) -> Self {
         TraceStream::new(StreamSrc::Materialized { accs, taken: 0 })
     }
 
@@ -258,6 +269,11 @@ impl TraceStream {
                 let n = CHUNK.min(usize::try_from(*remaining).unwrap_or(usize::MAX));
                 gen.fill(n, &mut self.buf);
                 *remaining -= self.buf.len() as u64;
+            }
+            StreamSrc::Packed { records, thread, taken } => {
+                let end = (*taken + CHUNK).min(records.len());
+                self.buf.extend(records[*taken..end].iter().map(|r| r.unpack(*thread)));
+                *taken = end;
             }
             StreamSrc::Materialized { accs, taken } => {
                 let end = (*taken + CHUNK).min(accs.len());
@@ -297,6 +313,10 @@ mod tests {
         RunOpts { accesses, ..RunOpts::default() }
     }
 
+    fn tpcc() -> WorkloadProfile {
+        suites::by_name("tpcc").expect("suite profile")
+    }
+
     #[test]
     fn generate_resolves_to_generator_stream() {
         let r = TraceSource::generate("milc", 42).resolve(&opts(100)).unwrap();
@@ -304,6 +324,20 @@ mod tests {
         assert_eq!(r.streams.len(), 1);
         let n = r.streams.into_iter().flatten().count();
         assert_eq!(n, 100);
+    }
+
+    #[test]
+    fn memoized_stream_matches_the_generator() {
+        let cache = crate::cache::RunCache::default();
+        let Some(records) = cache.trace(&tpcc(), 0x5eed, 1, 100_000) else {
+            return; // the memo is off
+        };
+        // 100,000 records end in a partial chunk; thread 1 comes back from
+        // the stream, not from the records.
+        let streamed: Vec<MemAccess> = TraceStream::packed(records, 1).collect();
+        let generated =
+            TraceGenerator::new(tpcc(), thread_seed(0x5eed, 1)).with_thread(1).generate(100_000);
+        assert!(streamed == generated, "the memoized stream diverges from the generator");
     }
 
     #[test]

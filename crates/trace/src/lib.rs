@@ -34,4 +34,4 @@ pub use dist::{DiscreteDist, GapDist};
 pub use generator::{thread_seed, TraceGenerator};
 pub use oracle::OracleSlh;
 pub use profile::{PhaseSpec, WorkloadProfile};
-pub use record::{AccessKind, MemAccess, LINE_BYTES, LINE_SHIFT};
+pub use record::{AccessKind, MemAccess, PackedAccess, LINE_BYTES, LINE_SHIFT};

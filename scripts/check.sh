@@ -22,12 +22,13 @@ run cargo build --workspace --all-targets --offline
 # rendering as plain text.
 run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 run cargo test --workspace --offline -q
-# The kernel's packed layouts again in the build that ships: release drops
-# overflow checks and `debug_assert!`, so the cache directory and recency
-# words, the way-count arithmetic, the inline writeback list, the
-# completion queue and the controller's queue rings are tested without
-# them, and the cross-commit golden runs replay through that build too.
-run cargo test --release --offline -q -p asd-core -p asd-cache -p asd-cpu -p asd-mc
+# The packed layouts again in the build that ships: release drops
+# overflow checks and `debug_assert!`, so the trace memo's packed record,
+# the cache directory and recency words, the way-count arithmetic, the
+# inline writeback list, the completion queue and the controller's queue
+# rings are tested without them, and the cross-commit golden runs replay
+# through that build too.
+run cargo test --release --offline -q -p asd-core -p asd-trace -p asd-cache -p asd-cpu -p asd-mc
 run cargo test --release --offline -q -p asd-sim --test golden_runs
 
 # Trace-corpus smoke: record a trace with the CLI, verify its structure

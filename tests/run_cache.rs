@@ -3,13 +3,13 @@
 //! — from simulating it fresh with the cache out of the loop.
 //!
 //! `ASD_RUN_CACHE` is latched once per process, so these tests do not
-//! toggle the variable; instead they compare the cache-routed path
-//! ([`Sweep`], [`experiment::run_custom`]) against direct
-//! [`System::run`], which never consults the cache. That direct path IS
-//! the `ASD_RUN_CACHE=0` code path — `cache::key` returning `None` and a
-//! bare `System::new(..).run()` are what a disabled cache degenerates to
-//! (see `crates/sim/src/cache.rs`). The figures acceptance run checks the
-//! same property end-to-end across processes.
+//! toggle the variable; instead they compare the results the run memo
+//! stores and serves ([`Sweep`], [`experiment::run_custom`]) against
+//! direct [`System::run`], which never consults the run memo. The direct
+//! runs still read their traces from the trace memo, so this is not the
+//! `ASD_RUN_CACHE=0` path; the trace memo's own tests pin its streams to
+//! the generator's, and `tests/pipeline_modes.rs` compares the figures
+//! binary with the cache on and off, across processes.
 
 use asd_sim::sweep::Sweep;
 use asd_sim::{experiment, PrefetchKind, RunOpts, RunResult, System, SystemConfig};

@@ -8,7 +8,7 @@
 //! rather than wall-clock time, keeping the suite deterministic (D001).
 
 use asd_sim::{PrefetchKind, RunOpts, SimError, SystemConfig, TraceSource};
-use asd_trace::{suites, thread_seed, TraceGenerator};
+use asd_trace::{suites, thread_seed, TraceGenerator, WorkloadProfile};
 use asd_traceio::{record_profile, TraceIoError, TraceMeta, TraceReader, TraceWriter};
 use std::path::{Path, PathBuf};
 
@@ -119,6 +119,28 @@ fn replay_matches_generate_for_every_profile() {
             profile.name
         );
     }
+    std::fs::remove_file(&path).ok();
+}
+
+/// A profile whose lines overflow the trace memo's packed record is not
+/// memoized: its run streams from the generator, and still equals the run
+/// of its own recording (what `TraceSource::capture` does for a suite
+/// profile).
+#[test]
+fn unpackable_profile_runs_like_its_recording() {
+    let opts = RunOpts { accesses: 3_000, seed: 0x5eed, smt: false };
+    let path = temp_path("unpackable");
+    let wide = WorkloadProfile {
+        name: "wide".into(),
+        footprint_lines: 1 << 45,
+        ..suites::by_name("milc").unwrap()
+    };
+    let cfg = SystemConfig::for_kind(PrefetchKind::Pms, 1);
+    let generated = asd_sim::System::new(cfg.clone(), &wide, &opts).unwrap().run();
+    record_profile(&path, &wide, opts.seed, 1, opts.accesses).unwrap();
+    let source = TraceSource::replay(&path);
+    let replayed = asd_sim::System::from_source(cfg, &source, &opts).unwrap().run();
+    assert_eq!(format!("{generated:?}"), format!("{replayed:?}"));
     std::fs::remove_file(&path).ok();
 }
 
