@@ -14,7 +14,7 @@
 use asd_bench::bench_opts;
 use asd_sim::experiment::FourWay;
 use asd_sim::figures as figs;
-use asd_sim::sweep::Sweep;
+use asd_sim::pipeline::{Job, Pipeline};
 use asd_sim::{PrefetchKind, RunOpts, SystemConfig};
 use asd_trace::suites::{self, Suite};
 use std::hint::black_box;
@@ -81,12 +81,14 @@ fn main() {
         let opts = bench_opts();
         // One benchmark across all eight MC configurations per iteration.
         let profile = suites::by_name("milc").unwrap();
-        let mut sweep = Sweep::new(&opts);
-        for (label, mc) in figs::fig11_configs() {
-            let cfg = SystemConfig::for_kind(PrefetchKind::Pms, 1).with_mc(mc);
-            sweep.push(&profile, cfg, &label);
-        }
-        let total: u64 = sweep.run().expect("sweep").iter().map(|r| r.cycles).sum();
+        let jobs = figs::fig11_configs()
+            .into_iter()
+            .map(|(label, mc)| {
+                Job::new(&profile, SystemConfig::for_kind(PrefetchKind::Pms, 1).with_mc(mc), &label)
+            })
+            .collect();
+        let results = Pipeline::sweep(&opts, jobs).results().expect("sweep");
+        let total: u64 = results.iter().map(|r| r.cycles).sum();
         black_box(total);
     });
 
@@ -115,7 +117,7 @@ fn main() {
         bench(f, name, || {
             let opts = bench_opts();
             let profile = suites::by_name("milc").unwrap();
-            let mut sweep = Sweep::new(&opts);
+            let mut jobs = Vec::new();
             for size in [8usize, 16] {
                 let mc = if sizes {
                     asd_mc::McConfig { pb_lines: size, pb_assoc: 4, ..asd_mc::McConfig::default() }
@@ -128,9 +130,10 @@ fn main() {
                     }
                 };
                 let cfg = SystemConfig::for_kind(PrefetchKind::Pms, 1).with_mc(mc);
-                sweep.push(&profile, cfg, "sweep");
+                jobs.push(Job::new(&profile, cfg, "sweep"));
             }
-            let total: u64 = sweep.run().expect("sweep").iter().map(|r| r.cycles).sum();
+            let results = Pipeline::sweep(&opts, jobs).results().expect("sweep");
+            let total: u64 = results.iter().map(|r| r.cycles).sum();
             black_box(total);
         });
     }
@@ -156,27 +159,26 @@ fn main() {
         black_box(a.rows.len());
     });
 
-    // Serial vs parallel four-way suite: the wall-clock ratio the sweep
-    // runner exists for. Reported explicitly so the speedup is visible in
-    // every bench run.
+    // Serial vs parallel four-way suite: the wall-clock ratio the
+    // executor's worker threads exist for. Reported explicitly so the
+    // speedup is visible in every bench run.
     if "suite_serial_vs_parallel".contains(f) || f.is_empty() {
         let opts = bench_opts();
         let profiles = Suite::Spec2006Fp.profiles();
         let build = || {
-            let mut sweep = Sweep::new(&opts);
+            let mut jobs = Vec::new();
             for p in &profiles {
                 for kind in PrefetchKind::ALL {
-                    let cfg = SystemConfig::for_kind(kind, 1);
-                    sweep.push(p, cfg, kind.name());
+                    jobs.push(Job::new(p, SystemConfig::for_kind(kind, 1), kind.name()));
                 }
             }
-            sweep
+            Pipeline::sweep(&opts, jobs)
         };
         let t0 = Instant::now();
-        let serial = build().run_serial().expect("sweep");
+        let serial = build().with_threads(1).results().expect("sweep");
         let t_serial = t0.elapsed();
         let t1 = Instant::now();
-        let parallel = build().run().expect("sweep");
+        let parallel = build().results().expect("sweep");
         let t_parallel = t1.elapsed();
         assert_eq!(serial.len(), parallel.len());
         println!(

@@ -10,33 +10,28 @@
 //!
 //! Every requested figure resolves to a declarative
 //! `asd_sim::pipeline::FigurePlan` (its simulation jobs plus an assembly
-//! closure), and by default the whole set executes as **one job graph**
-//! through `asd_sim::pipeline::Pipeline`: jobs shared between figures
-//! (the NP baselines of the suites, the arena, and `sched`, for example)
-//! are deduplicated at submission, all unique jobs drain through one
+//! closure), and the whole set executes as **one job graph** through
+//! `asd_sim::pipeline::Pipeline`: jobs shared between figures (the NP
+//! baselines of the suites, the arena, and `sched`, for example) are
+//! deduplicated at submission, all unique jobs drain through one
 //! work-stealing queue with no per-figure barrier, and each figure's
 //! table is assembled the moment its last dependency lands. Figure text
-//! still prints in the fixed catalog order and is bit-identical to the
-//! sequential path. Set `ASD_PIPELINE=barrier` to restore the one-sweep-
-//! per-figure behavior (an A/B lever the identity tests use), and
-//! `ASD_SWEEP_THREADS=1` to force serial execution; the results are
-//! bit-identical in every combination.
+//! prints in the fixed catalog order. Set `ASD_SWEEP_THREADS=1` to force
+//! serial execution; the output is bit-identical at every thread count.
 //!
 //! Besides the human-readable tables on stdout, the binary writes
 //! `BENCH_figures.json` to the working directory: one record per figure
 //! regenerated, with its wall-clock time and headline metrics, under the
 //! `asd-bench-figures/1` schema, plus a `pipeline` block with the
-//! scheduler's dedup counters and the end-to-end wall time. Per-figure
-//! `wall_ms` is time-to-completion: in barrier mode that is the figure's
-//! exclusive regeneration time (figures run one after another); in graph
-//! mode figures overlap, so it is time-to-ready measured from pipeline
-//! start and the per-figure values do not sum to `pipeline.total_wall_ms`
-//! (the difference is `pipeline.barrier_delta_ms`). Set
-//! `ASD_FIGURES_JSON` to change the output path, or to `-` to suppress
-//! the file. `ASD_FIGURES_ACCESSES` overrides the run length for *every*
-//! figure uniformly (suppressing the catalog's per-figure size
-//! overrides) — the cross-mode identity tests use it to keep full
-//! catalog runs cheap.
+//! scheduler's dedup counters and the end-to-end wall time. Figures
+//! overlap, so a figure's `wall_ms` is its time-to-ready measured from
+//! pipeline start, and the per-figure values (summed in
+//! `pipeline.figure_wall_sum_ms`) do not add up to
+//! `pipeline.total_wall_ms`. Set `ASD_FIGURES_JSON` to change the output
+//! path, or to `-` to suppress the file. `ASD_FIGURES_ACCESSES` overrides
+//! the run length for *every* figure uniformly (suppressing the
+//! catalog's per-figure size overrides) — the thread-count identity tests
+//! use it to keep full catalog runs cheap.
 //!
 //! The `telemetry` item runs one fully-instrumented PMS simulation and
 //! prints the registry-derived summary (Figure 13 ratios, CAQ occupancy,
@@ -53,7 +48,7 @@ use asd_bench::full_opts;
 use asd_bench::json::Value;
 use asd_sim::arena::{arena_plan, default_roster};
 use asd_sim::figures::plan_sized;
-use asd_sim::pipeline::{barrier_mode, FigureOutput, FigurePlan, MetricValue, Pipeline};
+use asd_sim::pipeline::{FigureOutput, FigurePlan, MetricValue, Pipeline, PipelineStats};
 use asd_sim::RunOpts;
 use asd_telemetry::{names, Registry, TelemetryConfig, Unit};
 use asd_trace::suites;
@@ -84,17 +79,6 @@ const CATALOG: [&str; 20] = [
     "smt",
 ];
 
-/// How the selected figures were scheduled, for the JSON report.
-struct PipelineSummary {
-    mode: &'static str,
-    figures: usize,
-    submitted_jobs: usize,
-    unique_jobs: usize,
-    inflight_joins: u64,
-    peak_live_jobs: usize,
-    total_wall_ms: f64,
-}
-
 /// Collects one record per regenerated figure. Wall-clock times live on a
 /// telemetry registry (`bench.<figure>.wall_ms` gauges), and the JSON
 /// document reads them back from the snapshot — the same source of truth
@@ -112,10 +96,8 @@ impl Report {
         }
     }
 
-    /// Record a figure: name, wall time to its completion, and its
-    /// metrics. In barrier mode `wall_ms` is the figure's exclusive
-    /// regeneration time; in graph mode it is time-to-ready from
-    /// pipeline start (figures overlap).
+    /// Record a figure: name, wall time to its completion (time-to-ready
+    /// from pipeline start; figures overlap), and its metrics.
     fn add(&mut self, name: &str, wall_ms: f64, metrics: Value) {
         self.tel.fill_gauge(
             &format!("{name}.wall_ms"),
@@ -126,7 +108,7 @@ impl Report {
         self.figures.push((name.to_string(), metrics));
     }
 
-    fn document(mut self, opts: &RunOpts, pipeline: &PipelineSummary) -> Value {
+    fn document(mut self, opts: &RunOpts, stats: &PipelineStats, total_wall_ms: f64) -> Value {
         // Surface the cross-figure run cache through the same registry the
         // wall-time gauges live on, so every exposition backend (and this
         // JSON document) sees how much of the pipeline was deduplicated.
@@ -147,45 +129,43 @@ impl Report {
                 "figures",
                 Unit::Events,
                 "figures regenerated by this invocation",
-                pipeline.figures as f64,
+                stats.figures as f64,
             ),
             (
                 "submitted_jobs",
                 Unit::Events,
                 "simulation jobs requested across all figures, before dedup",
-                pipeline.submitted_jobs as f64,
+                stats.submitted_jobs as f64,
             ),
             (
                 "unique_jobs",
                 Unit::Events,
                 "distinct simulation jobs actually scheduled",
-                pipeline.unique_jobs as f64,
+                stats.unique_jobs as f64,
             ),
             (
                 "inflight_joins",
                 Unit::Events,
                 "jobs that joined another figure's identical job instead of re-running",
-                pipeline.inflight_joins as f64,
+                stats.inflight_joins as f64,
             ),
             (
                 "peak_live_jobs",
                 Unit::Events,
                 "high-water mark of job results held live at once",
-                pipeline.peak_live_jobs as f64,
+                stats.peak_live_jobs as f64,
             ),
             (
                 "total_wall_ms",
                 Unit::Millis,
                 "end-to-end wall time across every requested figure",
-                pipeline.total_wall_ms,
+                total_wall_ms,
             ),
         ] {
             self.tel.fill_gauge(&names::pipeline_metric(metric), unit, help, v);
         }
         let snap = self.tel.snapshot();
-        // Summed per-figure walls vs. the true total: the delta is the
-        // overlap the graph scheduler reclaimed (about zero in barrier
-        // mode, where figures run back to back).
+        // Summed per-figure times-to-ready, reported beside the true total.
         let wall_sum: f64 = self
             .figures
             .iter()
@@ -197,7 +177,6 @@ impl Report {
             cache.set(key, snap.gauge(&format!("bench.cache.{key}")).unwrap_or(0.0));
         }
         let mut pipe = Value::obj();
-        pipe.set("mode", pipeline.mode);
         for key in ["figures", "submitted_jobs", "unique_jobs", "inflight_joins", "peak_live_jobs"]
         {
             let name = format!("bench.{}", names::pipeline_metric(key));
@@ -208,7 +187,6 @@ impl Report {
             .unwrap_or(0.0);
         pipe.set("total_wall_ms", total);
         pipe.set("figure_wall_sum_ms", wall_sum);
-        pipe.set("barrier_delta_ms", wall_sum - total);
         let mut o = Value::obj();
         o.set("accesses", opts.accesses).set("seed", opts.seed);
         let mut doc = Value::obj();
@@ -325,43 +303,15 @@ fn emit(report: &mut Report, name: &str, wall_ms: f64, output: FigureOutput) {
     report.add(name, wall_ms, metrics_to_json(output.metrics));
 }
 
-/// Sequential fallback (`ASD_PIPELINE=barrier`): one plan at a time,
-/// each through its own sweep — today's per-figure behavior.
-fn run_barrier(
-    selected: &[&str],
-    opts: &RunOpts,
-    uniform: bool,
-    report: &mut Report,
-    t0: Instant,
-) -> Result<PipelineSummary, asd_sim::SimError> {
-    let mut submitted = 0;
-    for name in selected {
-        let f0 = Instant::now();
-        let plan = build_plan(name, opts, uniform)?;
-        submitted += plan.job_count();
-        let output = plan.run()?;
-        emit(report, name, f0.elapsed().as_secs_f64() * 1e3, output);
-    }
-    Ok(PipelineSummary {
-        mode: "barrier",
-        figures: selected.len(),
-        submitted_jobs: submitted,
-        unique_jobs: submitted,
-        inflight_joins: 0,
-        peak_live_jobs: 0,
-        total_wall_ms: t0.elapsed().as_secs_f64() * 1e3,
-    })
-}
-
-/// Default path: submit every plan into one job graph, run it, then
-/// print the outputs in catalog order.
+/// Submit every plan into one job graph, run it, print the outputs in
+/// catalog order, and return the graph's counters.
 fn run_graph(
     selected: &[&str],
     opts: &RunOpts,
     uniform: bool,
     report: &mut Report,
     t0: Instant,
-) -> Result<PipelineSummary, asd_sim::SimError> {
+) -> Result<PipelineStats, asd_sim::SimError> {
     let mut pipe = Pipeline::new();
     for name in selected {
         pipe.submit(build_plan(name, opts, uniform)?);
@@ -377,16 +327,7 @@ fn run_graph(
     for fig in run.figures {
         emit(report, &fig.name, fig.wall_ms, fig.output);
     }
-    let s = run.stats;
-    Ok(PipelineSummary {
-        mode: "graph",
-        figures: s.figures,
-        submitted_jobs: s.submitted_jobs,
-        unique_jobs: s.unique_jobs,
-        inflight_joins: s.inflight_joins,
-        peak_live_jobs: s.peak_live_jobs,
-        total_wall_ms: t0.elapsed().as_secs_f64() * 1e3,
-    })
+    Ok(run.stats)
 }
 
 fn main() -> std::process::ExitCode {
@@ -415,16 +356,13 @@ fn run() -> Result<(), asd_sim::SimError> {
 
     let mut report = Report::new();
     let t0 = Instant::now();
-    let summary = if barrier_mode() {
-        run_barrier(&selected, &opts, uniform, &mut report, t0)?
-    } else {
-        run_graph(&selected, &opts, uniform, &mut report, t0)?
-    };
+    let stats = run_graph(&selected, &opts, uniform, &mut report, t0)?;
+    let total_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     let json_path =
         std::env::var("ASD_FIGURES_JSON").unwrap_or_else(|_| "BENCH_figures.json".to_string());
     if json_path != "-" {
-        let doc = report.document(&opts, &summary);
+        let doc = report.document(&opts, &stats, total_wall_ms);
         match std::fs::write(&json_path, doc.render() + "\n") {
             Ok(()) => eprintln!("wrote {json_path}"),
             Err(e) => eprintln!("figures: could not write {json_path}: {e}"),

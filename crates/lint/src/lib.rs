@@ -2,8 +2,8 @@
 //!
 //! A zero-dependency static-analysis pass over every simulator crate,
 //! enforcing the invariants the paper's reproducibility rests on: the
-//! parallel [`Sweep`] runner promises results **bit-identical** to serial
-//! execution, and every figure driver builds on that promise. The lints
+//! parallel [`Pipeline`] executor promises results **bit-identical** to
+//! serial execution, and every figure driver builds on that promise. The lints
 //! (catalogued in [`lints::CATALOG`] and DESIGN.md) ban the ways that
 //! promise could silently rot — wall-clock reads, hasher-ordered
 //! iteration, unseeded randomness, mutable globals, panicking library
@@ -32,7 +32,7 @@
 //! unknown-code, or **stale** (matching no finding) directives are
 //! themselves findings (D000).
 //!
-//! [`Sweep`]: ../asd_sim/sweep/struct.Sweep.html
+//! [`Pipeline`]: ../asd_sim/pipeline/struct.Pipeline.html
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,13 +2,13 @@
 //! checks that enforce it.
 //!
 //! Every lint exists to protect one property: **bit-determinism** of the
-//! simulation results. The parallel [`Sweep`] runner's correctness claim
-//! ("bit-identical to serial execution") and every figure driver built on
-//! it assume that a run is a pure function of `(SystemConfig,
+//! simulation results. The parallel [`Pipeline`] executor's correctness
+//! claim ("bit-identical to serial execution") and every figure driver
+//! built on it assume that a run is a pure function of `(SystemConfig,
 //! WorkloadProfile, RunOpts)`. These lints make the assumptions that
 //! claim rests on mechanically checkable.
 //!
-//! [`Sweep`]: ../asd_sim/sweep/struct.Sweep.html
+//! [`Pipeline`]: ../asd_sim/pipeline/struct.Pipeline.html
 
 use crate::lexer::{Lexed, Tok, Token};
 

@@ -6,16 +6,16 @@
 //! typed [`ServeError`] values the daemon raised (reconstructed from the
 //! structured error object). [`load_bench`] fires a duplicate-heavy mix
 //! of concurrent sweep requests at a daemon and checks **every**
-//! response bit-for-bit against a direct [`build_sweep`] +
-//! [`Sweep::run`](asd_sim::sweep::Sweep::run) of the same spec — the
-//! daemon, its cache tiers, and its shard workers must be invisible in
-//! the bytes.
+//! response bit-for-bit against a direct in-process run of the same
+//! spec ([`reference_doc`]) — the daemon and its cache tiers must be
+//! invisible in the bytes.
 
 use crate::error::ServeError;
 use crate::proto::{
     build_sweep, err_of_value, read_frame, read_json, sweep_doc, write_frame, write_json, JobSpec,
 };
 use asd_bench::json::Value;
+use asd_sim::pipeline::Pipeline;
 use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 use std::path::Path;
@@ -332,16 +332,17 @@ pub fn bench_specs(accesses: u64) -> Vec<JobSpec> {
         .collect()
 }
 
-/// The reference document for `spec`, computed directly through
-/// [`build_sweep`] + [`Sweep::run`](asd_sim::sweep::Sweep::run): the
-/// rendered string the daemon's response must match byte for byte.
+/// The reference document for `spec`, computed directly: the
+/// [`build_sweep`] job list run as a [`Pipeline::sweep`] in this process,
+/// exactly as the daemon runs it. The rendered string the daemon's
+/// response must match byte for byte.
 ///
 /// # Errors
 ///
 /// [`ServeError::Sim`] if the spec cannot build or the run fails.
 pub fn reference_doc(spec: &JobSpec) -> Result<String, ServeError> {
-    let sweep = build_sweep(spec).map_err(ServeError::Sim)?;
-    let results = sweep.run().map_err(ServeError::Sim)?;
+    let (opts, jobs) = build_sweep(spec).map_err(ServeError::Sim)?;
+    let results = Pipeline::sweep(&opts, jobs).results().map_err(ServeError::Sim)?;
     Ok(sweep_doc(&results).render())
 }
 

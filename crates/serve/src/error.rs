@@ -30,15 +30,6 @@ pub enum ServeError {
         /// The id the client asked about.
         id: u64,
     },
-    /// A shard-worker subprocess died or broke protocol mid-job. The
-    /// dispatcher recomputes the affected chunks locally, so this
-    /// surfaces as a warning event unless the local fallback also fails.
-    ShardWorker {
-        /// Zero-based shard index.
-        shard: usize,
-        /// What happened to it.
-        message: String,
-    },
     /// The bounded job queue is full; resubmit later.
     Busy {
         /// Jobs currently queued.
@@ -75,7 +66,6 @@ impl ServeError {
             ServeError::Bind { .. } => "bind",
             ServeError::MalformedRequest { .. } => "malformed",
             ServeError::UnknownJob { .. } => "unknown-job",
-            ServeError::ShardWorker { .. } => "shard",
             ServeError::Busy { .. } => "busy",
             ServeError::ShuttingDown => "shutting-down",
             ServeError::Corpus { .. } => "corpus",
@@ -95,9 +85,6 @@ impl fmt::Display for ServeError {
                 write!(f, "malformed request: {message}")
             }
             ServeError::UnknownJob { id } => write!(f, "unknown job id {id}"),
-            ServeError::ShardWorker { shard, message } => {
-                write!(f, "shard worker {shard} failed: {message}")
-            }
             ServeError::Busy { depth, cap } => {
                 write!(f, "server busy: {depth} jobs queued (cap {cap})")
             }
@@ -136,7 +123,6 @@ mod tests {
             ServeError::Bind { addr: "x:1".into(), message: "m".into() }.kind(),
             ServeError::MalformedRequest { message: "m".into() }.kind(),
             ServeError::UnknownJob { id: 7 }.kind(),
-            ServeError::ShardWorker { shard: 0, message: "m".into() }.kind(),
             ServeError::Busy { depth: 9, cap: 8 }.kind(),
             ServeError::ShuttingDown.kind(),
             ServeError::Corpus { name: "t".into(), message: "m".into() }.kind(),

@@ -165,11 +165,13 @@ impl JobTable {
         }
     }
 
-    /// Record progress on a running job and wake watchers.
+    /// Record progress on a running job and wake watchers. Reports from
+    /// concurrent workers can arrive out of order, so `done` only ever
+    /// grows: a smaller count than the one recorded is ignored.
     pub fn progress(&self, id: u64, done: usize, total: usize) {
         let mut g = self.lock();
         if let Some(rec) = g.jobs.get_mut(&id) {
-            rec.done = done;
+            rec.done = rec.done.max(done);
             if total > 0 {
                 rec.total = total;
             }
@@ -343,6 +345,18 @@ mod tests {
         assert_eq!(snap.state, JobState::Done);
         assert_eq!(snap.done, 4, "finish snaps progress to total");
         assert!(snap.result.is_some());
+    }
+
+    #[test]
+    fn progress_never_goes_backwards() {
+        // Workers report progress unordered: a late 5 after a 6 must not
+        // step a watcher back.
+        let table = JobTable::new(8);
+        let id = table.submit(spec()).unwrap();
+        table.claim_next().unwrap();
+        table.progress(id, 6, 8);
+        table.progress(id, 5, 8);
+        assert_eq!(table.status(id).unwrap().done, 6);
     }
 
     #[test]

@@ -5,14 +5,14 @@
 //! length-prefixed newline-JSON frame protocol ([`proto`]) to submit
 //! sweep / figure / arena jobs, poll or stream their progress, fetch
 //! results, and manage an ASDT trace corpus ([`corpus`]). Results are
-//! **bit-identical** to running the equivalent CLI drivers directly:
-//! every executor path — in-process, shard-worker subprocesses
-//! ([`shard`]), and the client-side reference harness
-//! ([`client::reference_doc`]) — builds its job list through the single
-//! [`proto::build_sweep`] constructor and renders documents through
+//! **bit-identical** to running the equivalent CLI drivers directly: the
+//! daemon and the client-side reference harness
+//! ([`client::reference_doc`]) build a sweep's job list through the
+//! single [`proto::build_sweep`] constructor, run it on the same
+//! `asd_sim::pipeline` executor, and render documents through
 //! [`proto::sweep_doc`].
 //!
-//! Three layers make the daemon restart-proof and bounded:
+//! Two layers make the daemon restart-proof and bounded:
 //!
 //! - the **job table** ([`jobs::JobTable`]): a bounded FIFO with typed
 //!   `Busy` rejection, cancellation, progress watching, and a
@@ -20,10 +20,7 @@
 //! - the **persistent run cache** (`asd_sim::cache`'s disk tier):
 //!   CRC-checked content-addressed records under `<root>/cache`, so a
 //!   restarted daemon serves previously computed sweeps with zero new
-//!   simulation runs;
-//! - the **shard dispatcher** ([`shard`]): N worker subprocesses of this
-//!   same binary splitting a sweep's chunks, with local fallback when a
-//!   worker dies — results stay push-order deterministic either way.
+//!   simulation runs.
 //!
 //! Every failure mode is a typed [`ServeError`] with a stable `kind`
 //! string that survives the wire ([`proto::err_obj`] /
@@ -39,7 +36,6 @@ pub mod error;
 pub mod jobs;
 pub mod proto;
 pub mod server;
-pub mod shard;
 
 pub use client::{load_bench, BenchOpts, BenchReport, Client};
 pub use error::ServeError;

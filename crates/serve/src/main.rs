@@ -2,11 +2,9 @@
 //!
 //! ```text
 //! asd-serve serve [--host H] [--port P] [--handlers N] [--executors N]
-//!                 [--shards N] [--queue-cap N] [--dir PATH]
-//!                 [--read-timeout SECS]
+//!                 [--queue-cap N] [--dir PATH] [--read-timeout SECS]
 //! asd-serve client ADDR OP [ARGS...]
 //! asd-serve bench [--clients N] [--requests N] [--accesses N] [--dir PATH]
-//! asd-serve shard-worker
 //! ```
 //!
 //! Exit codes: 0 success, 1 runtime/job failures (a job errored, a bench
@@ -25,17 +23,15 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 fn usage() -> ExitCode {
-    eprintln!("asd-serve: sharded sweep daemon with a persistent run cache");
+    eprintln!("asd-serve: sweep daemon with a persistent run cache");
     eprintln!("usage:");
     eprintln!("  asd-serve serve [--host H] [--port P] [--handlers N] [--executors N]");
-    eprintln!("                  [--shards N] [--queue-cap N] [--dir PATH]");
-    eprintln!("                  [--read-timeout SECS]");
+    eprintln!("                  [--queue-cap N] [--dir PATH] [--read-timeout SECS]");
     eprintln!("  asd-serve client ADDR OP [ARGS...]");
     eprintln!("      ops: ping | stats | shutdown | trace-list");
     eprintln!("           submit JSON | status ID | result ID | wait ID | watch ID | cancel ID");
     eprintln!("           trace-put NAME FILE | trace-get NAME FILE");
     eprintln!("  asd-serve bench [--clients N] [--requests N] [--accesses N] [--dir PATH]");
-    eprintln!("  asd-serve shard-worker");
     ExitCode::from(2)
 }
 
@@ -45,7 +41,6 @@ fn main() -> ExitCode {
         Some("serve") => cmd_serve(&args[1..]),
         Some("client") => cmd_client(&args[1..]),
         Some("bench") => cmd_bench(&args[1..]),
-        Some("shard-worker") => ExitCode::from(asd_serve::shard::worker_main()),
         _ => usage(),
     }
 }
@@ -80,16 +75,8 @@ fn numeric<T: std::str::FromStr>(flag: &str, value: &str) -> Option<T> {
 }
 
 fn cmd_serve(args: &[String]) -> ExitCode {
-    let known = [
-        "--host",
-        "--port",
-        "--handlers",
-        "--executors",
-        "--shards",
-        "--queue-cap",
-        "--dir",
-        "--read-timeout",
-    ];
+    let known =
+        ["--host", "--port", "--handlers", "--executors", "--queue-cap", "--dir", "--read-timeout"];
     let Some(flags) = parse_flags(args, &known) else {
         return usage();
     };
@@ -103,7 +90,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
             "--port" => numeric(&flag, &value).map(|p| cfg.port = p).is_some(),
             "--handlers" => numeric(&flag, &value).map(|n| cfg.handlers = n).is_some(),
             "--executors" => numeric(&flag, &value).map(|n| cfg.executors = n).is_some(),
-            "--shards" => numeric(&flag, &value).map(|n| cfg.shards = n).is_some(),
             "--queue-cap" => numeric(&flag, &value).map(|n| cfg.queue_cap = n).is_some(),
             "--dir" => {
                 cfg.root = PathBuf::from(value);

@@ -2,9 +2,9 @@
 //! spec vocabulary, and the canonical JSON rendering of results.
 //!
 //! A frame is `<decimal byte length>\n<payload>\n`. JSON frames carry a
-//! request or response object; binary frames (trace upload/download and
-//! shard-worker result chunks) carry raw bytes under the same framing,
-//! with the preceding JSON exchange establishing their meaning.
+//! request or response object; binary frames (trace upload/download)
+//! carry raw bytes under the same framing, with the preceding JSON
+//! exchange establishing their meaning.
 //!
 //! **Bit-identity.** Responses embed results as [`result_to_value`]
 //! objects rendered by `asd_bench::json` — the same float formatter the
@@ -15,7 +15,7 @@
 
 use crate::error::ServeError;
 use asd_bench::json::{self, Value};
-use asd_sim::sweep::Sweep;
+use asd_sim::pipeline::Job;
 use asd_sim::{PrefetchKind, RunOpts, RunResult, SystemConfig};
 use asd_trace::suites;
 use std::io::{BufRead, Write};
@@ -142,13 +142,12 @@ pub fn err_of_value(v: &Value) -> ServeError {
 }
 
 /// A job the daemon knows how to run. The spec is the unit of
-/// submission, of shard handoff (the dispatcher re-serializes it to
-/// worker subprocesses), and of bit-identity testing (the same spec
-/// built locally must produce the same document).
+/// submission and of bit-identity testing (the same spec built locally
+/// must produce the same document).
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobSpec {
     /// A raw (benchmark × config) sweep; the result document carries one
-    /// [`result_to_value`] object per pair, in push order.
+    /// [`result_to_value`] object per pair, in spec order.
     Sweep {
         /// Workload profile names ([`asd_trace::suites::by_name`]).
         benchmarks: Vec<String>,
@@ -197,8 +196,8 @@ impl JobSpec {
         RunOpts { accesses, seed, smt }
     }
 
-    /// Canonical JSON form: the inverse of [`parse_spec`], used for
-    /// shard handoff and job listings.
+    /// Canonical JSON form: the inverse of [`parse_spec`], used to
+    /// submit a spec over the wire.
     pub fn to_value(&self) -> Value {
         fn arr(names: &[String]) -> Value {
             Value::Arr(names.iter().map(|n| Value::Str(n.clone())).collect())
@@ -375,11 +374,12 @@ pub fn validate_spec(spec: &JobSpec) -> Result<(), ServeError> {
     Ok(())
 }
 
-/// Build the [`Sweep`] a sweep spec describes: benchmarks in spec order,
-/// configs nested inside each benchmark, labels equal to the config
-/// names. Every executor — the in-process path, each shard worker, and
-/// the bit-identity tests — calls this one constructor, so they run
-/// byte-identical job lists by construction.
+/// Build the options and job list a sweep spec describes: benchmarks in
+/// spec order, configs nested inside each benchmark, labels equal to the
+/// config names. The daemon and the bit-identity harness
+/// ([`crate::client::reference_doc`]) both run this list as an
+/// `asd_sim::pipeline::Pipeline::sweep`, so they run byte-identical job
+/// lists on the same executor by construction.
 ///
 /// # Errors
 ///
@@ -387,13 +387,12 @@ pub fn validate_spec(spec: &JobSpec) -> Result<(), ServeError> {
 /// [`UnknownEngine`](asd_sim::SimError::UnknownEngine) for unresolvable
 /// names; non-sweep specs are a caller bug reported as
 /// [`UnknownProfile`](asd_sim::SimError::UnknownProfile) on the spec kind.
-pub fn build_sweep(spec: &JobSpec) -> Result<Sweep, asd_sim::SimError> {
+pub fn build_sweep(spec: &JobSpec) -> Result<(RunOpts, Vec<Job>), asd_sim::SimError> {
     let JobSpec::Sweep { benchmarks, configs, smt, .. } = spec else {
         return Err(asd_sim::SimError::UnknownProfile { name: "<non-sweep spec>".to_string() });
     };
     let threads = if *smt { 2 } else { 1 };
-    let opts = spec.opts();
-    let mut sweep = Sweep::new(&opts);
+    let mut jobs = Vec::with_capacity(benchmarks.len() * configs.len());
     for bench in benchmarks {
         let profile = suites::by_name(bench)
             .ok_or_else(|| asd_sim::SimError::UnknownProfile { name: bench.clone() })?;
@@ -407,10 +406,10 @@ pub fn build_sweep(spec: &JobSpec) -> Result<Sweep, asd_sim::SimError> {
                     SystemConfig::for_kind(PrefetchKind::Np, threads).with_engine_named(engine)?
                 }
             };
-            sweep.push(&profile, cfg, config);
+            jobs.push(Job::new(&profile, cfg, config));
         }
     }
-    Ok(sweep)
+    Ok((spec.opts(), jobs))
 }
 
 /// The result document for a sweep's run: what the daemon returns and
@@ -595,11 +594,14 @@ mod tests {
             seed: 1,
             smt: false,
         };
-        let sweep = build_sweep(&spec).unwrap();
-        assert_eq!(sweep.len(), 4);
-        assert_eq!(sweep.job_name(0), Some(("milc", "NP")));
-        assert_eq!(sweep.job_name(1), Some(("milc", "next-line")));
-        assert_eq!(sweep.job_name(3), Some(("lbm", "next-line")));
+        let (opts, jobs) = build_sweep(&spec).unwrap();
+        assert_eq!(opts, spec.opts());
+        let names: Vec<(&str, &str)> =
+            jobs.iter().map(|j| (j.profile.name.as_str(), j.label.as_str())).collect();
+        assert_eq!(
+            names,
+            [("milc", "NP"), ("milc", "next-line"), ("lbm", "NP"), ("lbm", "next-line")]
+        );
     }
 
     #[test]

@@ -5,14 +5,14 @@
 //! Connection handlers are a fixed pool of threads all blocked in
 //! `accept` on the shared listener — no thread-per-connection growth —
 //! and every job runs on one of `executors` executor threads (its
-//! *simulations* fan out through [`Sweep`](asd_sim::sweep::Sweep)'s
-//! thread pool or the shard dispatcher), so memory stays bounded no
-//! matter how many clients connect: at most `queue_cap` queued specs
-//! plus `executors` running jobs. With more than one executor,
-//! concurrent jobs that request the same simulation share it through
-//! the run cache's single-flight registry: the first claimant
-//! simulates, the rest park and reuse its result (the `stats` gauges
-//! `cache_flight_leads` / `cache_flight_joins` count both sides).
+//! *simulations* fan out through the [`asd_sim::pipeline`] executor's
+//! worker threads), so memory stays bounded no matter how many clients
+//! connect: at most `queue_cap` queued specs plus `executors` running
+//! jobs. With more than one executor, concurrent jobs that request the
+//! same simulation share it through the run cache's single-flight
+//! registry: the first claimant simulates, the rest park and reuse its
+//! result (the `stats` gauges `cache_flight_leads` /
+//! `cache_flight_joins` count both sides).
 //!
 //! Shutdown is protocol-driven (`{"op":"shutdown"}`; the workspace
 //! forbids `unsafe`, so there is no signal handler): the table flips to
@@ -27,19 +27,16 @@ use crate::proto::{
     self, err_obj, ok_obj, parse_spec, read_json, write_frame, write_json, JobSpec,
 };
 use asd_bench::json::Value;
+use asd_sim::pipeline::Pipeline;
 use asd_sim::RunOpts;
 use asd_telemetry::{expo, names, Registry, TelemetryConfig, Unit};
 use asd_trace::suites;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Shard-worker failures survived via local fallback (a `serve.*`
-/// gauge).
-static SHARD_FAILURES: AtomicU64 = AtomicU64::new(0);
 
 /// How the daemon is wired up.
 #[derive(Debug, Clone)]
@@ -56,8 +53,6 @@ pub struct ServerConfig {
     pub executors: usize,
     /// Job-queue cap ([`ServeError::Busy`] beyond it).
     pub queue_cap: usize,
-    /// Shard-worker subprocesses per sweep job (1 = in-process).
-    pub shards: usize,
     /// State root: the persistent run cache lives in `<root>/cache`, the
     /// trace corpus in `<root>/corpus`.
     pub root: PathBuf,
@@ -73,7 +68,6 @@ impl Default for ServerConfig {
             handlers: 8,
             executors: 1,
             queue_cap: 64,
-            shards: 1,
             root: PathBuf::from("target/asd-serve"),
             read_timeout: Duration::from_secs(30),
         }
@@ -142,10 +136,9 @@ impl Server {
             let mut executors = Vec::new();
             for _ in 0..cfg.executors.max(1) {
                 let table = Arc::clone(&table);
-                let shards = cfg.shards;
                 executors.push(scope.spawn(move || {
                     while let Some((id, spec)) = table.claim_next() {
-                        let outcome = execute(&spec, id, &table, shards);
+                        let outcome = execute(&spec, id, &table);
                         table.finish(id, outcome);
                     }
                 }));
@@ -197,30 +190,28 @@ impl Server {
 /// Run one job spec to its result document. Shared by the executor
 /// thread and (indirectly, through the same underlying drivers) the CLI
 /// paths the bit-identity tests compare against.
-fn execute(spec: &JobSpec, id: u64, table: &JobTable, shards: usize) -> Result<Value, ServeError> {
+fn execute(spec: &JobSpec, id: u64, table: &JobTable) -> Result<Value, ServeError> {
     let progress = |done: usize, total: usize| table.progress(id, done, total);
     match spec {
         JobSpec::Sweep { .. } => {
-            let results = if shards > 1 {
-                let (results, warnings) = crate::shard::run_sharded(spec, shards, &progress)?;
-                for w in warnings {
-                    SHARD_FAILURES.fetch_add(1, Ordering::Relaxed);
-                    eprintln!("asd-serve: job {id}: {w}");
-                }
-                results
-            } else {
-                let sweep = proto::build_sweep(spec).map_err(ServeError::Sim)?;
-                sweep.run_observed(&progress).map_err(ServeError::Sim)?
-            };
+            let (opts, jobs) = proto::build_sweep(spec).map_err(ServeError::Sim)?;
+            let run = Pipeline::sweep(&opts, jobs)
+                .run_observed(&|| 0.0, &progress)
+                .map_err(ServeError::Sim)?;
+            let results: Vec<_> = run.figures.into_iter().flat_map(|f| f.output).collect();
             Ok(proto::sweep_doc(&results))
         }
         JobSpec::Figure { figure, .. } => {
-            let output = figure_output(figure, &spec.opts()).map_err(ServeError::Sim)?;
+            // Every simulation lands in the run cache's single-flight
+            // registry, so two connections requesting overlapping figures
+            // run each shared point once.
+            let text =
+                asd_sim::figures::figure_text(figure, &spec.opts()).map_err(ServeError::Sim)?;
             progress(1, 1);
             let mut doc = Value::obj();
             doc.set("kind", "figure");
             doc.set("figure", figure.clone());
-            doc.set("text", output.text);
+            doc.set("text", text);
             Ok(doc)
         }
         JobSpec::Arena { engines, profiles, .. } => {
@@ -234,33 +225,6 @@ fn execute(spec: &JobSpec, id: u64, table: &JobTable, shards: usize) -> Result<V
             }
             Ok(doc)
         }
-    }
-}
-
-/// Resolve and run one figure by catalog name. Barrier mode
-/// (`ASD_PIPELINE=barrier`) runs the plan's own sweep; the default graph
-/// mode routes it through a single-figure
-/// [`Pipeline`](asd_sim::pipeline::Pipeline). Either way every
-/// simulation lands in the run cache's single-flight registry, so two
-/// connections requesting overlapping figures run each shared point
-/// once — the second joins the first's in-flight run. Text output is
-/// bit-identical to the CLI in both modes.
-fn figure_output(
-    figure: &str,
-    opts: &RunOpts,
-) -> Result<asd_sim::pipeline::FigureOutput, asd_sim::SimError> {
-    let plan = asd_sim::figures::plan(figure, opts)?;
-    if asd_sim::pipeline::barrier_mode() {
-        return plan.run();
-    }
-    let mut pipe = asd_sim::pipeline::Pipeline::new();
-    pipe.submit(plan);
-    let mut run = pipe.run(&|| 0.0)?;
-    match run.figures.pop() {
-        Some(f) => Ok(f.output),
-        // Unreachable: a one-figure pipeline that returns Ok always
-        // yields exactly one output.
-        None => Err(asd_sim::SimError::UnknownFigure { name: figure.to_string() }),
     }
 }
 
@@ -311,9 +275,6 @@ fn stats_value(table: &JobTable) -> Value {
         ("jobs_accepted", "jobs accepted into the queue", accepted),
         ("jobs_completed", "jobs run to a terminal state", completed),
         ("queue_depth", "jobs currently queued", depth as u64),
-        ("shard_failures", "shard workers lost and recovered locally", {
-            SHARD_FAILURES.load(Ordering::Relaxed)
-        }),
         ("cache_run_hits", "runs served from the memory or disk cache", run_hits),
         ("cache_run_misses", "runs actually simulated", run_misses),
         ("cache_disk_hits", "runs served from the persistent disk tier", disk_hits),
@@ -335,7 +296,6 @@ fn stats_value(table: &JobTable) -> Value {
         "jobs_accepted",
         "jobs_completed",
         "queue_depth",
-        "shard_failures",
         "cache_run_hits",
         "cache_run_misses",
         "cache_disk_hits",
@@ -579,7 +539,7 @@ mod tests {
             .unwrap();
         let (claimed, spec) = table.claim_next().unwrap();
         assert_eq!(claimed, id);
-        let doc = execute(&spec, id, &table, 1).unwrap();
+        let doc = execute(&spec, id, &table).unwrap();
         let text = doc.str_field("text").unwrap_or_default();
         assert_eq!(text, asd_sim::figures::hardware_cost_table());
     }

@@ -13,15 +13,14 @@
 //!
 //! Each section is defined once as a `(label, SystemConfig)` variant
 //! list; the per-section drivers run them through [`run_custom`], while
-//! [`full_report`] (and the pipeline's `report_plan`) batch every
-//! section of every benchmark into one job list.
+//! the catalog's `ablations` plan (`report_plan`) batches every section
+//! of every benchmark into one job list.
 
 use crate::config::{PrefetchKind, RunOpts, SystemConfig};
 use crate::error::SimError;
 use crate::experiment::run_custom;
 use crate::pipeline::{FigureOutput, FigurePlan, Job};
 use crate::report::{pct, Table};
-use crate::sweep::Sweep;
 use crate::system::RunResult;
 use asd_core::{AsdConfig, LpqPolicy};
 use asd_cpu::PsKind;
@@ -202,35 +201,20 @@ fn report_jobs(profiles: &[WorkloadProfile]) -> Vec<Job> {
 
 /// Assemble [`report_jobs`] results into the rendered report (labels are
 /// read back from each result's `config` stamp).
-fn report_assemble(profiles: &[WorkloadProfile], results: &[RunResult]) -> String {
+fn report_assemble(profiles: &[WorkloadProfile], results: Vec<RunResult>) -> String {
     let mut out = String::new();
-    let mut runs = results.iter();
+    let mut runs = results.into_iter();
     for profile in profiles {
         for (title, variants) in sections() {
             let rows: Vec<AblationRow> = variants
                 .iter()
                 .zip(runs.by_ref())
-                .map(|(_, r)| AblationRow { label: r.config.clone(), result: r.clone() })
+                .map(|(_, r)| AblationRow { label: r.config.clone(), result: r })
                 .collect();
             out.push_str(&render(&rows, &format!("\n[{}] {title}", profile.name)));
         }
     }
     out
-}
-
-/// All ablations on a set of benchmarks, rendered. The underlying runs
-/// fan out through one [`Sweep`]; results are bit-identical to calling
-/// the per-section drivers in order.
-///
-/// # Errors
-///
-/// As [`run_custom`].
-pub fn full_report(profiles: &[WorkloadProfile], opts: &RunOpts) -> Result<String, SimError> {
-    let mut sweep = Sweep::new(opts);
-    for job in report_jobs(profiles) {
-        sweep.push(&job.profile, job.cfg, &job.label);
-    }
-    Ok(report_assemble(profiles, &sweep.run()?))
 }
 
 /// The ablations report as a [`FigurePlan`] for the pipeline.
@@ -297,7 +281,9 @@ mod tests {
         // drivers produce.
         let profile = suites::by_name("milc").unwrap();
         let o = opts();
-        let report = full_report(std::slice::from_ref(&profile), &o).unwrap();
+        let mut pipe = crate::pipeline::Pipeline::new();
+        pipe.submit(report_plan(std::slice::from_ref(&profile), &o));
+        let report = pipe.run(&|| 0.0).unwrap().figures.remove(0).output.text;
         let mut expected = String::new();
         expected.push_str(&render(
             &processor_side_engines(&profile, &o).unwrap(),

@@ -9,23 +9,22 @@
 //! ranked by mean IPC delta over the baseline; coverage, accuracy, DRAM
 //! energy, and prefetch traffic complete the scoreboard.
 //!
-//! Every job goes through [`crate::sweep::Sweep`] and the cross-figure
-//! run cache: the baseline column is byte-for-byte the NP configuration
-//! of the paper's four-way comparisons, so an arena following the figure
-//! suite pays for zero baseline simulations, and re-running the arena in
-//! the same process is entirely cache hits. Results are bit-identical
-//! serial vs parallel vs cache-disabled.
+//! Every job goes through the [`crate::pipeline`] executor and the
+//! cross-figure run cache: the baseline column is byte-for-byte the NP
+//! configuration of the paper's four-way comparisons, so an arena
+//! following the figure suite pays for zero baseline simulations, and
+//! re-running the arena in the same process is entirely cache hits.
+//! Results are bit-identical serial vs parallel vs cache-disabled.
 
 use crate::config::{engine_by_name, engine_names, PrefetchKind, RunOpts, SystemConfig};
 use crate::error::SimError;
 use crate::experiment::mean;
-use crate::pipeline::{FigureOutput, FigurePlan, Job, MetricValue};
+use crate::pipeline::{FigureOutput, FigurePlan, Job, MetricValue, Pipeline};
 use crate::report::{pct, ratio, Table};
-use crate::sweep::Sweep;
 use crate::system::RunResult;
 use asd_mc::EngineKind;
 use asd_telemetry::{names, Registry, TelemetryConfig, Unit};
-use asd_trace::{suites, WorkloadProfile};
+use asd_trace::WorkloadProfile;
 
 /// One engine's line in the league table (means over all profiles ran).
 #[derive(Debug, Clone, PartialEq)]
@@ -65,21 +64,9 @@ pub fn default_roster() -> Vec<String> {
     engine_names().into_iter().filter(|n| n != "none").collect()
 }
 
-/// Run the full tournament: the default roster over all 30 profiles.
-///
-/// # Errors
-///
-/// As [`arena_with`].
-pub fn arena(opts: &RunOpts) -> Result<ArenaResult, SimError> {
-    let roster = default_roster();
-    let engines: Vec<&str> = roster.iter().map(String::as_str).collect();
-    let profiles = suites::all_profiles();
-    arena_with(&engines, &profiles, opts)
-}
-
-/// Run a restricted tournament: `engines` (registry names) over
-/// `profiles`. The smoke tests run 2 engines over 2 profiles through
-/// exactly the code path of the full arena.
+/// Run a tournament: `engines` (registry names) over `profiles`, as one
+/// sweep. The smoke tests run 2 engines over 2 profiles through the same
+/// job list and league table as the full arena ([`arena_plan`]).
 ///
 /// # Errors
 ///
@@ -92,12 +79,9 @@ pub fn arena_with(
 ) -> Result<ArenaResult, SimError> {
     let threads = if opts.smt { 2 } else { 1 };
     let kinds = resolve_roster(engines)?;
-    let mut sweep = Sweep::new(opts);
-    for job in arena_jobs(&kinds, profiles, threads) {
-        sweep.push(&job.profile, job.cfg, &job.label);
-    }
+    let results = Pipeline::sweep(opts, arena_jobs(&kinds, profiles, threads)).results()?;
     let names: Vec<String> = kinds.into_iter().map(|(n, _)| n).collect();
-    Ok(arena_assemble(&names, profiles, &sweep.run()?))
+    Ok(arena_assemble(&names, profiles, &results))
 }
 
 /// Resolve the whole roster up front so a typo fails before any
@@ -253,7 +237,7 @@ pub fn arena_plan(
     let names: Vec<String> = kinds.into_iter().map(|(n, _)| n).collect();
     let profiles = profiles.to_vec();
     Ok(FigurePlan::new("arena", opts, jobs, move |results| {
-        let a = arena_assemble(&names, &profiles, results);
+        let a = arena_assemble(&names, &profiles, &results);
         let metrics = arena_metric_values(&a);
         Ok(FigureOutput { text: a.text, metrics, artifacts: Vec::new() })
     }))
@@ -288,6 +272,7 @@ fn league_row(name: &str, runs: &[RunResult], baselines: &[RunResult]) -> League
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asd_trace::suites;
 
     fn two_profiles() -> Vec<WorkloadProfile> {
         ["milc", "lbm"].iter().map(|n| suites::by_name(n).unwrap()).collect()

@@ -5,9 +5,11 @@
 //! figures that sweep overlapping grids — fig13's PMS column repeats
 //! fig6's, the PB/LPQ size sweeps of fig14/fig15 include the default
 //! point, fig11's first configuration is the stock PMS machine — can
-//! share one simulation per distinct point. [`Sweep`](crate::sweep::Sweep)
-//! consults the process-wide [`RunCache`] ([`global`]) before running a
-//! job and re-stamps the cached [`RunResult`] with the job's label.
+//! share one simulation per distinct point. The [`crate::pipeline`]
+//! executor runs every job through
+//! [`run_custom`](crate::experiment::run_custom), which consults the
+//! process-wide [`RunCache`] ([`global`]) before simulating and re-stamps
+//! the cached [`RunResult`] with the job's label.
 //!
 //! **Soundness.** The key is the full `Debug` rendering of every input
 //! (no hashing, so no collisions); entries are stored with the label

@@ -2,7 +2,7 @@
 
 use crate::config::{PrefetchKind, RunOpts, SystemConfig};
 use crate::error::SimError;
-use crate::sweep::Sweep;
+use crate::pipeline::{Job, Pipeline};
 use crate::system::{RunResult, System};
 use asd_trace::WorkloadProfile;
 
@@ -24,8 +24,8 @@ pub fn run_benchmark(
 }
 
 /// Run one benchmark under a fully custom system configuration. This is
-/// the single cached-run entry point: every sweep job, pipeline node,
-/// and ad-hoc driver call lands here, so cacheable runs share both the
+/// the single cached-run entry point: every pipeline node and ad-hoc
+/// driver call lands here, so cacheable runs share both the
 /// cross-figure [`crate::cache`] store *and* its single-flight registry —
 /// two concurrent callers with the same key produce exactly one
 /// simulation, with the second joining the first's in-flight run.
@@ -71,7 +71,7 @@ pub struct FourWay {
 }
 
 impl FourWay {
-    /// Run all four configurations of one benchmark (in parallel — same
+    /// Run all four configurations of one benchmark as one sweep (same
     /// results as four [`run_benchmark`] calls).
     ///
     /// # Errors
@@ -111,19 +111,12 @@ impl FourWay {
 /// The four-configuration job list for a set of profiles, in the order
 /// [`four_way_assemble`] consumes: profiles outer, [`PrefetchKind::ALL`]
 /// inner.
-pub(crate) fn four_way_jobs(
-    profiles: &[WorkloadProfile],
-    opts: &RunOpts,
-) -> Vec<crate::pipeline::Job> {
+pub(crate) fn four_way_jobs(profiles: &[WorkloadProfile], opts: &RunOpts) -> Vec<Job> {
     let threads = if opts.smt { 2 } else { 1 };
     let mut jobs = Vec::with_capacity(profiles.len() * PrefetchKind::ALL.len());
     for profile in profiles {
         for kind in PrefetchKind::ALL {
-            jobs.push(crate::pipeline::Job::new(
-                profile,
-                SystemConfig::for_kind(kind, threads),
-                kind.name(),
-            ));
+            jobs.push(Job::new(profile, SystemConfig::for_kind(kind, threads), kind.name()));
         }
     }
     jobs
@@ -133,9 +126,9 @@ pub(crate) fn four_way_jobs(
 /// per profile.
 pub(crate) fn four_way_assemble(
     profiles: &[WorkloadProfile],
-    results: &[RunResult],
+    results: Vec<RunResult>,
 ) -> Vec<FourWay> {
-    let mut runs = results.iter().cloned();
+    let mut runs = results.into_iter();
     profiles
         .iter()
         .map(|profile| {
@@ -152,9 +145,10 @@ pub(crate) fn four_way_assemble(
         .collect()
 }
 
-/// Run the four-configuration comparison for every profile, fanning all
-/// `4 x profiles.len()` simulations across threads via [`Sweep`]. Results
-/// are bit-identical to calling [`FourWay::run`] per profile.
+/// Run the four-configuration comparison for every profile, all
+/// `4 x profiles.len()` simulations as one sweep on the
+/// [`crate::pipeline`] executor. Results are bit-identical to calling
+/// [`FourWay::run`] per profile.
 ///
 /// # Errors
 ///
@@ -163,11 +157,8 @@ pub fn four_way_suite(
     profiles: &[WorkloadProfile],
     opts: &RunOpts,
 ) -> Result<Vec<FourWay>, SimError> {
-    let mut sweep = Sweep::new(opts);
-    for job in four_way_jobs(profiles, opts) {
-        sweep.push(&job.profile, job.cfg, &job.label);
-    }
-    Ok(four_way_assemble(profiles, &sweep.run()?))
+    let results = Pipeline::sweep(opts, four_way_jobs(profiles, opts)).results()?;
+    Ok(four_way_assemble(profiles, results))
 }
 
 /// Arithmetic mean of a slice (the paper reports unweighted averages).

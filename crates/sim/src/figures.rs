@@ -1,19 +1,18 @@
-//! One driver per table/figure of the paper. Every function returns the
-//! structured data behind the figure plus a rendered text table, so the
-//! bench harness, examples, and tests share one implementation.
-//!
-//! All multi-run drivers fan their simulations across OS threads through
-//! [`crate::sweep::Sweep`]; results are bit-identical to the serial
-//! equivalents.
+//! The figure catalog: one [`FigurePlan`] per table/figure of the paper
+//! ([`plan`]), plus the single-run drivers (the SLH studies, the
+//! telemetry walkthrough, the hardware-cost table) the plans assemble
+//! from. Every multi-run figure is a job list and an assembly closure
+//! that the [`crate::pipeline`] executor runs, so the `figures` binary,
+//! the `asd-serve` daemon ([`figure_text`]), examples, and tests share one
+//! implementation.
 
 use crate::config::{PrefetchKind, RunOpts, SystemConfig};
 use crate::error::SimError;
-use crate::experiment::{four_way_assemble, four_way_jobs, four_way_suite, mean, FourWay};
-use crate::pipeline::{FigureOutput, FigurePlan, Job, MetricValue};
+use crate::experiment::{four_way_assemble, four_way_jobs, mean, FourWay};
+use crate::pipeline::{FigureOutput, FigurePlan, Job, MetricValue, Pipeline};
 use crate::report::{pct, ratio, Table};
 use crate::slh_study::{self, EpochSlh};
 use crate::source::{TraceSource, TraceStream};
-use crate::sweep::Sweep;
 use crate::system::{RunResult, System};
 use asd_core::cost::{hardware_cost, CostParams};
 use asd_core::{AsdConfig, LpqPolicy};
@@ -117,16 +116,6 @@ pub struct PerfRow {
     pub ms_vs_np: f64,
     /// PMS vs PS gain, percent.
     pub pms_vs_ps: f64,
-}
-
-/// Run the four configurations for every benchmark of a suite (all
-/// `4 x N` simulations in parallel).
-///
-/// # Errors
-///
-/// As [`four_way_suite`].
-pub fn suite_results(suite: Suite, opts: &RunOpts) -> Result<Vec<FourWay>, SimError> {
-    four_way_suite(&suite.profiles(), opts)
 }
 
 /// Figures 5 (SPEC2006fp), 6 (NAS), 7 (commercial): performance gains.
@@ -263,20 +252,6 @@ fn fig11_assemble(results: &[RunResult]) -> (Vec<Fig11Row>, String) {
     (rows, format!("Figure 11: normalized execution time (ASD+Adaptive = 1.0)\n{}", t.render()))
 }
 
-/// Figure 11: Adaptive Stream Detection + Adaptive Scheduling against the
-/// five fixed policies and the two alternative memory-side engines, on the
-/// eight selected benchmarks.
-/// # Errors
-///
-/// As [`Sweep::run`].
-pub fn fig11_scheduling(opts: &RunOpts) -> Result<(Vec<Fig11Row>, String), SimError> {
-    let mut sweep = Sweep::new(opts);
-    for job in fig11_jobs() {
-        sweep.push(&job.profile, job.cfg, &job.label);
-    }
-    Ok(fig11_assemble(&sweep.run()?))
-}
-
 /// Figure 12: stream-length shares (fraction of streams of length 1–5) for
 /// the eight selected benchmarks.
 ///
@@ -369,19 +344,6 @@ fn fig13_assemble(results: &[RunResult]) -> (Vec<EfficiencyRow>, String) {
     (rows, format!("Figure 13: effectiveness of memory-side prefetching (PMS)\n{}", t.render()))
 }
 
-/// Figure 13: prefetch efficiency of the PMS configuration on the eight
-/// selected benchmarks.
-/// # Errors
-///
-/// As [`Sweep::run`].
-pub fn fig13_efficiency(opts: &RunOpts) -> Result<(Vec<EfficiencyRow>, String), SimError> {
-    let mut sweep = Sweep::new(opts);
-    for job in fig13_jobs(opts) {
-        sweep.push(&job.profile, job.cfg, &job.label);
-    }
-    Ok(fig13_assemble(&sweep.run()?))
-}
-
 /// Sensitivity sweep row: performance of each size, normalized to the
 /// paper's default.
 #[derive(Debug, Clone)]
@@ -436,23 +398,9 @@ fn size_sweep_assemble(
         .collect()
 }
 
-fn size_sweep<F: Fn(usize) -> McConfig>(
-    sizes: &[usize],
-    default_size: usize,
-    make: F,
-    opts: &RunOpts,
-) -> Result<Vec<SweepRow>, SimError> {
-    let mut sweep = Sweep::new(opts);
-    for job in size_sweep_jobs(sizes, make) {
-        sweep.push(&job.profile, job.cfg, &job.label);
-    }
-    Ok(size_sweep_assemble(sizes, default_size, &sweep.run()?))
-}
-
 /// The literals defining one size-sensitivity figure (14 or 15): the
 /// swept sizes, the normalization point, the config constructor, and the
-/// table title. One definition feeds both the classic driver and the
-/// pipeline plan.
+/// table title.
 struct SizeSweepSpec {
     sizes: [usize; 4],
     default_size: usize,
@@ -479,34 +427,6 @@ fn fig15_spec() -> SizeSweepSpec {
         },
         title: "Figure 15: sensitivity to stream filter size (performance relative to 8 entries)",
     }
-}
-
-fn size_sweep_figure(
-    spec: &SizeSweepSpec,
-    opts: &RunOpts,
-) -> Result<(Vec<SweepRow>, String), SimError> {
-    let rows = size_sweep(&spec.sizes, spec.default_size, spec.make, opts)?;
-    let text = render_sweep(&rows, &spec.sizes, spec.title);
-    Ok((rows, text))
-}
-
-/// Figure 14: sensitivity of PMS to Prefetch Buffer size
-/// (8/16/32/1024 lines).
-///
-/// # Errors
-///
-/// As [`Sweep::run`].
-pub fn fig14_buffer_size(opts: &RunOpts) -> Result<(Vec<SweepRow>, String), SimError> {
-    size_sweep_figure(&fig14_spec(), opts)
-}
-
-/// Figure 15: sensitivity of PMS to Stream Filter size (4/8/16/64 slots).
-///
-/// # Errors
-///
-/// As [`Sweep::run`].
-pub fn fig15_filter_size(opts: &RunOpts) -> Result<(Vec<SweepRow>, String), SimError> {
-    size_sweep_figure(&fig15_spec(), opts)
 }
 
 fn render_sweep(rows: &[SweepRow], sizes: &[usize], title: &str) -> String {
@@ -686,19 +606,6 @@ fn smt_assemble(results: &[RunResult]) -> String {
     format!("SMT results (two threads, per-thread filters and LHTs)\n{}", t.render())
 }
 
-/// §5.2 SMT results: suite-average gains with two SMT threads.
-///
-/// # Errors
-///
-/// As [`Sweep::run`].
-pub fn smt_table(opts: &RunOpts) -> Result<String, SimError> {
-    let mut sweep = Sweep::new(&smt_opts(opts));
-    for job in smt_jobs() {
-        sweep.push(&job.profile, job.cfg, &job.label);
-    }
-    Ok(smt_assemble(&sweep.run()?))
-}
-
 /// The §5.3 schedulers, in table-row order.
 const SCHED_KINDS: [(&str, SchedulerKind); 3] = [
     ("in-order", SchedulerKind::InOrder),
@@ -736,20 +643,6 @@ fn sched_assemble(results: &[RunResult]) -> String {
         t.row([(*name).to_string(), pct(mean(&gains))]);
     }
     format!("Scheduler interaction (§5.3): prefetcher benefit by memory scheduler\n{}", t.render())
-}
-
-/// §5.3 scheduler interaction: PMS-over-NP gain under each reorder-queue
-/// scheduler, averaged over the eight selected benchmarks.
-///
-/// # Errors
-///
-/// As [`Sweep::run`].
-pub fn scheduler_interaction_table(opts: &RunOpts) -> Result<String, SimError> {
-    let mut sweep = Sweep::new(opts);
-    for job in sched_jobs() {
-        sweep.push(&job.profile, job.cfg, &job.label);
-    }
-    Ok(sched_assemble(&sweep.run()?))
 }
 
 fn perf_metric_list(rows: &[PerfRow]) -> Vec<(String, MetricValue)> {
@@ -869,7 +762,7 @@ pub fn plan_sized(name: &str, opts: &RunOpts, uniform: bool) -> Result<FigurePla
             opts,
         )),
         "fig11" => Ok(FigurePlan::new(name, opts, fig11_jobs(), |results| {
-            let (rows, text) = fig11_assemble(results);
+            let (rows, text) = fig11_assemble(&results);
             Ok(FigureOutput {
                 text,
                 metrics: vec![
@@ -894,7 +787,7 @@ pub fn plan_sized(name: &str, opts: &RunOpts, uniform: bool) -> Result<FigurePla
             }))
         }
         "fig13" => Ok(FigurePlan::new(name, opts, fig13_jobs(opts), |results| {
-            let (rows, text) = fig13_assemble(results);
+            let (rows, text) = fig13_assemble(&results);
             Ok(FigureOutput {
                 text,
                 metrics: vec![
@@ -917,7 +810,7 @@ pub fn plan_sized(name: &str, opts: &RunOpts, uniform: bool) -> Result<FigurePla
             let spec = if name == "fig14" { fig14_spec() } else { fig15_spec() };
             let jobs = size_sweep_jobs(&spec.sizes, spec.make);
             Ok(FigurePlan::new(name, opts, jobs, move |results| {
-                let rows = size_sweep_assemble(&spec.sizes, spec.default_size, results);
+                let rows = size_sweep_assemble(&spec.sizes, spec.default_size, &results);
                 let text = render_sweep(&rows, &spec.sizes, spec.title);
                 Ok(FigureOutput {
                     text,
@@ -941,12 +834,12 @@ pub fn plan_sized(name: &str, opts: &RunOpts, uniform: bool) -> Result<FigurePla
             Ok(FigureOutput::text_only(hardware_cost_table()))
         })),
         "sched" => Ok(FigurePlan::new(name, opts, sched_jobs(), |results| {
-            Ok(FigureOutput::text_only(sched_assemble(results)))
+            Ok(FigureOutput::text_only(sched_assemble(&results)))
         })),
         "smt" => {
             let o = smt_opts(&sized(30_000));
             Ok(FigurePlan::new(name, &o, smt_jobs(), |results| {
-                Ok(FigureOutput::text_only(smt_assemble(results)))
+                Ok(FigureOutput::text_only(smt_assemble(&results)))
             }))
         }
         "ablations" => {
@@ -986,18 +879,20 @@ pub fn plan_sized(name: &str, opts: &RunOpts, uniform: bool) -> Result<FigurePla
 /// Regenerate one figure by catalog name and return its rendered text —
 /// the single dispatch table behind both the `figures` CLI and the
 /// `asd-serve` daemon, so a figure fetched from either path is
-/// byte-identical by construction. Implemented as [`plan`] + barrier-mode
-/// [`FigurePlan::run`], which also guarantees CLI/daemon/pipeline
-/// identity. Size overrides mirror the CLI: `fig3` runs at 150 000
-/// accesses and `smt` at 30 000 regardless of `opts.accesses`;
-/// everything else uses `opts` as given.
+/// byte-identical by construction. Implemented as [`plan`] run through a
+/// one-plan [`Pipeline`], the executor the CLI uses for every figure.
+/// Size overrides mirror the CLI: `fig3` runs at 150 000 accesses and
+/// `smt` at 30 000 regardless of `opts.accesses`; everything else uses
+/// `opts` as given.
 ///
 /// # Errors
 ///
 /// [`SimError::UnknownFigure`] for a name outside the catalog, plus any
 /// error of the underlying driver.
 pub fn figure_text(name: &str, opts: &RunOpts) -> Result<String, SimError> {
-    Ok(plan(name, opts)?.run()?.text)
+    let mut pipe = Pipeline::new();
+    pipe.submit(plan(name, opts)?);
+    Ok(pipe.run(&|| 0.0)?.figures.into_iter().map(|f| f.output.text).collect())
 }
 
 #[cfg(test)]
@@ -1018,12 +913,19 @@ mod tests {
 
     #[test]
     fn fig13_produces_rows() {
-        let (rows, text) = fig13_efficiency(&tiny()).unwrap();
-        assert_eq!(rows.len(), 8);
-        assert!(text.contains("coverage"));
-        for r in &rows {
-            assert!((0.0..=100.0).contains(&r.coverage), "{}: {}", r.benchmark, r.coverage);
-            assert!((0.0..=100.0).contains(&r.useful));
+        let mut pipe = Pipeline::new();
+        pipe.submit(plan("fig13", &tiny()).unwrap());
+        let fig = pipe.run(&|| 0.0).unwrap().figures.remove(0).output;
+        assert!(fig.text.contains("coverage"));
+        for profile in suites::selected_eight() {
+            assert!(fig.text.contains(&profile.name), "{} row missing", profile.name);
+        }
+        for (name, value) in &fig.metrics {
+            match (name.as_str(), value) {
+                ("benchmarks", MetricValue::U64(n)) => assert_eq!(*n, 8),
+                (_, MetricValue::F64(pct)) => assert!((0.0..=100.0).contains(pct), "{name}: {pct}"),
+                _ => panic!("unexpected metric {name}: {value:?}"),
+            }
         }
     }
 

@@ -19,11 +19,11 @@
 //! configuration and returns a [`RunResult`] with cycles, controller and
 //! DRAM statistics, and the DRAM power/energy report; the [`figures`]
 //! module regenerates every table and figure of the paper from these
-//! primitives. Multi-run studies go through [`sweep::Sweep`], which fans
-//! independent (benchmark, configuration) runs across OS threads with
-//! bit-deterministic, push-ordered results; whole figure sets go through
-//! the [`pipeline`] job graph, which collapses points shared between
-//! figures into single runs and removes the per-figure barriers.
+//! primitives. Every multi-run study — a sweep of independent
+//! (benchmark, configuration) runs, one figure, or a whole figure set —
+//! goes through the [`pipeline`] executor, which fans the runs across OS
+//! threads with bit-deterministic, job-ordered results and collapses
+//! points shared between figures into single runs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,7 +40,6 @@ pub mod pipeline;
 pub mod report;
 pub mod slh_study;
 mod source;
-pub mod sweep;
 mod system;
 pub mod wire;
 

@@ -1,57 +1,54 @@
-//! Global job-graph executor: one scheduler for every requested figure.
+//! The job executor: the one place that claims simulation work and
+//! spawns worker threads.
 //!
-//! The barrier problem. `figures all` historically ran as 19+ sequential
-//! barriers — each figure built its own [`Sweep`], blocked on
-//! `sweep.run()`, then the next figure started. Total wall time was the
-//! *sum* of per-figure critical paths, and the tail of every sweep left
-//! most workers idle.
-//!
-//! This module replaces the barriers with a declarative split. Each
-//! figure becomes a [`FigurePlan`]: a list of [`Job`]s (the simulations
-//! it needs) plus a pure `assemble(&[RunResult]) -> FigureOutput`
-//! closure (the formatting). A [`Pipeline`] accepts the union of all
-//! requested figures' plans at once:
+//! Every batch of simulations — a whole `figures all` run, one figure, a
+//! four-way comparison, an arena, a daemon sweep — is a set of
+//! [`FigurePlan`]s: a list of [`Job`]s (the simulations a plan needs)
+//! plus an `assemble` closure that turns their results into the plan's
+//! output. A figure's output is a [`FigureOutput`]; a *sweep*
+//! ([`Pipeline::sweep`]) is a one-plan pipeline whose output is the
+//! results themselves. A [`Pipeline`] accepts any number of plans and
+//! runs their union:
 //!
 //! - **Submission-time dedup.** Jobs are collapsed into *nodes* by their
-//!   [`crate::cache`] key: two figures requesting the same point share
-//!   one node (counted in [`PipelineStats::inflight_joins`]). Uncacheable
-//!   jobs (trace-sourced, anonymous custom engines, cache disabled)
-//!   always get their own node.
+//!   [`crate::cache`] key: two plans (or two jobs of one plan) requesting
+//!   the same point share one node (counted in
+//!   [`PipelineStats::inflight_joins`]). Uncacheable jobs (trace-sourced,
+//!   anonymous custom engines, cache disabled) always get their own node.
 //! - **One work queue.** All nodes drain through a single shrinking-chunk
-//!   [`Chunker`] — the same claiming discipline [`Sweep::run`] uses — so
-//!   there is no idle tail between figures.
-//! - **Eager assembly.** A figure's `assemble` runs on whichever worker
-//!   deposits its last outstanding node; slow figures never block
-//!   finished ones. Node results are freed as soon as their last
-//!   consumer assembles ([`PipelineStats::peak_live_jobs`] tracks the
-//!   high-water mark).
-//! - **Deterministic output.** [`Pipeline::run`] returns figures in
-//!   submission order with results re-stamped per job label, so graph
-//!   mode is bit-identical to barrier mode. On failure it reports the
-//!   earliest submission-order figure's earliest job error — the same
-//!   error [`Sweep::run`] would pick.
+//!   cursor, so there is no idle tail between plans.
+//! - **Eager assembly.** A plan's `assemble` runs on whichever worker
+//!   deposits its last outstanding node; slow plans never block finished
+//!   ones. Node results are freed as soon as their last consumer
+//!   assembles ([`PipelineStats::peak_live_jobs`] tracks the high-water
+//!   mark).
+//! - **Deterministic output.** [`Pipeline::run`] returns outputs in
+//!   submission order, and `assemble` receives one result per job, in job
+//!   order, each re-stamped with its job's label — whatever the thread
+//!   count or completion order. On failure it reports the earliest
+//!   submitted plan's earliest job-order error.
+//!
+//! Workers come from [`Pipeline::with_threads`], else the
+//! `ASD_SWEEP_THREADS` environment variable, else the machine's available
+//! parallelism; one worker runs everything on the calling thread.
 //!
 //! Node execution goes through [`crate::experiment::run_custom`], which
 //! adds the cache's *single-flight* registry: even two independent
-//! `Pipeline`s (e.g. concurrent `asd-serve` connections) computing the
-//! same key run one simulation, with the loser joining the winner's
-//! in-flight run (see [`RunCache::flight_stats`](crate::cache::RunCache::flight_stats)).
-//!
-//! The `ASD_PIPELINE=barrier` environment variable ([`barrier_mode`])
-//! restores the sequential per-figure behavior for A/B verification;
-//! [`FigurePlan::run`] is exactly that fallback.
+//! `Pipeline`s (e.g. concurrent `asd-serve` jobs) computing the same key
+//! run one simulation, with the loser joining the winner's in-flight run
+//! (see [`RunCache::flight_stats`](crate::cache::RunCache::flight_stats)).
 
 use crate::config::{RunOpts, SystemConfig};
 use crate::error::SimError;
 use crate::experiment::run_custom;
-use crate::sweep::{worker_count, Chunker, Sweep};
 use crate::system::RunResult;
 use asd_trace::WorkloadProfile;
 use std::collections::BTreeMap;
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
-/// One simulation a figure needs: a workload under a configuration,
-/// with a label for reporting (mirrors what [`Sweep::push`] takes).
+/// One simulation a plan needs: a workload under a configuration, with a
+/// label for reporting.
 pub struct Job {
     /// Workload to simulate.
     pub profile: WorkloadProfile,
@@ -62,7 +59,7 @@ pub struct Job {
 }
 
 impl Job {
-    /// Convenience constructor mirroring [`Sweep::push`].
+    /// A job running `profile` under `cfg`, labelled `label`.
     pub fn new(profile: &WorkloadProfile, cfg: SystemConfig, label: &str) -> Self {
         Job { profile: profile.clone(), cfg, label: label.to_string() }
     }
@@ -105,30 +102,30 @@ impl FigureOutput {
     }
 }
 
-/// The assembly half of a figure: a pure function from the figure's run
-/// results (in job order, labels re-stamped) to its output.
-pub type AssembleFn = Box<dyn FnOnce(&[RunResult]) -> Result<FigureOutput, SimError> + Send>;
+/// The assembly half of a plan: a function from the plan's run results
+/// (in job order, labels re-stamped) to its output.
+pub type AssembleFn<T> = Box<dyn FnOnce(Vec<RunResult>) -> Result<T, SimError> + Send>;
 
-/// A figure as data: its name, effective run options, required
-/// simulations, and assembly closure. Built by the catalog in
-/// [`crate::figures::plan`] (and [`crate::arena::arena_plan`]); executed
-/// either standalone ([`FigurePlan::run`], the barrier path) or
-/// submitted to a [`Pipeline`].
-pub struct FigurePlan {
+/// A plan as data: its name, effective run options, required
+/// simulations, and assembly closure. Figures are built by the catalog
+/// in [`crate::figures::plan`] (and [`crate::arena::arena_plan`]) and
+/// output a [`FigureOutput`]; every plan runs by being submitted to a
+/// [`Pipeline`].
+pub struct FigurePlan<T = FigureOutput> {
     name: String,
     opts: RunOpts,
     jobs: Vec<Job>,
-    assemble: AssembleFn,
+    assemble: AssembleFn<T>,
 }
 
-impl FigurePlan {
+impl<T> FigurePlan<T> {
     /// A plan from its parts. `assemble` receives one [`RunResult`] per
     /// job, in job order, each re-stamped with that job's label.
     pub fn new(
         name: &str,
         opts: &RunOpts,
         jobs: Vec<Job>,
-        assemble: impl FnOnce(&[RunResult]) -> Result<FigureOutput, SimError> + Send + 'static,
+        assemble: impl FnOnce(Vec<RunResult>) -> Result<T, SimError> + Send + 'static,
     ) -> Self {
         FigurePlan {
             name: name.to_string(),
@@ -138,40 +135,10 @@ impl FigurePlan {
         }
     }
 
-    /// The figure's name (`fig5`, `arena`, ...).
+    /// The plan's name (`fig5`, `arena`, ...).
     pub fn name(&self) -> &str {
         &self.name
     }
-
-    /// Number of simulations the plan requests (before any dedup).
-    pub fn job_count(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// Barrier-mode execution: run the plan's jobs through one
-    /// [`Sweep`] (push order = job order) and assemble. This is today's
-    /// per-figure behavior, kept as the `ASD_PIPELINE=barrier` fallback.
-    ///
-    /// # Errors
-    ///
-    /// The earliest (job-order) failing job's [`SimError`], as
-    /// [`Sweep::run`]; or the assembly's own error.
-    pub fn run(self) -> Result<FigureOutput, SimError> {
-        let mut sweep = Sweep::new(&self.opts);
-        for job in &self.jobs {
-            sweep.push(&job.profile, job.cfg.clone(), &job.label);
-        }
-        let results = sweep.run()?;
-        (self.assemble)(&results)
-    }
-}
-
-/// Pipeline execution mode from the `ASD_PIPELINE` environment variable:
-/// `true` when set to `barrier` (sequential per-figure sweeps), `false`
-/// otherwise (the global job graph). Read once per process.
-pub fn barrier_mode() -> bool {
-    static MODE: OnceLock<bool> = OnceLock::new();
-    *MODE.get_or_init(|| std::env::var("ASD_PIPELINE").is_ok_and(|v| v == "barrier"))
 }
 
 /// A deduplicated simulation point: the first submitter's label and the
@@ -184,23 +151,23 @@ struct Node {
     label: String,
 }
 
-/// One submitted figure: its per-job labels, the node each job maps to,
+/// One submitted plan: its per-job labels, the node each job maps to,
 /// the deduplicated dependency list, and the assembly closure (taken
-/// exactly once, by whichever worker readies the figure).
-struct Planned {
+/// exactly once, by whichever worker readies the plan).
+struct Planned<T> {
     name: String,
     labels: Vec<String>,
     node_of_job: Vec<usize>,
     deps: Vec<usize>,
-    assemble: Mutex<Option<AssembleFn>>,
+    assemble: Mutex<Option<AssembleFn<T>>>,
 }
 
 /// Counters describing one [`Pipeline::run`].
 #[derive(Debug)]
 pub struct PipelineStats {
-    /// Figures submitted.
+    /// Plans submitted.
     pub figures: usize,
-    /// Jobs submitted across all figures, before dedup.
+    /// Jobs submitted across all plans, before dedup.
     pub submitted_jobs: usize,
     /// Distinct nodes actually scheduled.
     pub unique_jobs: usize,
@@ -208,62 +175,102 @@ pub struct PipelineStats {
     /// a new one (`submitted_jobs - unique_jobs` for cacheable jobs).
     pub inflight_joins: u64,
     /// High-water mark of node results held live at once (results are
-    /// freed as their last consuming figure assembles).
+    /// freed as their last consuming plan assembles).
     pub peak_live_jobs: usize,
 }
 
-/// One finished figure out of [`Pipeline::run`].
+/// One finished plan out of [`Pipeline::run`].
 #[derive(Debug)]
-pub struct FigureRun {
+pub struct FigureRun<T = FigureOutput> {
     /// The plan's name.
     pub name: String,
     /// The assembled output.
-    pub output: FigureOutput,
-    /// The clock reading at the moment this figure's assembly finished.
-    /// Under the graph scheduler figures overlap, so this is
-    /// *time-to-ready from pipeline start*, not exclusive cost — the
-    /// per-figure `wall_ms` the bench report documents.
+    pub output: T,
+    /// The clock reading at the moment this plan's assembly finished.
+    /// Plans overlap, so this is *time-to-ready from pipeline start*, not
+    /// exclusive cost — the per-figure `wall_ms` the bench report
+    /// documents.
     pub wall_ms: f64,
 }
 
-/// Everything [`Pipeline::run`] returns: figure outputs in submission
+/// Everything [`Pipeline::run`] returns: plan outputs in submission
 /// order plus the run's [`PipelineStats`].
 #[derive(Debug)]
-pub struct PipelineRun {
-    /// One entry per submitted figure, in submission order.
-    pub figures: Vec<FigureRun>,
+pub struct PipelineRun<T = FigureOutput> {
+    /// One entry per submitted plan, in submission order.
+    pub figures: Vec<FigureRun<T>>,
     /// Dedup/liveness counters for the run.
     pub stats: PipelineStats,
 }
 
-/// The global job-graph scheduler. Submit every requested figure's
-/// [`FigurePlan`], then [`Pipeline::run`] the union. See the module docs
-/// for the execution model.
-#[derive(Default)]
-pub struct Pipeline {
+/// The job executor. Submit plans, then [`Pipeline::run`] their union.
+/// See the module docs for the execution model.
+pub struct Pipeline<T = FigureOutput> {
     nodes: Vec<Node>,
     by_key: BTreeMap<String, usize>,
-    figures: Vec<Planned>,
+    figures: Vec<Planned<T>>,
     submitted: usize,
     joins: u64,
     threads: Option<usize>,
 }
 
 impl Pipeline {
-    /// An empty pipeline.
+    /// An empty pipeline of figures.
     pub fn new() -> Self {
-        Pipeline::default()
+        Pipeline::empty()
+    }
+}
+
+impl Default for Pipeline {
+    fn default() -> Self {
+        Pipeline::new()
+    }
+}
+
+impl Pipeline<Vec<RunResult>> {
+    // asd-lint: cold -- builds one batch's job graph, once per sweep, never per cycle
+    /// A sweep: one plan running `jobs` under `opts`, whose output is
+    /// their results in job order, each re-stamped with its job's label.
+    pub fn sweep(opts: &RunOpts, jobs: Vec<Job>) -> Self {
+        let mut pipe = Pipeline::empty();
+        pipe.submit(FigurePlan::new("sweep", opts, jobs, Ok));
+        pipe
+    }
+
+    /// Run the sweep: every plan's results, in submission order and job
+    /// order within each plan.
+    ///
+    /// # Errors
+    ///
+    /// The earliest (job-order) failing job's [`SimError`] (file-backed
+    /// trace sources can fail to resolve; purely generated jobs cannot).
+    pub fn results(self) -> Result<Vec<RunResult>, SimError> {
+        Ok(self.run(&|| 0.0)?.figures.into_iter().flat_map(|f| f.output).collect())
+    }
+}
+
+impl<T: Send> Pipeline<T> {
+    fn empty() -> Self {
+        Pipeline {
+            nodes: Vec::new(),
+            by_key: BTreeMap::new(),
+            figures: Vec::new(),
+            submitted: 0,
+            joins: 0,
+            threads: None,
+        }
     }
 
     /// Override the worker-thread count (defaults to `ASD_SWEEP_THREADS`
-    /// or the machine's available parallelism, like [`Sweep`]).
+    /// or the machine's available parallelism); `1` runs every job on the
+    /// calling thread.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
         self
     }
 
-    /// Number of figures submitted so far.
+    /// Number of plans submitted so far.
     pub fn figure_count(&self) -> usize {
         self.figures.len()
     }
@@ -283,33 +290,22 @@ impl Pipeline {
         self.joins
     }
 
-    /// Add a figure to the graph. Each of its jobs is collapsed onto an
+    /// Add a plan to the graph. Each of its jobs is collapsed onto an
     /// existing node when its cache key matches one already submitted
-    /// (by this or an earlier figure); uncacheable jobs always get fresh
-    /// nodes. The figure's assembly runs as soon as its last node lands.
-    pub fn submit(&mut self, plan: FigurePlan) {
+    /// (by this or an earlier plan); uncacheable jobs always get fresh
+    /// nodes. The plan's assembly runs as soon as its last node lands.
+    pub fn submit(&mut self, plan: FigurePlan<T>) {
         let FigurePlan { name, opts, jobs, assemble } = plan;
         let mut labels = Vec::with_capacity(jobs.len());
         let mut node_of_job = Vec::with_capacity(jobs.len());
         let mut deps: Vec<usize> = Vec::new();
         for job in jobs {
             self.submitted += 1;
-            let node = match crate::cache::key(&job.cfg, &job.profile, &opts) {
-                Some(key) => {
-                    if let Some(&existing) = self.by_key.get(&key) {
-                        self.joins += 1;
-                        existing
-                    } else {
-                        let idx = self.nodes.len();
-                        self.nodes.push(Node {
-                            profile: job.profile,
-                            cfg: job.cfg,
-                            opts: opts.clone(),
-                            label: job.label.clone(),
-                        });
-                        self.by_key.insert(key, idx);
-                        idx
-                    }
+            let key = crate::cache::key(&job.cfg, &job.profile, &opts);
+            let node = match key.as_ref().and_then(|k| self.by_key.get(k)) {
+                Some(&existing) => {
+                    self.joins += 1;
+                    existing
                 }
                 None => {
                     let idx = self.nodes.len();
@@ -319,6 +315,9 @@ impl Pipeline {
                         opts: opts.clone(),
                         label: job.label.clone(),
                     });
+                    if let Some(key) = key {
+                        self.by_key.insert(key, idx);
+                    }
                     idx
                 }
             };
@@ -337,49 +336,56 @@ impl Pipeline {
         });
     }
 
-    /// Execute the graph and assemble every figure, returning outputs in
-    /// submission order. `clock` is sampled at each figure's assembly
+    /// Execute the graph and assemble every plan, returning outputs in
+    /// submission order. `clock` is sampled at each plan's assembly
     /// completion for its [`FigureRun::wall_ms`] (the `sim` crate takes
     /// an injected clock rather than reading time itself; pass
     /// `&|| 0.0` when timings are not needed).
     ///
     /// # Errors
     ///
-    /// The earliest submission-order figure's earliest job-order
-    /// [`SimError`] (matching [`Sweep::run`] semantics per figure), or
-    /// the first figure's assembly error.
-    pub fn run(self, clock: &(dyn Fn() -> f64 + Sync)) -> Result<PipelineRun, SimError> {
+    /// The earliest submitted plan's earliest job-order [`SimError`], or
+    /// the first plan's assembly error.
+    pub fn run(self, clock: &(dyn Fn() -> f64 + Sync)) -> Result<PipelineRun<T>, SimError> {
+        self.run_observed(clock, &|_, _| {})
+    }
+
+    /// [`Pipeline::run`] with a progress observer: `progress(done,
+    /// total)` fires once per finished node, from whichever worker ran
+    /// it, with `total` the number of nodes. Calls from different workers
+    /// are not ordered, so a later call may carry a smaller `done`.
+    /// Observers must be cheap and thread-safe; the daemon uses this to
+    /// stream per-run progress.
+    ///
+    /// # Errors
+    ///
+    /// As [`Pipeline::run`].
+    pub fn run_observed(
+        self,
+        clock: &(dyn Fn() -> f64 + Sync),
+        progress: &(dyn Fn(usize, usize) + Sync),
+    ) -> Result<PipelineRun<T>, SimError> {
         let Pipeline { nodes, figures, submitted, joins, threads, .. } = self;
         let total = nodes.len();
         let workers = threads.unwrap_or_else(worker_count).clamp(1, total.max(1));
 
         let slots: Vec<ResultSlot> = (0..total).map(|_| Mutex::new(None)).collect();
-        let outputs: Vec<OutputSlot> = figures.iter().map(|_| Mutex::new(None)).collect();
+        let outputs: Vec<OutputSlot<T>> = figures.iter().map(|_| Mutex::new(None)).collect();
         let mut consumers_of: Vec<Vec<usize>> = vec![Vec::new(); total];
         for (f, fig) in figures.iter().enumerate() {
             for &n in &fig.deps {
                 consumers_of[n].push(f);
             }
         }
-        let mut track = Track {
+        let track = Track {
             remaining: figures.iter().map(|f| f.deps.len()).collect(),
             failed: vec![false; figures.len()],
-            consumers: figures.iter().flat_map(|f| f.deps.iter().copied()).fold(
-                vec![0usize; total],
-                |mut acc, n| {
-                    acc[n] += 1;
-                    acc
-                },
-            ),
-            ready: Vec::new(),
+            consumers: consumers_of.iter().map(Vec::len).collect(),
+            ready: (0..figures.len()).filter(|&f| figures[f].deps.is_empty()).collect(),
+            done: 0,
             live: 0,
             peak: 0,
         };
-        for (f, fig) in figures.iter().enumerate() {
-            if fig.deps.is_empty() {
-                track.ready.push(f);
-            }
-        }
         let exec = Exec {
             nodes: &nodes,
             figures: &figures,
@@ -389,6 +395,7 @@ impl Pipeline {
             track: &Mutex::new(track),
             chunker: &Chunker::new(total, workers),
             clock,
+            progress,
         };
         std::thread::scope(|scope| {
             // One worker runs on the calling thread; spawning all of
@@ -400,8 +407,7 @@ impl Pipeline {
         });
 
         // Deterministic error selection, then output collection — in
-        // figure submission order, jobs in job order within each figure,
-        // mirroring Sweep::run's earliest-push-order-error contract.
+        // plan submission order, jobs in job order within each plan.
         let mut out = Vec::with_capacity(figures.len());
         for (f, fig) in figures.iter().enumerate() {
             for &n in &fig.node_of_job {
@@ -420,11 +426,11 @@ impl Pipeline {
                     out.push(FigureRun { name: fig.name.clone(), output, wall_ms });
                 }
                 Some((Err(e), _)) => return Err(e),
-                // Unreachable: every figure either fails a dependency
+                // Unreachable: every plan either fails a dependency
                 // (caught above) or is readied and assembled by the
                 // worker that deposited its last node.
                 // asd-lint: allow(D005) -- structurally unreachable; a panic here flags a scheduler bug loudly
-                None => unreachable!("figure {} neither failed nor assembled", fig.name),
+                None => unreachable!("plan {} neither failed nor assembled", fig.name),
             }
         }
         let track = exec.track;
@@ -443,18 +449,70 @@ impl Pipeline {
     }
 }
 
+/// Default worker count: `ASD_SWEEP_THREADS` if set, else the machine's
+/// available parallelism.
+fn worker_count() -> usize {
+    if let Ok(v) = std::env::var("ASD_SWEEP_THREADS") {
+        if let Ok(n) = v.parse::<usize>() {
+            return n.max(1);
+        }
+    }
+    std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
+}
+
+/// A shrinking-chunk work cursor over `total` nodes.
+///
+/// Idle workers claim contiguous ranges via CAS on a shared cursor.
+/// Chunks shrink as the queue drains — roughly 1/(4·claimants) of the
+/// remaining work, clamped to `[1, 8]` — so early claims amortize the
+/// cursor contention while the tail degrades to single-node granularity
+/// and a long-pole node never strands the finish line behind one worker.
+struct Chunker {
+    next: AtomicUsize,
+    total: usize,
+    claimants: usize,
+}
+
+impl Chunker {
+    fn new(total: usize, claimants: usize) -> Self {
+        Chunker { next: AtomicUsize::new(0), total, claimants: claimants.max(1) }
+    }
+
+    /// Claim the next chunk as a half-open `(start, end)` range, or
+    /// `None` when the queue is drained.
+    fn claim(&self) -> Option<(usize, usize)> {
+        let mut cur = self.next.load(Ordering::Relaxed);
+        loop {
+            if cur >= self.total {
+                return None;
+            }
+            let chunk = ((self.total - cur) / (self.claimants * 4)).clamp(1, 8);
+            match self.next.compare_exchange_weak(
+                cur,
+                cur + chunk,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return Some((cur, cur + chunk)),
+                Err(seen) => cur = seen,
+            }
+        }
+    }
+}
+
 type ResultSlot = Mutex<Option<Result<RunResult, SimError>>>;
-type OutputSlot = Mutex<Option<(Result<FigureOutput, SimError>, f64)>>;
+type OutputSlot<T> = Mutex<Option<(Result<T, SimError>, f64)>>;
 
 /// Mutable scheduling state shared by the workers, behind one mutex:
-/// per-figure outstanding-dependency counts, per-node remaining-consumer
-/// counts (for freeing results), the ready-to-assemble queue, and the
-/// live-results high-water mark.
+/// per-plan outstanding-dependency counts, per-node remaining-consumer
+/// counts (for freeing results), the ready-to-assemble queue, the count
+/// of finished nodes, and the live-results high-water mark.
 struct Track {
     remaining: Vec<usize>,
     failed: Vec<bool>,
     consumers: Vec<usize>,
     ready: Vec<usize>,
+    done: usize,
     live: usize,
     peak: usize,
 }
@@ -463,28 +521,29 @@ struct Track {
 /// tracker mutex may be held while taking a node slot (freeing results),
 /// but never the reverse — node deposits release the slot before
 /// touching the tracker.
-struct Exec<'a> {
+struct Exec<'a, T> {
     nodes: &'a [Node],
-    figures: &'a [Planned],
+    figures: &'a [Planned<T>],
     consumers_of: &'a [Vec<usize>],
     slots: &'a [ResultSlot],
-    outputs: &'a [OutputSlot],
+    outputs: &'a [OutputSlot<T>],
     track: &'a Mutex<Track>,
     chunker: &'a Chunker,
     clock: &'a (dyn Fn() -> f64 + Sync),
+    progress: &'a (dyn Fn(usize, usize) + Sync),
 }
 
-impl Exec<'_> {
+impl<T> Exec<'_, T> {
     fn lock_track(&self) -> std::sync::MutexGuard<'_, Track> {
         // asd-lint: allow(D005) -- tracker poisoning means a sibling worker panicked mid-run; propagating is correct
         self.track.lock().expect("tracker poisoned")
     }
 
-    /// Worker loop: prefer assembling ready figures (freeing their node
+    /// Worker loop: prefer assembling ready plans (freeing their node
     /// results), otherwise claim and run a chunk of nodes. Exits when
-    /// the node queue is drained and no figure is ready — any figure
-    /// still pending at that point will be readied, and assembled, by
-    /// the worker that deposits its last dependency.
+    /// the node queue is drained and no plan is ready — any plan still
+    /// pending at that point will be readied, and assembled, by the
+    /// worker that deposits its last dependency.
     fn worker(&self) {
         loop {
             if let Some(f) = self.pop_ready() {
@@ -498,8 +557,8 @@ impl Exec<'_> {
                     }
                 }
                 None => {
-                    // A deposit may have readied a figure between our
-                    // pop and the drained claim; drain once more.
+                    // A deposit may have readied a plan between our pop
+                    // and the drained claim; drain once more.
                     if let Some(f) = self.pop_ready() {
                         self.assemble(f);
                         continue;
@@ -515,7 +574,7 @@ impl Exec<'_> {
     }
 
     /// Run node `index` and deposit its result, readying (or failing)
-    /// any figure whose last dependency this was.
+    /// any plan whose last dependency this was, then report progress.
     fn run_node(&self, index: usize) {
         let node = &self.nodes[index];
         let result = run_custom(&node.profile, node.cfg.clone(), &node.label, &node.opts);
@@ -525,33 +584,38 @@ impl Exec<'_> {
             let mut slot = self.slots[index].lock().expect("node slot poisoned");
             *slot = Some(result);
         }
-        let mut track = self.lock_track();
-        if ok {
-            track.live += 1;
-            track.peak = track.peak.max(track.live);
-        }
-        for &f in &self.consumers_of[index] {
-            if !ok {
-                track.failed[f] = true;
+        let done = {
+            let mut track = self.lock_track();
+            if ok {
+                track.live += 1;
+                track.peak = track.peak.max(track.live);
             }
-            track.remaining[f] -= 1;
-            if track.remaining[f] == 0 {
-                if track.failed[f] {
-                    // The figure will never assemble; free its Ok
-                    // dependencies now (Err slots stay for the final
-                    // error scan).
-                    self.release_deps(&mut track, f);
-                } else {
-                    track.ready.push(f);
+            for &f in &self.consumers_of[index] {
+                if !ok {
+                    track.failed[f] = true;
+                }
+                track.remaining[f] -= 1;
+                if track.remaining[f] == 0 {
+                    if track.failed[f] {
+                        // The plan will never assemble; free its Ok
+                        // dependencies now (Err slots stay for the final
+                        // error scan).
+                        self.release_deps(&mut track, f);
+                    } else {
+                        track.ready.push(f);
+                    }
                 }
             }
-        }
+            track.done += 1;
+            track.done
+        };
+        (self.progress)(done, self.nodes.len());
     }
 
-    /// Assemble figure `f` (all dependencies landed Ok): clone each
-    /// job's node result re-stamped with the job's label, run the
-    /// assembly closure, record the output and completion time, and
-    /// release the figure's claim on its node results.
+    /// Assemble plan `f` (all dependencies landed Ok): clone each job's
+    /// node result re-stamped with the job's label, hand the owned list
+    /// to the assembly closure, record the output and completion time,
+    /// and release the plan's claim on its node results.
     fn assemble(&self, f: usize) {
         let fig = &self.figures[f];
         let mut inputs = Vec::with_capacity(fig.node_of_job.len());
@@ -568,13 +632,13 @@ impl Exec<'_> {
                 // Ok, and results are only freed after the last consumer
                 // assembles — which is happening right now.
                 // asd-lint: allow(D005) -- structurally unreachable; a panic here flags a scheduler bug loudly
-                _ => unreachable!("ready figure {} missing node {n}", fig.name),
+                _ => unreachable!("ready plan {} missing node {n}", fig.name),
             }
         }
         // asd-lint: allow(D005) -- assemble mutex poisoning means a sibling worker panicked mid-run; propagating is correct
-        let assemble = self.figures[f].assemble.lock().expect("assemble slot poisoned").take();
+        let assemble = fig.assemble.lock().expect("assemble slot poisoned").take();
         let Some(assemble) = assemble else { return };
-        let output = assemble(&inputs);
+        let output = assemble(inputs);
         let wall_ms = (self.clock)();
         {
             // asd-lint: allow(D005) -- output poisoning means a sibling worker panicked mid-run; propagating is correct
@@ -585,7 +649,7 @@ impl Exec<'_> {
         self.release_deps(&mut track, f);
     }
 
-    /// Drop figure `f`'s claim on its dependency results; a node's Ok
+    /// Drop plan `f`'s claim on its dependency results; a node's Ok
     /// result is freed when its last consumer releases it.
     fn release_deps(&self, track: &mut Track, f: usize) {
         for &n in &self.figures[f].deps {
@@ -599,5 +663,52 @@ impl Exec<'_> {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::PrefetchKind;
+    use asd_trace::suites;
+
+    #[test]
+    fn chunker_claims_cover_everything_disjointly() {
+        let chunker = Chunker::new(103, 4);
+        let mut seen = [false; 103];
+        while let Some((start, end)) = chunker.claim() {
+            assert!(start < end && end <= 103);
+            for flag in &mut seen[start..end] {
+                assert!(!*flag, "range claimed twice");
+                *flag = true;
+            }
+        }
+        assert!(seen.iter().all(|&f| f), "every index claimed");
+        assert!(chunker.claim().is_none(), "drained cursor stays drained");
+    }
+
+    #[test]
+    fn observer_fires_once_per_node() {
+        let opts = RunOpts { seed: 0x0b5e, ..RunOpts::default() }.with_accesses(3_000);
+        let mut jobs = Vec::new();
+        for bench in ["milc", "tonto", "lbm"] {
+            let profile = suites::by_name(bench).unwrap();
+            for kind in [PrefetchKind::Np, PrefetchKind::Pms] {
+                jobs.push(Job::new(&profile, SystemConfig::for_kind(kind, 1), kind.name()));
+            }
+        }
+        let calls = AtomicUsize::new(0);
+        let maxed = AtomicUsize::new(0);
+        let run = Pipeline::sweep(&opts, jobs)
+            .with_threads(3)
+            .run_observed(&|| 0.0, &|done, total| {
+                assert_eq!(total, 6);
+                calls.fetch_add(1, Ordering::Relaxed);
+                maxed.fetch_max(done, Ordering::Relaxed);
+            })
+            .unwrap();
+        assert_eq!(run.figures[0].output.len(), 6);
+        assert_eq!(calls.load(Ordering::Relaxed), 6);
+        assert_eq!(maxed.load(Ordering::Relaxed), 6);
     }
 }

@@ -1,14 +1,13 @@
 //! Compact binary codec for [`RunResult`]: the payload format of the
-//! persistent disk run-cache tier ([`crate::cache`]) and of the
-//! `asd-serve` shard-worker pipe protocol.
+//! persistent disk run-cache tier ([`crate::cache`]).
 //!
 //! Counters ride as LEB128 varints ([`asd_traceio::format`]'s codec —
 //! small results stay small), floats as their exact IEEE-754 bit
 //! patterns (little-endian `u64`), strings length-prefixed. A leading
 //! version byte gates decoding, so a format change invalidates old disk
 //! records instead of misreading them. Decoding is total: any truncated,
-//! corrupt, or over-long input returns `None` — the disk tier and the
-//! shard merger treat that as "recompute", never as a panic.
+//! corrupt, or over-long input returns `None` — the disk tier treats
+//! that as "recompute", never as a panic.
 //!
 //! **Scope.** Results carrying a telemetry
 //! [`Snapshot`](asd_telemetry::Snapshot) are *not*

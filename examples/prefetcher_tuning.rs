@@ -2,8 +2,9 @@
 //! sensitivity studies (Figures 14 and 15) plus an epoch-length sweep the
 //! paper leaves as an implicit design choice.
 //!
-//! All 17 design points run as one parallel [`Sweep`]; results come back
-//! in push order, so each table just slices its range out of the batch.
+//! All 17 design points run as one parallel sweep on the executor
+//! ([`Pipeline::sweep`]); results come back in job order, so each table
+//! just slices its range out of the batch.
 //!
 //! ```text
 //! cargo run --release --example prefetcher_tuning [benchmark]
@@ -11,8 +12,8 @@
 
 use asd_core::AsdConfig;
 use asd_mc::{EngineKind, McConfig};
+use asd_sim::pipeline::{Job, Pipeline};
 use asd_sim::report::{ratio, Table};
-use asd_sim::sweep::Sweep;
 use asd_sim::{PrefetchKind, RunOpts, SystemConfig};
 use asd_trace::suites;
 
@@ -31,35 +32,34 @@ fn main() {
     println!("Tuning study on {bench} (PMS, performance relative to the paper's default)\n");
 
     let pms = |mc: McConfig| SystemConfig::for_kind(PrefetchKind::Pms, 1).with_mc(mc);
-    let mut sweep = Sweep::new(&opts);
-    sweep.push(&profile, pms(McConfig::default()), "default");
+    let mut jobs = vec![Job::new(&profile, pms(McConfig::default()), "default")];
     for lines in PB_LINES {
         let mc = McConfig { pb_lines: lines, pb_assoc: 4, ..McConfig::default() };
-        sweep.push(&profile, pms(mc), &format!("pb{lines}"));
+        jobs.push(Job::new(&profile, pms(mc), &format!("pb{lines}")));
     }
     for slots in SF_SLOTS {
         let mc = McConfig {
             engine: EngineKind::Asd(AsdConfig::default().with_filter_slots(slots)),
             ..McConfig::default()
         };
-        sweep.push(&profile, pms(mc), &format!("sf{slots}"));
+        jobs.push(Job::new(&profile, pms(mc), &format!("sf{slots}")));
     }
     for epoch in EPOCHS {
         let mc = McConfig {
             engine: EngineKind::Asd(AsdConfig::default().with_epoch_reads(epoch)),
             ..McConfig::default()
         };
-        sweep.push(&profile, pms(mc), &format!("epoch{epoch}"));
+        jobs.push(Job::new(&profile, pms(mc), &format!("epoch{epoch}")));
     }
     for degree in DEGREES {
         let mc = McConfig {
             engine: EngineKind::Asd(AsdConfig { max_degree: degree, ..AsdConfig::default() }),
             ..McConfig::default()
         };
-        sweep.push(&profile, pms(mc), &format!("degree{degree}"));
+        jobs.push(Job::new(&profile, pms(mc), &format!("degree{degree}")));
     }
 
-    let results = sweep.run().expect("generated sweeps never fail");
+    let results = Pipeline::sweep(&opts, jobs).results().expect("generated sweeps never fail");
     let base = results[0].cycles as f64;
     let mut rest = results[1..].iter();
     let mut table = |title: &str, labels: Vec<String>| {

@@ -7,7 +7,7 @@
 //!
 //! Defaults to `milc`; any benchmark from the three suites works
 //! (see `asd_trace::suites`). The four configurations run in parallel
-//! (`FourWay::run` fans out through `asd_sim::sweep::Sweep`).
+//! (`FourWay::run` is one sweep on the `asd_sim::pipeline` executor).
 
 use asd_sim::experiment::FourWay;
 use asd_sim::report::{pct, Table};

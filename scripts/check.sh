@@ -72,24 +72,23 @@ rm -rf "$teldir"
 run env ASD_FIGURES_JSON=- ASD_ARENA_ENGINES=asd,stream-table ASD_ARENA_PROFILES=milc,tpcc \
     cargo run -q --release -p asd-bench --offline --bin figures -- arena
 
-# Pipeline smoke: the same figure set through the global job-graph
-# scheduler (the default) and through the per-figure barrier fallback
-# must be byte-identical on stdout, and the graph run must actually
+# Pipeline smoke: the same figure set on one worker thread and on two
+# must be byte-identical on stdout, and the job graph must actually
 # deduplicate (fig5/fig13/arena overlap on their NP points). The JSON
 # bookkeeping blocks (wall times, dedup counters) legitimately differ;
 # tests/pipeline_modes.rs compares the per-figure metrics blocks.
 pipedir="$(mktemp -d)"
-for mode in graph barrier; do
-    echo "==> figures fig5 fig13 arena (ASD_PIPELINE=$mode)"
-    env ASD_PIPELINE="$mode" ASD_FIGURES_ACCESSES=6000 \
-        ASD_FIGURES_JSON="$pipedir/$mode.json" \
+for threads in 1 2; do
+    echo "==> figures fig5 fig13 arena (ASD_SWEEP_THREADS=$threads)"
+    env ASD_SWEEP_THREADS="$threads" ASD_FIGURES_ACCESSES=6000 \
+        ASD_FIGURES_JSON="$pipedir/t$threads.json" \
         ASD_ARENA_ENGINES=asd,stream-table ASD_ARENA_PROFILES=milc,tpcc \
         cargo run -q --release -p asd-bench --offline --bin figures -- fig5 fig13 arena \
-        > "$pipedir/$mode.txt"
+        > "$pipedir/t$threads.txt"
 done
-run cmp "$pipedir/graph.txt" "$pipedir/barrier.txt"
-if grep -q '"inflight_joins":0[,}]' "$pipedir/graph.json"; then
-    echo "pipeline smoke: graph mode found no in-flight joins to share"
+run cmp "$pipedir/t1.txt" "$pipedir/t2.txt"
+if grep -q '"inflight_joins":0[,}]' "$pipedir/t2.json"; then
+    echo "pipeline smoke: the job graph found no in-flight joins to share"
     exit 1
 fi
 rm -rf "$pipedir"

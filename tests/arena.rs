@@ -5,11 +5,12 @@
 //! `ASD_RUN_CACHE` is latched once per process, so (as in
 //! `tests/run_cache.rs`) the cache-off leg is the direct
 //! [`System::run`] path — exactly what a disabled cache degenerates to.
-//! Zoo engines participate in the run cache through
-//! `EngineFactory::stable_id`, so the cache-served pass here is also the
-//! soundness check for those ids.
+//! The parallel pass runs first, so it simulates every job; the serial
+//! pass after it is served from the run cache. Zoo engines participate in
+//! the run cache through `EngineFactory::stable_id`, so the cache-served
+//! pass here is also the soundness check for those ids.
 
-use asd_sim::sweep::Sweep;
+use asd_sim::pipeline::{Job, Pipeline};
 use asd_sim::{PrefetchKind, RunOpts, RunResult, System, SystemConfig};
 use asd_trace::suites;
 
@@ -20,18 +21,16 @@ fn opts() -> RunOpts {
 }
 
 /// An NP machine per zoo engine per profile — the arena's row recipe.
-fn zoo_sweep(opts: &RunOpts) -> (Sweep, Vec<(String, SystemConfig)>) {
-    let mut sweep = Sweep::new(opts);
+fn zoo_jobs() -> Vec<Job> {
     let mut jobs = Vec::new();
     for bench in ["milc", "tpcc"] {
         let profile = suites::by_name(bench).unwrap();
         for name in asd_engines::names() {
             let cfg = SystemConfig::for_kind(PrefetchKind::Np, 1).with_engine_named(name).unwrap();
-            sweep.push(&profile, cfg.clone(), name);
-            jobs.push((bench.to_string(), cfg));
+            jobs.push(Job::new(&profile, cfg, name));
         }
     }
-    (sweep, jobs)
+    jobs
 }
 
 fn assert_same(a: &RunResult, b: &RunResult, what: &str) {
@@ -47,17 +46,16 @@ fn assert_same(a: &RunResult, b: &RunResult, what: &str) {
 #[test]
 fn every_zoo_engine_is_bit_identical_serial_parallel_and_uncached() {
     let opts = opts();
-    let serial = zoo_sweep(&opts).0.run_serial().unwrap();
-    let parallel = zoo_sweep(&opts).0.with_threads(4).run().unwrap();
-    let (_, jobs) = zoo_sweep(&opts);
+    let parallel = Pipeline::sweep(&opts, zoo_jobs()).with_threads(4).results().unwrap();
+    let serial = Pipeline::sweep(&opts, zoo_jobs()).with_threads(1).results().unwrap();
+    let jobs = zoo_jobs();
     assert_eq!(serial.len(), asd_engines::names().len() * 2);
-    for (i, (bench, cfg)) in jobs.iter().enumerate() {
-        let profile = suites::by_name(bench).unwrap();
+    for (i, job) in jobs.into_iter().enumerate() {
         // The reference: a fresh system, no cache involvement at all.
         let direct =
-            System::new(cfg.clone(), &profile, &opts).unwrap().with_label(&serial[i].config).run();
-        assert_same(&serial[i], &direct, "serial (cache-populating) vs direct");
-        assert_same(&parallel[i], &direct, "parallel (cache-served) vs direct");
+            System::new(job.cfg, &job.profile, &opts).unwrap().with_label(&job.label).run();
+        assert_same(&parallel[i], &direct, "parallel (cache-populating) vs direct");
+        assert_same(&serial[i], &direct, "serial (cache-served) vs direct");
     }
 }
 

@@ -1,7 +1,7 @@
-//! Edge-case tests for the global job-graph pipeline
-//! ([`asd_sim::pipeline`]): empty figure sets, zero-job figures,
-//! duplicate labels, uncacheable (trace-sourced) jobs, error propagation
-//! order matching [`Sweep::run`], and deterministic output order under a
+//! Edge-case tests for the job executor ([`asd_sim::pipeline`]): empty
+//! figure sets, zero-job figures, duplicate labels, uncacheable
+//! (trace-sourced) jobs, error selection (the earliest failing job of the
+//! earliest submitted plan), and deterministic output order under a
 //! threaded run. Submission-time dedup with its cache accounting lives in
 //! `tests/pipeline_dedup.rs`, a binary of its own, because it asserts
 //! exact deltas of process-wide counters that sibling tests here move.
@@ -9,9 +9,9 @@
 //! Seeds are unique to this file (and to each test) so no other test
 //! binary or sibling test can pre-populate their cache keys.
 
+use asd_sim::experiment::run_custom;
 use asd_sim::pipeline::{FigureOutput, FigurePlan, Job, Pipeline};
-use asd_sim::sweep::Sweep;
-use asd_sim::{cache, figures, PrefetchKind, RunOpts, SimError, SystemConfig, TraceSource};
+use asd_sim::{cache, figures, PrefetchKind, RunOpts, SimError, System, SystemConfig, TraceSource};
 use asd_trace::suites;
 
 /// Short runs with a per-test seed: `0x91be` tags this binary, the low
@@ -63,16 +63,15 @@ fn zero_job_figure_assembles_and_reads_the_clock() {
 }
 
 #[test]
-fn single_job_figure_matches_barrier_mode() {
+fn single_job_figure_matches_a_direct_run() {
     let o = opts(2);
     let milc = suites::by_name("milc").unwrap();
-    let plan = || echo_plan("solo", &o, vec![Job::new(&milc, np(1), "NP")]);
+    let direct = System::new(np(1), &milc, &o).unwrap().with_label("NP").run();
 
-    let barrier = plan().run().unwrap();
     let mut pipe = Pipeline::new();
-    pipe.submit(plan());
+    pipe.submit(echo_plan("solo", &o, vec![Job::new(&milc, np(1), "NP")]));
     let graph = pipe.run(&|| 0.0).unwrap();
-    assert_eq!(graph.figures[0].output.text, barrier.text);
+    assert_eq!(graph.figures[0].output.text, format!("solo NP={}", direct.cycles));
     assert_eq!(graph.stats.unique_jobs, 1);
 }
 
@@ -98,26 +97,26 @@ fn job_error_selection_matches_sweep_run() {
     let milc = suites::by_name("milc").unwrap();
     let bad = |path: &str| np(1).with_trace(TraceSource::replay(path));
 
-    // Reference: Sweep reports the earliest push-order failure.
-    let mut sweep = Sweep::new(&o);
-    sweep.push(&milc, np(1), "ok");
-    sweep.push(&milc, bad("/nonexistent/pipeline-b.asdt"), "bad-b");
-    sweep.push(&milc, bad("/nonexistent/pipeline-a.asdt"), "bad-a");
-    let want = sweep.run().unwrap_err();
-    assert!(matches!(want, SimError::TraceIo { .. }), "precondition: {want:?}");
-
-    // Same jobs, same order, one figure: the pipeline must pick the same
-    // error even though `bad-a` also fails.
-    let mut pipe = Pipeline::new();
-    pipe.submit(echo_plan(
-        "f",
-        &o,
+    let jobs = || {
         vec![
             Job::new(&milc, np(1), "ok"),
             Job::new(&milc, bad("/nonexistent/pipeline-b.asdt"), "bad-b"),
             Job::new(&milc, bad("/nonexistent/pipeline-a.asdt"), "bad-a"),
-        ],
-    ));
+        ]
+    };
+
+    // Reference: the earliest job-order failure, run by itself.
+    let want = run_custom(&milc, bad("/nonexistent/pipeline-b.asdt"), "bad-b", &o).unwrap_err();
+    assert!(matches!(want, SimError::TraceIo { .. }), "precondition: {want:?}");
+
+    // A sweep of the jobs, on any number of workers, and the same jobs as
+    // one figure must pick that error even though `bad-a` also fails.
+    for threads in [1, 4] {
+        let got = Pipeline::sweep(&o, jobs()).with_threads(threads).results().unwrap_err();
+        assert_eq!(got, want, "sweep on {threads} workers");
+    }
+    let mut pipe = Pipeline::new();
+    pipe.submit(echo_plan("f", &o, jobs()));
     assert_eq!(pipe.run(&|| 0.0).unwrap_err(), want);
 }
 
@@ -127,11 +126,8 @@ fn cross_figure_errors_report_the_earliest_submitted_figure() {
     let milc = suites::by_name("milc").unwrap();
     let bad = |path: &str| np(1).with_trace(TraceSource::replay(path));
 
-    let expected = {
-        let mut sweep = Sweep::new(&o);
-        sweep.push(&milc, bad("/nonexistent/pipeline-first.asdt"), "bad");
-        sweep.run().unwrap_err()
-    };
+    let expected =
+        run_custom(&milc, bad("/nonexistent/pipeline-first.asdt"), "bad", &o).unwrap_err();
 
     let mut pipe = Pipeline::new();
     pipe.submit(echo_plan(
@@ -144,8 +140,7 @@ fn cross_figure_errors_report_the_earliest_submitted_figure() {
         &o,
         vec![Job::new(&milc, bad("/nonexistent/pipeline-second.asdt"), "bad")],
     ));
-    // Both figures fail; the earliest submission order wins, matching the
-    // barrier path's figure-by-figure iteration.
+    // Both figures fail; the earliest submission order wins.
     assert_eq!(pipe.run(&|| 0.0).unwrap_err(), expected);
 }
 

@@ -1,13 +1,12 @@
-//! Bit-identity of the `figures` binary across pipeline modes: the graph
-//! scheduler (`ASD_PIPELINE=graph`, the default) must produce byte-for-byte
-//! the same figure text and the same per-figure JSON metrics as the
-//! barrier fallback (`ASD_PIPELINE=barrier`), with the run cache on and
-//! off, serially and in parallel. Only the bookkeeping blocks (`cache`,
-//! `pipeline`, `wall_ms`) may differ between runs.
+//! Bit-identity of the `figures` binary across execution modes: the job
+//! graph must produce byte-for-byte the same figure text and the same
+//! per-figure JSON metrics with the run cache on and off, on one worker
+//! thread and on two. Only the bookkeeping blocks (`cache`, `pipeline`,
+//! `wall_ms`) may differ between runs.
 //!
-//! `ASD_PIPELINE`, `ASD_RUN_CACHE`, and `ASD_SWEEP_THREADS` are latched
-//! once per process, so every combination spawns the real binary
-//! (`CARGO_BIN_EXE_figures`) as a subprocess with its own environment.
+//! `ASD_RUN_CACHE` is latched once per process, so every combination
+//! spawns the real binary (`CARGO_BIN_EXE_figures`) as a subprocess with
+//! its own environment.
 
 use asd_bench::json::Value;
 use std::path::PathBuf;
@@ -17,25 +16,20 @@ const BIN: &str = env!("CARGO_BIN_EXE_figures");
 
 /// A figure subset that provably overlaps: `fig5`/`fig13` both sweep the
 /// SPEC suite under NP, and the arena's NP baseline columns re-request
-/// the same points — so the graph scheduler has real dedup to find.
+/// the same points — so the job graph has real dedup to find.
 const FIGSET: [&str; 3] = ["fig5", "fig13", "arena"];
 
 struct Combo {
     tag: &'static str,
-    mode: &'static str,
     cache: &'static str,
     threads: &'static str,
 }
 
-const MATRIX: [Combo; 8] = [
-    Combo { tag: "graph-cache-serial", mode: "graph", cache: "1", threads: "1" },
-    Combo { tag: "graph-cache-par", mode: "graph", cache: "1", threads: "2" },
-    Combo { tag: "graph-nocache-serial", mode: "graph", cache: "0", threads: "1" },
-    Combo { tag: "graph-nocache-par", mode: "graph", cache: "0", threads: "2" },
-    Combo { tag: "barrier-cache-serial", mode: "barrier", cache: "1", threads: "1" },
-    Combo { tag: "barrier-cache-par", mode: "barrier", cache: "1", threads: "2" },
-    Combo { tag: "barrier-nocache-serial", mode: "barrier", cache: "0", threads: "1" },
-    Combo { tag: "barrier-nocache-par", mode: "barrier", cache: "0", threads: "2" },
+const MATRIX: [Combo; 4] = [
+    Combo { tag: "cache-serial", cache: "1", threads: "1" },
+    Combo { tag: "cache-par", cache: "1", threads: "2" },
+    Combo { tag: "nocache-serial", cache: "0", threads: "1" },
+    Combo { tag: "nocache-par", cache: "0", threads: "2" },
 ];
 
 struct RunOutput {
@@ -52,7 +46,6 @@ fn run_figures(combo: &Combo, figures: &[&str], accesses: &str) -> RunOutput {
     let _ = std::fs::remove_file(&path);
     let out = Command::new(BIN)
         .args(figures)
-        .env("ASD_PIPELINE", combo.mode)
         .env("ASD_RUN_CACHE", combo.cache)
         .env("ASD_SWEEP_THREADS", combo.threads)
         // Keep the subprocess hermetic: no disk-cache tier, no artifact
@@ -103,7 +96,7 @@ fn pipeline_stat(doc: &Value, key: &str) -> f64 {
 }
 
 #[test]
-fn graph_matches_barrier_across_cache_and_thread_modes() {
+fn figures_match_across_cache_and_thread_modes() {
     let runs: Vec<RunOutput> =
         MATRIX.iter().map(|combo| run_figures(combo, &FIGSET, "6000")).collect();
 
@@ -132,46 +125,35 @@ fn graph_matches_barrier_across_cache_and_thread_modes() {
         let submitted = pipeline_stat(&run.doc, "submitted_jobs");
         let unique = pipeline_stat(&run.doc, "unique_jobs");
         assert!(submitted > 0.0, "{}: no jobs submitted", combo.tag);
-        match (combo.mode, combo.cache) {
-            // The whole point of the graph scheduler: overlapping figures
-            // share work, so this figure set must dedup.
-            ("graph", "1") => {
-                assert!(joins > 0.0, "{}: expected in-flight joins, got {joins}", combo.tag);
-                assert_eq!(submitted - joins, unique, "{}: join accounting", combo.tag);
-            }
+        if combo.cache == "1" {
+            // The whole point of the job graph: overlapping figures share
+            // work, so this figure set must dedup.
+            assert!(joins > 0.0, "{}: expected in-flight joins, got {joins}", combo.tag);
+            assert_eq!(submitted - joins, unique, "{}: join accounting", combo.tag);
+        } else {
             // With the cache off, jobs have no identity to dedup on; the
             // graph degenerates to one node per job (identity preserved).
-            ("graph", _) => {
-                assert_eq!(joins, 0.0, "{}: cacheless graph cannot join", combo.tag);
-                assert_eq!(submitted, unique, "{}", combo.tag);
-            }
-            // Barrier mode never builds the graph at all.
-            _ => assert_eq!(joins, 0.0, "{}: barrier mode cannot join", combo.tag),
+            assert_eq!(joins, 0.0, "{}: cacheless graph cannot join", combo.tag);
+            assert_eq!(submitted, unique, "{}", combo.tag);
         }
     }
 }
 
-/// Full-catalog identity (every figure, both modes). One graph and one
-/// barrier pass over `figures all` is minutes of work, so this runs only
-/// under `cargo test -- --ignored` and in the acceptance sweep.
+/// Full-catalog identity (every figure, one worker thread against two).
+/// Two passes over `figures all` take a while, so this runs only under
+/// `cargo test -- --ignored` and in the acceptance sweep.
 #[test]
 #[ignore = "full catalog; run with --ignored or via scripts/check.sh acceptance"]
-fn full_catalog_graph_matches_barrier() {
-    let graph = run_figures(
-        &Combo { tag: "all-graph", mode: "graph", cache: "1", threads: "2" },
-        &["all"],
-        "6000",
-    );
-    let barrier = run_figures(
-        &Combo { tag: "all-barrier", mode: "barrier", cache: "1", threads: "2" },
-        &["all"],
-        "6000",
-    );
+fn full_catalog_matches_across_thread_counts() {
+    let serial =
+        run_figures(&Combo { tag: "all-serial", cache: "1", threads: "1" }, &["all"], "6000");
+    let parallel =
+        run_figures(&Combo { tag: "all-par", cache: "1", threads: "2" }, &["all"], "6000");
     assert_eq!(
-        String::from_utf8_lossy(&graph.stdout),
-        String::from_utf8_lossy(&barrier.stdout),
-        "graph vs barrier stdout over the full catalog"
+        String::from_utf8_lossy(&serial.stdout),
+        String::from_utf8_lossy(&parallel.stdout),
+        "1-thread vs 2-thread stdout over the full catalog"
     );
-    assert_eq!(figure_metrics(&graph.doc), figure_metrics(&barrier.doc));
-    assert!(pipeline_stat(&graph.doc, "inflight_joins") > 0.0);
+    assert_eq!(figure_metrics(&serial.doc), figure_metrics(&parallel.doc));
+    assert!(pipeline_stat(&parallel.doc, "inflight_joins") > 0.0);
 }

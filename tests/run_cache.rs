@@ -4,14 +4,14 @@
 //!
 //! `ASD_RUN_CACHE` is latched once per process, so these tests do not
 //! toggle the variable; instead they compare the results the run memo
-//! stores and serves ([`Sweep`], [`experiment::run_custom`]) against
+//! stores and serves ([`Pipeline::sweep`], [`experiment::run_custom`]) against
 //! direct [`System::run`], which never consults the run memo. The direct
 //! runs still read their traces from the trace memo, so this is not the
 //! `ASD_RUN_CACHE=0` path; the trace memo's own tests pin its streams to
 //! the generator's, and `tests/pipeline_modes.rs` compares the figures
 //! binary with the cache on and off, across processes.
 
-use asd_sim::sweep::Sweep;
+use asd_sim::pipeline::{Job, Pipeline};
 use asd_sim::{experiment, PrefetchKind, RunOpts, RunResult, System, SystemConfig};
 use asd_trace::suites;
 
@@ -37,17 +37,20 @@ fn assert_same(a: &RunResult, b: &RunResult, what: &str) {
 #[test]
 fn cached_results_match_uncached_direct_runs() {
     let opts = opts();
-    let mut sweep = Sweep::new(&opts);
     let benches = ["milc", "tonto", "lbm"];
-    for bench in benches {
-        let profile = suites::by_name(bench).unwrap();
-        for kind in [PrefetchKind::Np, PrefetchKind::Pms] {
-            sweep.push(&profile, SystemConfig::for_kind(kind, 1), kind.name());
+    let sweep = || {
+        let mut jobs = Vec::new();
+        for bench in benches {
+            let profile = suites::by_name(bench).unwrap();
+            for kind in [PrefetchKind::Np, PrefetchKind::Pms] {
+                jobs.push(Job::new(&profile, SystemConfig::for_kind(kind, 1), kind.name()));
+            }
         }
-    }
+        Pipeline::sweep(&opts, jobs).with_threads(1)
+    };
     // First pass populates the cache, second pass is served from it.
-    let first = sweep.run_serial().unwrap();
-    let second = sweep.run_serial().unwrap();
+    let first = sweep().results().unwrap();
+    let second = sweep().results().unwrap();
     // The reference: fresh systems, no cache involvement at all.
     let mut i = 0;
     for bench in benches {

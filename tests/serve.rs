@@ -1,6 +1,6 @@
 //! End-to-end integration tests for the `asd-serve` daemon: bit-identity
-//! across cold cache / warm disk cache / sharded execution, restart with
-//! zero new simulation runs, disk-record corruption recovery, the typed
+//! across cold cache and warm disk cache, restart with zero new
+//! simulation runs, disk-record corruption recovery, the typed
 //! error surface, graceful shutdown, the trace corpus, and the pinned
 //! CLI exit codes.
 //!
@@ -21,11 +21,9 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-fn daemon(dir: &Path, extra: &[&str]) -> DaemonHandle {
+fn daemon(dir: &Path) -> DaemonHandle {
     let dir_text = dir.display().to_string();
-    let mut args = vec!["--port", "0", "--dir", dir_text.as_str()];
-    args.extend_from_slice(extra);
-    spawn_daemon(Path::new(BIN), &args).expect("spawn daemon")
+    spawn_daemon(Path::new(BIN), &["--port", "0", "--dir", &dir_text]).expect("spawn daemon")
 }
 
 fn sweep_spec(accesses: u64) -> JobSpec {
@@ -50,13 +48,13 @@ fn stat(client: &mut Client, key: &str) -> f64 {
 }
 
 #[test]
-fn cold_warm_restart_and_sharded_runs_are_bit_identical() {
+fn cold_and_warm_restart_runs_are_bit_identical() {
     let dir = scratch("identity");
     let spec = sweep_spec(1_500);
     let expected = reference_doc(&spec).expect("reference doc");
 
     // Cold daemon: everything is simulated, and the disk tier filled.
-    let d1 = daemon(&dir, &[]);
+    let d1 = daemon(&dir);
     let mut c = Client::connect(&d1.addr).expect("connect");
     assert_eq!(submit_and_wait(&mut c, &spec), expected, "cold run");
     assert_eq!(stat(&mut c, "cache_run_misses"), 4.0, "four simulated runs");
@@ -69,7 +67,7 @@ fn cold_warm_restart_and_sharded_runs_are_bit_identical() {
     // Restarted daemon: cold memory, warm disk. Resubmitting the same
     // job must perform ZERO new simulation runs — the disk-hit counters
     // prove every run came off the persistent tier.
-    let d2 = daemon(&dir, &[]);
+    let d2 = daemon(&dir);
     let mut c = Client::connect(&d2.addr).expect("connect");
     assert_eq!(submit_and_wait(&mut c, &spec), expected, "warm-disk restart");
     assert_eq!(stat(&mut c, "cache_run_misses"), 0.0, "no new simulation runs after restart");
@@ -77,18 +75,7 @@ fn cold_warm_restart_and_sharded_runs_are_bit_identical() {
     drop(c);
     assert_eq!(d2.shutdown().expect("drain"), 0);
 
-    // Sharded daemon on a fresh state dir: two worker subprocesses split
-    // the sweep, and the merged document is still bit-identical.
-    let shard_dir = scratch("identity-shards");
-    let d3 = daemon(&shard_dir, &["--shards", "2"]);
-    let mut c = Client::connect(&d3.addr).expect("connect");
-    assert_eq!(submit_and_wait(&mut c, &spec), expected, "2-shard run");
-    assert_eq!(stat(&mut c, "shard_failures"), 0.0, "no workers lost");
-    drop(c);
-    assert_eq!(d3.shutdown().expect("drain"), 0);
-
     let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&shard_dir);
 }
 
 #[test]
@@ -103,7 +90,7 @@ fn corrupt_disk_records_are_evicted_and_recomputed() {
     };
     let expected = reference_doc(&spec).expect("reference doc");
 
-    let d1 = daemon(&dir, &[]);
+    let d1 = daemon(&dir);
     let mut c = Client::connect(&d1.addr).expect("connect");
     assert_eq!(submit_and_wait(&mut c, &spec), expected);
     drop(c);
@@ -127,7 +114,7 @@ fn corrupt_disk_records_are_evicted_and_recomputed() {
 
     // The restarted daemon must detect the corruption (CRC), evict the
     // record, recompute, and still answer bit-identically.
-    let d2 = daemon(&dir, &[]);
+    let d2 = daemon(&dir);
     let mut c = Client::connect(&d2.addr).expect("connect");
     assert_eq!(submit_and_wait(&mut c, &spec), expected, "recomputed after corruption");
     assert!(stat(&mut c, "cache_disk_evictions") >= 1.0, "corrupt record evicted");
@@ -140,7 +127,7 @@ fn corrupt_disk_records_are_evicted_and_recomputed() {
 #[test]
 fn protocol_errors_are_structured_and_typed() {
     let dir = scratch("errors");
-    let d = daemon(&dir, &[]);
+    let d = daemon(&dir);
     let mut c = Client::connect(&d.addr).expect("connect");
 
     let mut bogus = asd_bench::json::Value::obj();
@@ -189,7 +176,7 @@ fn protocol_errors_are_structured_and_typed() {
 #[test]
 fn shutdown_drains_inflight_jobs_then_refuses_new_work() {
     let dir = scratch("drain");
-    let d = daemon(&dir, &[]);
+    let d = daemon(&dir);
     let specs = bench_specs(2_500);
     let expected: Vec<String> =
         specs.iter().map(|s| reference_doc(s).expect("reference")).collect();
@@ -224,7 +211,7 @@ fn shutdown_drains_inflight_jobs_then_refuses_new_work() {
 #[test]
 fn figure_and_watch_jobs_match_direct_drivers() {
     let dir = scratch("figure");
-    let d = daemon(&dir, &[]);
+    let d = daemon(&dir);
     let mut c = Client::connect(&d.addr).expect("connect");
 
     // The hardware-cost table involves no simulation: pure CLI parity.
@@ -265,7 +252,7 @@ fn trace_corpus_roundtrips_over_the_wire() {
     asd_traceio::record_profile(&trace_path, &profile, 0x5eed, 1, 600).expect("record");
     let bytes = std::fs::read(&trace_path).expect("read trace");
 
-    let d = daemon(&dir, &[]);
+    let d = daemon(&dir);
     let mut c = Client::connect(&d.addr).expect("connect");
     assert_eq!(c.trace_put("milc-short", &bytes).expect("put"), 600);
     let listed = c.trace_list().expect("list");

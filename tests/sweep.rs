@@ -1,30 +1,54 @@
-//! The parallel sweep runner and the pluggable-engine seam, end to end:
-//! a parallel sweep must be bit-identical to its serial equivalent, and a
-//! third-party prefetch engine must run through the full system without
-//! any change to `asd-mc` or `asd-sim`.
+//! Sweeps on the executor and the pluggable-engine seam, end to end: a
+//! parallel sweep must be bit-identical to the same runs made serially,
+//! and a third-party prefetch engine must run through the full system
+//! without any change to `asd-mc` or `asd-sim`.
+//!
+//! The run cache is process-wide, so a repeated sweep would be served
+//! from it. Each test therefore owns a seed no other test uses, runs the
+//! executor first (every job misses and simulates), and compares it with
+//! direct [`System::run`] calls, which never consult the run cache.
 
 use asd_mc::{custom_engine, EngineFactory, McConfig, PrefetchEngine};
 use asd_sim::experiment::run_custom;
-use asd_sim::sweep::Sweep;
-use asd_sim::{PrefetchKind, RunOpts, SystemConfig};
+use asd_sim::pipeline::{Job, Pipeline};
+use asd_sim::{PrefetchKind, RunOpts, RunResult, System, SystemConfig};
 use asd_trace::suites;
 use std::sync::Arc;
+
+/// Short runs with a per-test seed: `0x5eeb` tags this binary, the low
+/// byte tags the test.
+fn opts(test: u64, accesses: u64) -> RunOpts {
+    RunOpts { seed: 0x005e_eb00 + test, ..RunOpts::default() }.with_accesses(accesses)
+}
+
+/// Every PrefetchKind on each of `benches`, benchmarks outer.
+fn four_way_jobs(benches: &[&str]) -> Vec<Job> {
+    let mut jobs = Vec::new();
+    for bench in benches {
+        let profile = suites::by_name(bench).unwrap();
+        for kind in PrefetchKind::ALL {
+            jobs.push(Job::new(&profile, SystemConfig::for_kind(kind, 1), kind.name()));
+        }
+    }
+    jobs
+}
+
+/// The jobs run one after another through fresh systems, bypassing the
+/// executor and the run cache.
+fn direct(jobs: Vec<Job>, opts: &RunOpts) -> Vec<RunResult> {
+    jobs.into_iter()
+        .map(|j| System::new(j.cfg, &j.profile, opts).unwrap().with_label(&j.label).run())
+        .collect()
+}
 
 #[test]
 fn parallel_sweep_bit_identical_to_serial() {
     // Mixed benchmarks and configurations; every counter of every run
-    // must match the serial execution exactly, in push order.
-    let opts = RunOpts::default().with_accesses(4_000);
-    let mut sweep = Sweep::new(&opts);
-    for bench in ["milc", "lbm", "tpcc"] {
-        let profile = suites::by_name(bench).unwrap();
-        for kind in PrefetchKind::ALL {
-            sweep.push(&profile, SystemConfig::for_kind(kind, 1), kind.name());
-        }
-    }
-    let sweep = sweep.with_threads(4);
-    let par = sweep.run().unwrap();
-    let ser = sweep.run_serial().unwrap();
+    // must match the serial execution exactly, in job order.
+    let opts = opts(1, 4_000);
+    let benches = ["milc", "lbm", "tpcc"];
+    let par = Pipeline::sweep(&opts, four_way_jobs(&benches)).with_threads(4).results().unwrap();
+    let ser = direct(four_way_jobs(&benches), &opts);
     assert_eq!(par.len(), 12);
     assert_eq!(par.len(), ser.len());
     for (p, s) in par.iter().zip(&ser) {
@@ -41,18 +65,19 @@ fn parallel_sweep_bit_identical_to_serial() {
 
 #[test]
 fn sweep_is_repeatable() {
-    // Two parallel executions of the same sweep agree run for run.
-    let opts = RunOpts::default().with_accesses(3_000);
-    let profile = suites::by_name("tonto").unwrap();
-    let mut sweep = Sweep::new(&opts);
-    for kind in PrefetchKind::ALL {
-        sweep.push(&profile, SystemConfig::for_kind(kind, 1), kind.name());
-    }
-    let a = sweep.run().unwrap();
-    let b = sweep.run().unwrap();
-    for (x, y) in a.iter().zip(&b) {
-        assert_eq!(x.cycles, y.cycles, "{}", x.config);
-        assert_eq!(x.mc, y.mc, "{}", x.config);
+    // A parallel sweep, the same sweep again (now served from the run
+    // cache), and a direct re-simulation all agree run for run.
+    let opts = opts(2, 3_000);
+    let sweep = || Pipeline::sweep(&opts, four_way_jobs(&["tonto"])).with_threads(4);
+    let a = sweep().results().unwrap();
+    let b = sweep().results().unwrap();
+    let c = direct(four_way_jobs(&["tonto"]), &opts);
+    assert_eq!(a.len(), 4);
+    for ((x, y), z) in a.iter().zip(&b).zip(&c) {
+        assert_eq!(x.cycles, z.cycles, "{}", x.config);
+        assert_eq!(x.mc, z.mc, "{}", x.config);
+        assert_eq!(y.cycles, z.cycles, "{}", y.config);
+        assert_eq!(y.mc, z.mc, "{}", y.config);
     }
 }
 
@@ -93,7 +118,7 @@ fn custom_engine_runs_through_full_system() {
     // operation, and the engine demonstrably drives the machine (it
     // issues prefetches, some of which are useful on a streaming
     // workload).
-    let opts = RunOpts::default().with_accesses(8_000);
+    let opts = opts(3, 8_000);
     let profile = suites::by_name("lbm").unwrap();
     let kind = custom_engine(Arc::new(NextNFactory(1)));
     let cfg = SystemConfig::for_kind(PrefetchKind::Np, 1)
@@ -115,21 +140,25 @@ fn custom_engine_runs_through_full_system() {
 #[test]
 fn custom_engine_works_inside_parallel_sweep() {
     // One factory shared by several sweep jobs: each system builds its
-    // own engine instance, and parallel equals serial as usual.
-    let opts = RunOpts::default().with_accesses(3_000);
+    // own engine instance, and parallel equals serial as usual. An
+    // anonymous custom engine is uncacheable, so both passes simulate.
+    let opts = opts(4, 3_000);
     let factory: Arc<dyn EngineFactory> = Arc::new(NextNFactory(2));
-    let mut sweep = Sweep::new(&opts);
-    for bench in ["milc", "lbm"] {
-        let profile = suites::by_name(bench).unwrap();
-        let cfg = SystemConfig::for_kind(PrefetchKind::Np, 1).with_mc(McConfig {
-            engine: custom_engine(Arc::clone(&factory)),
-            ..McConfig::default()
-        });
-        sweep.push(&profile, cfg, "next-2");
-    }
-    let sweep = sweep.with_threads(2);
-    let par = sweep.run().unwrap();
-    let ser = sweep.run_serial().unwrap();
+    let jobs = || {
+        let mut jobs = Vec::new();
+        for bench in ["milc", "lbm"] {
+            let profile = suites::by_name(bench).unwrap();
+            let cfg = SystemConfig::for_kind(PrefetchKind::Np, 1).with_mc(McConfig {
+                engine: custom_engine(Arc::clone(&factory)),
+                ..McConfig::default()
+            });
+            jobs.push(Job::new(&profile, cfg, "next-2"));
+        }
+        jobs
+    };
+    let par = Pipeline::sweep(&opts, jobs()).with_threads(2).results().unwrap();
+    let ser = Pipeline::sweep(&opts, jobs()).with_threads(1).results().unwrap();
+    assert_eq!(par.len(), 2);
     for (p, s) in par.iter().zip(&ser) {
         assert_eq!(p.cycles, s.cycles, "{}", p.benchmark);
         assert_eq!(p.mc, s.mc, "{}", p.benchmark);

@@ -9,8 +9,8 @@
 //! [`asd_telemetry::Snapshot`] with no reach-back into the stats structs.
 
 use asd_sim::experiment::run_custom;
-use asd_sim::sweep::Sweep;
-use asd_sim::{PrefetchKind, RunOpts, RunResult, SystemConfig};
+use asd_sim::pipeline::{Job, Pipeline};
+use asd_sim::{PrefetchKind, RunOpts, RunResult, System, SystemConfig};
 use asd_telemetry::{names, PrefetchMetrics, TelemetryConfig};
 use asd_trace::suites;
 
@@ -52,18 +52,24 @@ fn telemetry_on_vs_off_is_bit_identical_across_profiles() {
 
 #[test]
 fn serial_and_parallel_sweeps_produce_identical_snapshots() {
-    let build = || {
-        let mut sweep = Sweep::new(&opts());
-        for bench in PROFILES {
+    // A seed of its own, so the parallel sweep simulates every job instead
+    // of being served the other tests' runs from the run cache; the
+    // serial side is direct runs, which never consult the cache.
+    let opts = RunOpts { seed: 0x7e1e_5eed, ..opts() };
+    let jobs = || {
+        PROFILES.map(|bench| {
             let profile = suites::by_name(bench).unwrap();
             let cfg = SystemConfig::for_kind(PrefetchKind::Pms, 1)
                 .with_telemetry(TelemetryConfig::full());
-            sweep.push(&profile, cfg, "PMS");
-        }
-        sweep
+            Job::new(&profile, cfg, "PMS")
+        })
     };
-    let serial = build().run_serial().unwrap();
-    let parallel = build().with_threads(4).run().unwrap();
+    let serial: Vec<RunResult> = jobs()
+        .into_iter()
+        .map(|j| System::new(j.cfg, &j.profile, &opts).unwrap().with_label(&j.label).run())
+        .collect();
+    let parallel = Pipeline::sweep(&opts, jobs().into()).with_threads(4).results().unwrap();
+    assert_eq!(parallel.len(), PROFILES.len());
     for (s, p) in serial.iter().zip(&parallel) {
         assert_same_simulation(s, p, &format!("{}: parallel vs serial", s.benchmark));
         assert_eq!(
