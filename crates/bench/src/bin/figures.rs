@@ -109,17 +109,24 @@ impl Report {
     }
 
     fn document(mut self, opts: &RunOpts, stats: &PipelineStats, total_wall_ms: f64) -> Value {
-        // Surface the cross-figure run cache through the same registry the
-        // wall-time gauges live on, so every exposition backend (and this
-        // JSON document) sees how much of the pipeline was deduplicated.
-        let cache = asd_sim::cache::global();
-        let (run_hits, run_misses) = cache.stats();
-        let (trace_hits, trace_misses) = cache.trace_stats();
+        // Surface the cross-figure run cache and the run's trace memo
+        // through the same registry the wall-time gauges live on, so every
+        // exposition backend (and this JSON document) sees how much of the
+        // pipeline was deduplicated.
+        let (run_hits, run_misses) = asd_sim::cache::global().stats();
         for (name, help, v) in [
             ("cache.run_hits", "figure points served from the cross-figure run cache", run_hits),
             ("cache.run_misses", "figure points actually simulated", run_misses),
-            ("cache.trace_hits", "per-thread traces served from the trace memo", trace_hits),
-            ("cache.trace_misses", "per-thread traces materialized", trace_misses),
+            (
+                "cache.trace_hits",
+                "per-thread trace reads the run's trace memo served",
+                stats.traces_served,
+            ),
+            (
+                "cache.trace_misses",
+                "per-thread traces the run's trace memo generated",
+                stats.traces_generated,
+            ),
         ] {
             self.tel.fill_gauge(name, Unit::Events, help, v as f64);
         }
@@ -156,6 +163,12 @@ impl Report {
                 stats.peak_live_jobs as f64,
             ),
             (
+                "peak_trace_bytes",
+                Unit::None,
+                "high-water mark of memoized trace bytes the run held at once",
+                stats.peak_trace_bytes as f64,
+            ),
+            (
                 "total_wall_ms",
                 Unit::Millis,
                 "end-to-end wall time across every requested figure",
@@ -177,8 +190,14 @@ impl Report {
             cache.set(key, snap.gauge(&format!("bench.cache.{key}")).unwrap_or(0.0));
         }
         let mut pipe = Value::obj();
-        for key in ["figures", "submitted_jobs", "unique_jobs", "inflight_joins", "peak_live_jobs"]
-        {
+        for key in [
+            "figures",
+            "submitted_jobs",
+            "unique_jobs",
+            "inflight_joins",
+            "peak_live_jobs",
+            "peak_trace_bytes",
+        ] {
             let name = format!("bench.{}", names::pipeline_metric(key));
             pipe.set(key, snap.gauge(&name).unwrap_or(0.0));
         }

@@ -16,9 +16,12 @@
 //!
 //! Shutdown is protocol-driven (`{"op":"shutdown"}`; the workspace
 //! forbids `unsafe`, so there is no signal handler): the table flips to
-//! draining, the executor finishes queued jobs, handler threads are
-//! nudged out of `accept` by loopback connections, and the persistent
-//! cache index is written before `run` returns.
+//! draining, the executor finishes queued jobs, the read side of every
+//! connection still open is shut down so that handlers blocked in a read
+//! return at once (an idle client cannot hold the process for its read
+//! timeout), handler threads are nudged out of `accept` by loopback
+//! connections, and the persistent cache index is written before `run`
+//! returns.
 
 use crate::corpus::Corpus;
 use crate::error::ServeError;
@@ -31,11 +34,11 @@ use asd_sim::pipeline::Pipeline;
 use asd_sim::RunOpts;
 use asd_telemetry::{expo, names, Registry, TelemetryConfig, Unit};
 use asd_trace::suites;
+use std::collections::BTreeMap;
 use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// How the daemon is wired up.
@@ -80,7 +83,66 @@ pub struct Server {
     listener: TcpListener,
     table: Arc<JobTable>,
     corpus: Arc<Corpus>,
-    stop: Arc<AtomicBool>,
+    conns: Arc<Connections>,
+}
+
+/// The connections the handlers are serving, so that the drain can end
+/// their reads.
+#[derive(Default)]
+struct Connections {
+    state: Mutex<ConnState>,
+}
+
+#[derive(Default)]
+struct ConnState {
+    closing: bool,
+    next: u64,
+    open: BTreeMap<u64, TcpStream>,
+}
+
+impl Connections {
+    fn lock(&self) -> MutexGuard<'_, ConnState> {
+        // The registry stays consistent under a panicking handler: every
+        // update is a single insert, remove or flag store.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Whether the drain has begun; handlers stop accepting then.
+    fn closing(&self) -> bool {
+        self.lock().closing
+    }
+
+    /// Track a clone of `stream` until [`Connections::forget`]. `None`
+    /// once the drain has begun (the caller drops the connection) or when
+    /// the socket cannot be cloned.
+    fn track(&self, stream: &TcpStream) -> Option<u64> {
+        let mut state = self.lock();
+        if state.closing {
+            return None;
+        }
+        let clone = stream.try_clone().ok()?;
+        let id = state.next;
+        state.next += 1;
+        state.open.insert(id, clone);
+        Some(id)
+    }
+
+    fn forget(&self, id: u64) {
+        self.lock().open.remove(&id);
+    }
+
+    /// Begin the drain: refuse new connections, and shut down the read
+    /// side of every open one, so that a handler blocked in a read sees
+    /// the end of its stream now. A response being written still goes
+    /// out.
+    fn close(&self) {
+        let mut state = self.lock();
+        state.closing = true;
+        for stream in state.open.values() {
+            // asd-lint: allow(D013) -- the peer may have closed already; nothing is left to end
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+    }
 }
 
 impl Server {
@@ -102,7 +164,7 @@ impl Server {
         let corpus = Arc::new(Corpus::new(cfg.root.join("corpus")));
         Ok(Server {
             table: Arc::new(JobTable::new(cfg.queue_cap)),
-            stop: Arc::new(AtomicBool::new(false)),
+            conns: Arc::new(Connections::default()),
             listener,
             corpus,
             cfg,
@@ -122,15 +184,15 @@ impl Server {
     }
 
     /// Serve until a `shutdown` request completes the drain: queued jobs
-    /// finish, the disk-cache index is persisted, and every pool thread
-    /// is joined.
+    /// finish, open connections are ended, the disk-cache index is
+    /// persisted, and every pool thread is joined.
     ///
     /// # Errors
     ///
     /// [`ServeError::Io`] for listener-level failures.
     pub fn run(self) -> Result<(), ServeError> {
         let addr = self.local_addr()?;
-        let Server { cfg, listener, table, corpus, stop } = self;
+        let Server { cfg, listener, table, corpus, conns } = self;
         let listener = Arc::new(listener);
         std::thread::scope(|scope| {
             let mut executors = Vec::new();
@@ -148,33 +210,25 @@ impl Server {
                 let listener = Arc::clone(&listener);
                 let table = Arc::clone(&table);
                 let corpus = Arc::clone(&corpus);
-                let stop = Arc::clone(&stop);
+                let conns = Arc::clone(&conns);
                 let timeout = cfg.read_timeout;
                 handlers.push(scope.spawn(move || {
-                    while !stop.load(Ordering::Acquire) {
-                        match listener.accept() {
-                            Ok((stream, _)) => {
-                                if stop.load(Ordering::Acquire) {
-                                    break;
-                                }
-                                handle_conn(stream, timeout, &table, &corpus);
-                            }
-                            Err(_) => {
-                                if stop.load(Ordering::Acquire) {
-                                    break;
-                                }
-                            }
-                        }
+                    while !conns.closing() {
+                        let Ok((stream, _)) = listener.accept() else { continue };
+                        let Some(id) = conns.track(&stream) else { break };
+                        handle_conn(stream, timeout, &table, &corpus);
+                        conns.forget(id);
                     }
                 }));
             }
             // The executors return once a shutdown request drained the
-            // queue. Then release the accept pool: raise the stop flag
-            // and nudge each blocked accept with a loopback connection.
+            // queue. Then end every open connection's reads, and release
+            // the accept pool: nudge each blocked accept with a loopback
+            // connection, which the closing registry refuses.
             for executor in executors {
                 let _ = executor.join();
             }
-            stop.store(true, Ordering::Release);
+            conns.close();
             for _ in &handlers {
                 let _ = TcpStream::connect(addr);
             }

@@ -56,6 +56,16 @@ pub enum SimError {
         /// What went wrong.
         message: String,
     },
+    /// An environment variable the simulator reads is set to a value it
+    /// does not accept (`ASD_SWEEP_THREADS=0`, say).
+    InvalidEnv {
+        /// The variable.
+        var: String,
+        /// Its value, as set (lossily decoded when it is not Unicode).
+        value: String,
+        /// What the variable accepts.
+        expected: String,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -80,6 +90,9 @@ impl fmt::Display for SimError {
             }
             SimError::TraceIo { path, message } => {
                 write!(f, "trace file {}: {message}", path.display())
+            }
+            SimError::InvalidEnv { var, value, expected } => {
+                write!(f, "invalid {var}=`{value}`: expected {expected}")
             }
         }
     }
@@ -132,6 +145,16 @@ mod tests {
         let e = SimError::TraceIo { path: PathBuf::from("/tmp/t.asdt"), message: "boom".into() };
         assert!(e.to_string().contains("t.asdt"));
         assert!(e.to_string().contains("boom"));
+    }
+
+    #[test]
+    fn display_invalid_env() {
+        let e = SimError::InvalidEnv {
+            var: "ASD_SWEEP_THREADS".into(),
+            value: "lots".into(),
+            expected: "a positive integer".into(),
+        };
+        assert_eq!(e.to_string(), "invalid ASD_SWEEP_THREADS=`lots`: expected a positive integer");
     }
 
     #[test]

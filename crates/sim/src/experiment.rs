@@ -39,15 +39,28 @@ pub fn run_custom(
     label: &str,
     opts: &RunOpts,
 ) -> Result<RunResult, SimError> {
+    run_built(profile, cfg, label, opts, |cfg| System::new(cfg, profile, opts))
+}
+
+/// [`run_custom`] with the system, when one must be simulated, built by
+/// `build` from the configuration: the pipeline executor's builder reads
+/// the run's trace memo.
+pub(crate) fn run_built(
+    profile: &WorkloadProfile,
+    cfg: SystemConfig,
+    label: &str,
+    opts: &RunOpts,
+    build: impl FnOnce(SystemConfig) -> Result<System, SimError>,
+) -> Result<RunResult, SimError> {
     let Some(key) = crate::cache::key(&cfg, profile, opts) else {
-        return Ok(System::new(cfg, profile, opts)?.with_label(label).run());
+        return Ok(build(cfg)?.with_label(label).run());
     };
     match crate::cache::global().claim(&key, label) {
         crate::cache::Claim::Hit(hit) => Ok(*hit),
         crate::cache::Claim::Lead(lease) => {
             // A `?` here drops the lease un-completed, releasing joiners
             // to re-claim and surface the same error themselves.
-            let result = System::new(cfg, profile, opts)?.with_label(label).run();
+            let result = build(cfg)?.with_label(label).run();
             lease.complete(&result);
             Ok(result)
         }

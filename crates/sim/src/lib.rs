@@ -36,6 +36,7 @@ mod config;
 mod error;
 pub mod experiment;
 pub mod figures;
+mod memo;
 pub mod pipeline;
 pub mod report;
 pub mod slh_study;

@@ -22,6 +22,16 @@
 //!   ones. Node results are freed as soon as their last consumer
 //!   assembles ([`PipelineStats::peak_live_jobs`] tracks the high-water
 //!   mark).
+//! - **A trace memo per run.** Nodes that differ only in system
+//!   configuration read one generated trace per thread. The run counts
+//!   each trace's readers before its workers start; the first reader
+//!   generates the trace, packed 8 bytes per access, and the last reader to
+//!   finish frees it, so a run holds only the traces of nodes between
+//!   their first and last reader ([`PipelineStats::traces_generated`],
+//!   [`PipelineStats::traces_served`],
+//!   [`PipelineStats::peak_trace_bytes`]). `ASD_RUN_CACHE=0` turns the
+//!   memo off with the run cache, and every node streams from the
+//!   generator.
 //! - **Deterministic output.** [`Pipeline::run`] returns outputs in
 //!   submission order, and `assemble` receives one result per job, in job
 //!   order, each re-stamped with its job's label — whatever the thread
@@ -29,19 +39,23 @@
 //!   submitted plan's earliest job-order error.
 //!
 //! Workers come from [`Pipeline::with_threads`], else the
-//! `ASD_SWEEP_THREADS` environment variable, else the machine's available
-//! parallelism; one worker runs everything on the calling thread.
+//! `ASD_SWEEP_THREADS` environment variable, which must be a positive
+//! integer ([`SimError::InvalidEnv`] otherwise), else the machine's
+//! available parallelism; one worker runs everything on the calling
+//! thread.
 //!
-//! Node execution goes through [`crate::experiment::run_custom`], which
-//! adds the cache's *single-flight* registry: even two independent
-//! `Pipeline`s (e.g. concurrent `asd-serve` jobs) computing the same key
-//! run one simulation, with the loser joining the winner's in-flight run
-//! (see [`RunCache::flight_stats`](crate::cache::RunCache::flight_stats)).
+//! Node execution goes through the run cache the way
+//! [`crate::experiment::run_custom`] does, which adds the cache's
+//! *single-flight* registry: even two independent `Pipeline`s (e.g.
+//! concurrent `asd-serve` jobs) computing the same key run one
+//! simulation, with the loser joining the winner's in-flight run (see
+//! [`RunCache::flight_stats`](crate::cache::RunCache::flight_stats)).
 
 use crate::config::{RunOpts, SystemConfig};
 use crate::error::SimError;
-use crate::experiment::run_custom;
-use crate::system::RunResult;
+use crate::experiment::run_built;
+use crate::memo::TraceMemo;
+use crate::system::{RunResult, System};
 use asd_trace::WorkloadProfile;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -177,6 +191,15 @@ pub struct PipelineStats {
     /// High-water mark of node results held live at once (results are
     /// freed as their last consuming plan assembles).
     pub peak_live_jobs: usize,
+    /// Per-thread traces the run's memo generated: one per distinct
+    /// `(profile, seed, thread, accesses)` its simulated nodes read.
+    pub traces_generated: u64,
+    /// Trace reads the memo served without generating.
+    pub traces_served: u64,
+    /// The most bytes of memoized trace records the run held at once
+    /// (traces are freed after their last reader, so this depends on how
+    /// the workers interleave).
+    pub peak_trace_bytes: usize,
 }
 
 /// One finished plan out of [`Pipeline::run`].
@@ -263,7 +286,7 @@ impl<T: Send> Pipeline<T> {
 
     /// Override the worker-thread count (defaults to `ASD_SWEEP_THREADS`
     /// or the machine's available parallelism); `1` runs every job on the
-    /// calling thread.
+    /// calling thread. An explicit count ignores `ASD_SWEEP_THREADS`.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
@@ -344,8 +367,10 @@ impl<T: Send> Pipeline<T> {
     ///
     /// # Errors
     ///
-    /// The earliest submitted plan's earliest job-order [`SimError`], or
-    /// the first plan's assembly error.
+    /// [`SimError::InvalidEnv`] before any node runs, when no thread count
+    /// was given and `ASD_SWEEP_THREADS` is set to anything but a positive
+    /// integer; else the earliest submitted plan's earliest job-order
+    /// [`SimError`], or the first plan's assembly error.
     pub fn run(self, clock: &(dyn Fn() -> f64 + Sync)) -> Result<PipelineRun<T>, SimError> {
         self.run_observed(clock, &|_, _| {})
     }
@@ -367,7 +392,14 @@ impl<T: Send> Pipeline<T> {
     ) -> Result<PipelineRun<T>, SimError> {
         let Pipeline { nodes, figures, submitted, joins, threads, .. } = self;
         let total = nodes.len();
-        let workers = threads.unwrap_or_else(worker_count).clamp(1, total.max(1));
+        let workers = match threads {
+            Some(n) => n,
+            None => worker_count()?,
+        }
+        .clamp(1, total.max(1));
+        let mut memo = TraceMemo::default();
+        let reads: Vec<Vec<usize>> =
+            nodes.iter().map(|n| memo.register(&n.cfg, &n.profile, &n.opts)).collect();
 
         let slots: Vec<ResultSlot> = (0..total).map(|_| Mutex::new(None)).collect();
         let outputs: Vec<OutputSlot<T>> = figures.iter().map(|_| Mutex::new(None)).collect();
@@ -388,6 +420,8 @@ impl<T: Send> Pipeline<T> {
         };
         let exec = Exec {
             nodes: &nodes,
+            reads: &reads,
+            memo: &memo,
             figures: &figures,
             consumers_of: &consumers_of,
             slots: &slots,
@@ -436,6 +470,7 @@ impl<T: Send> Pipeline<T> {
         let track = exec.track;
         // asd-lint: allow(D005) -- the scope joined all workers, so the tracker lock is not poisoned
         let peak = track.lock().expect("tracker poisoned").peak;
+        let (traces_generated, traces_served, peak_trace_bytes) = memo.stats();
         Ok(PipelineRun {
             figures: out,
             stats: PipelineStats {
@@ -444,6 +479,9 @@ impl<T: Send> Pipeline<T> {
                 unique_jobs: total,
                 inflight_joins: joins,
                 peak_live_jobs: peak,
+                traces_generated,
+                traces_served,
+                peak_trace_bytes,
             },
         })
     }
@@ -451,13 +489,24 @@ impl<T: Send> Pipeline<T> {
 
 /// Default worker count: `ASD_SWEEP_THREADS` if set, else the machine's
 /// available parallelism.
-fn worker_count() -> usize {
-    if let Ok(v) = std::env::var("ASD_SWEEP_THREADS") {
-        if let Ok(n) = v.parse::<usize>() {
-            return n.max(1);
-        }
+///
+/// # Errors
+///
+/// [`SimError::InvalidEnv`] when the variable is set to anything but a
+/// positive integer.
+fn worker_count() -> Result<usize, SimError> {
+    const VAR: &str = "ASD_SWEEP_THREADS";
+    match std::env::var_os(VAR) {
+        Some(raw) => match raw.to_str().and_then(|v| v.parse::<usize>().ok()) {
+            Some(n) if n > 0 => Ok(n),
+            _ => Err(SimError::InvalidEnv {
+                var: VAR.to_string(),
+                value: raw.to_string_lossy().into_owned(),
+                expected: "a positive integer".to_string(),
+            }),
+        },
+        None => Ok(std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)),
     }
-    std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
 }
 
 /// A shrinking-chunk work cursor over `total` nodes.
@@ -523,6 +572,10 @@ struct Track {
 /// touching the tracker.
 struct Exec<'a, T> {
     nodes: &'a [Node],
+    /// The memo traces each node reads, in thread order (none when it
+    /// streams from a file or the memo is off).
+    reads: &'a [Vec<usize>],
+    memo: &'a TraceMemo,
     figures: &'a [Planned<T>],
     consumers_of: &'a [Vec<usize>],
     slots: &'a [ResultSlot],
@@ -575,9 +628,21 @@ impl<T> Exec<'_, T> {
 
     /// Run node `index` and deposit its result, readying (or failing)
     /// any plan whose last dependency this was, then report progress.
+    /// The node reads its generated traces from the run's memo, and gives
+    /// each back when it finishes, however it finished.
     fn run_node(&self, index: usize) {
         let node = &self.nodes[index];
-        let result = run_custom(&node.profile, node.cfg.clone(), &node.label, &node.opts);
+        let reads = &self.reads[index];
+        let result = run_built(&node.profile, node.cfg.clone(), &node.label, &node.opts, |cfg| {
+            if reads.is_empty() {
+                System::new(cfg, &node.profile, &node.opts)
+            } else {
+                Ok(System::build(cfg, self.memo.resolve(reads)))
+            }
+        });
+        for &id in reads {
+            self.memo.release(id);
+        }
         let ok = result.is_ok();
         {
             // asd-lint: allow(D005) -- slot poisoning means a sibling worker panicked mid-run; propagating is correct

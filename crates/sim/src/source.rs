@@ -105,6 +105,12 @@ fn trace_io(path: &Path, e: &TraceIoError) -> SimError {
     SimError::TraceIo { path: path.to_path_buf(), message: e.to_string() }
 }
 
+/// The generator of `thread`'s accesses in a run of `profile` under base
+/// seed `seed`.
+pub(crate) fn thread_generator(profile: &WorkloadProfile, seed: u64, thread: u8) -> TraceGenerator {
+    TraceGenerator::new(profile.clone(), thread_seed(seed, thread)).with_thread(thread)
+}
+
 /// A [`TraceSource`] resolved into concrete per-thread streams.
 pub struct ResolvedTrace {
     /// Benchmark name for run labelling (from the profile or the ASDT
@@ -125,29 +131,22 @@ impl std::fmt::Debug for ResolvedTrace {
 }
 
 impl ResolvedTrace {
-    /// In-memory generation: one seeded generator per thread, exactly the
-    /// streams [`System::new`](crate::System::new) has always built. When
-    /// the run cache is enabled the stream is served from the trace memo
-    /// of the process-wide run cache ([`crate::cache::global`]) — runs
-    /// that differ only in system configuration then share one packed
-    /// trace per thread.
+    /// In-memory generation: one seeded generator per thread
+    /// ([`asd_trace::thread_seed`]), streamed as the run consumes it. A
+    /// pipeline run serves the same accesses to its nodes from a trace
+    /// memo of its own, so that runs differing only in system
+    /// configuration generate each trace once.
     pub fn generated(profile: &WorkloadProfile, seed: u64, threads: u8, accesses: u64) -> Self {
         let streams = (0..threads)
-            .map(|t| match crate::cache::global().trace(profile, seed, t, accesses) {
-                Some(records) => TraceStream::packed(records, t),
-                None => TraceStream::generated(
-                    TraceGenerator::new(profile.clone(), thread_seed(seed, t)).with_thread(t),
-                    accesses,
-                ),
-            })
+            .map(|t| TraceStream::generated(thread_generator(profile, seed, t), accesses))
             .collect();
         ResolvedTrace { benchmark: profile.name.clone(), streams }
     }
 
     /// File replay: one pass over the file decodes and verifies every
     /// record and routes it into its thread's buffer, which the run then
-    /// reads from memory. Costs 16 B per access per thread, twice the
-    /// generate path's packed trace memo.
+    /// reads from memory. Costs 16 B per access per thread, twice a
+    /// pipeline's packed trace memo.
     fn replayed(path: &Path, threads: u8, accesses: u64) -> Result<Self, SimError> {
         let io = |e: TraceIoError| trace_io(path, &e);
         let mismatch = |message: String| SimError::TraceIo { path: path.to_path_buf(), message };
@@ -230,7 +229,7 @@ enum StreamSrc {
     /// the generator's state is an order of magnitude larger than the
     /// other variants').
     Generated { gen: Box<TraceGenerator>, remaining: u64 },
-    /// A run cache's trace memo entry: the records the generator would
+    /// A pipeline run's trace memo entry: the records the generator would
     /// produce, packed, made once and shared; `taken` records unpacked so
     /// far, each as an access of `thread`.
     Packed { records: Arc<[PackedAccess]>, thread: u8, taken: usize },
@@ -245,12 +244,12 @@ impl TraceStream {
     }
 
     /// A stream of the next `accesses` records of `gen`.
-    fn generated(gen: TraceGenerator, accesses: u64) -> Self {
+    pub(crate) fn generated(gen: TraceGenerator, accesses: u64) -> Self {
         TraceStream::new(StreamSrc::Generated { gen: Box::new(gen), remaining: accesses })
     }
 
     /// A stream unpacking a memoized trace of `thread`.
-    fn packed(records: Arc<[PackedAccess]>, thread: u8) -> Self {
+    pub(crate) fn packed(records: Arc<[PackedAccess]>, thread: u8) -> Self {
         TraceStream::new(StreamSrc::Packed { records, thread, taken: 0 })
     }
 
@@ -328,16 +327,16 @@ mod tests {
 
     #[test]
     fn memoized_stream_matches_the_generator() {
-        let cache = crate::cache::RunCache::default();
-        let Some(records) = cache.trace(&tpcc(), 0x5eed, 1, 100_000) else {
-            return; // the memo is off
-        };
+        let mut memo = crate::memo::TraceMemo::default();
+        let id = memo.add_reader(&tpcc(), 0x5eed, 1, 100_000);
         // 100,000 records end in a partial chunk; thread 1 comes back from
         // the stream, not from the records.
-        let streamed: Vec<MemAccess> = TraceStream::packed(records, 1).collect();
-        let generated =
-            TraceGenerator::new(tpcc(), thread_seed(0x5eed, 1)).with_thread(1).generate(100_000);
+        let resolved = memo.resolve(&[id]);
+        assert_eq!(resolved.benchmark, "tpcc");
+        let streamed: Vec<MemAccess> = resolved.streams.into_iter().flatten().collect();
+        let generated = thread_generator(&tpcc(), 0x5eed, 1).generate(100_000);
         assert!(streamed == generated, "the memoized stream diverges from the generator");
+        assert_eq!(memo.stats().0, 1, "the stream came from the memo");
     }
 
     #[test]

@@ -180,7 +180,9 @@ impl System {
         Ok(Self::build(cfg, resolved))
     }
 
-    fn build(cfg: SystemConfig, resolved: ResolvedTrace) -> Self {
+    /// Build a system over already resolved streams (`cfg.trace` is not
+    /// consulted).
+    pub(crate) fn build(cfg: SystemConfig, resolved: ResolvedTrace) -> Self {
         let ResolvedTrace { benchmark, streams } = resolved;
         let mut mc_cfg = cfg.mc.clone();
         mc_cfg.threads = streams.len();

@@ -74,9 +74,12 @@ run env ASD_FIGURES_JSON=- ASD_ARENA_ENGINES=asd,stream-table ASD_ARENA_PROFILES
 
 # Pipeline smoke: the same figure set on one worker thread and on two
 # must be byte-identical on stdout, and the job graph must actually
-# deduplicate (fig5/fig13/arena overlap on their NP points). The JSON
-# bookkeeping blocks (wall times, dedup counters) legitimately differ;
-# tests/pipeline_modes.rs compares the per-figure metrics blocks.
+# deduplicate (fig5/fig13/arena overlap on their NP points). The run's
+# trace memo must generate and serve the same nonzero number of traces
+# on both: a memo that regenerated a trace, or freed one before its last
+# reader, under concurrency would count more. The other JSON bookkeeping
+# (wall times, peak counts) legitimately differs; tests/pipeline_modes.rs
+# compares the per-figure metrics blocks.
 pipedir="$(mktemp -d)"
 for threads in 1 2; do
     echo "==> figures fig5 fig13 arena (ASD_SWEEP_THREADS=$threads)"
@@ -91,6 +94,15 @@ if grep -q '"inflight_joins":0[,}]' "$pipedir/t2.json"; then
     echo "pipeline smoke: the job graph found no in-flight joins to share"
     exit 1
 fi
+for key in trace_misses trace_hits; do
+    one="$(grep -o "\"$key\":[0-9]*" "$pipedir/t1.json" || true)"
+    two="$(grep -o "\"$key\":[0-9]*" "$pipedir/t2.json" || true)"
+    echo "==> $key: $one on 1 thread, $two on 2"
+    if [[ -z "$one" || "$one" != "$two" || "$one" == "\"$key\":0" ]]; then
+        echo "pipeline smoke: $key must be equal and nonzero on 1 and 2 threads"
+        exit 1
+    fi
+done
 rm -rf "$pipedir"
 
 # Sweep-daemon smoke: spawn asd-serve on an ephemeral port, run the same

@@ -1,8 +1,9 @@
 //! Edge-case tests for the job executor ([`asd_sim::pipeline`]): empty
 //! figure sets, zero-job figures, duplicate labels, uncacheable
 //! (trace-sourced) jobs, error selection (the earliest failing job of the
-//! earliest submitted plan), and deterministic output order under a
-//! threaded run. Submission-time dedup with its cache accounting lives in
+//! earliest submitted plan), deterministic output order under a threaded
+//! run, and the run's trace memo (each trace generated once, and freed
+//! after its last reader). Submission-time dedup with its cache accounting lives in
 //! `tests/pipeline_dedup.rs`, a binary of its own, because it asserts
 //! exact deltas of process-wide counters that sibling tests here move.
 //!
@@ -194,4 +195,57 @@ fn threaded_run_returns_figures_in_submission_order() {
     let run = pipe.run(&|| 0.0).unwrap();
     let got: Vec<&str> = run.figures.iter().map(|f| f.name.as_str()).collect();
     assert_eq!(got, names, "output order is submission order, not completion order");
+}
+
+/// One job per (profile, configuration) pair, profiles outer.
+fn grid(profiles: &[&str], kinds: &[PrefetchKind]) -> Vec<Job> {
+    let mut jobs = Vec::new();
+    for name in profiles {
+        let profile = suites::by_name(name).unwrap();
+        for &kind in kinds {
+            jobs.push(Job::new(&profile, SystemConfig::for_kind(kind, 1), kind.name()));
+        }
+    }
+    jobs
+}
+
+#[test]
+fn a_trace_is_freed_after_its_last_reader_not_at_the_end_of_the_run() {
+    if !cache::enabled() {
+        return; // the trace memo is off with the run cache
+    }
+    // Jobs reading traces A, A, B, on one worker, which runs them in
+    // order: if A were kept to the end of the run, the run would hold A
+    // and B at once.
+    let o = opts(10);
+    let jobs = grid(&["milc"], &[PrefetchKind::Np, PrefetchKind::Pms])
+        .into_iter()
+        .chain(grid(&["lbm"], &[PrefetchKind::Np]))
+        .collect();
+    let run = Pipeline::sweep(&o, jobs).with_threads(1).run(&|| 0.0).unwrap();
+    assert_eq!(run.stats.traces_generated, 2);
+    assert_eq!(run.stats.traces_served, 1, "the second job reads A from the memo");
+    assert_eq!(
+        run.stats.peak_trace_bytes,
+        3_000 * 8,
+        "one trace at a time: A is freed before B is generated"
+    );
+}
+
+#[test]
+fn looped_threaded_runs_generate_each_shared_trace_once() {
+    if !cache::enabled() {
+        return; // the trace memo is off with the run cache
+    }
+    // Four workers race for two traces, four readers each, in every run:
+    // a memo that regenerated a trace, or freed one before its last
+    // reader, would count a third generation.
+    for i in 0..20 {
+        let o = RunOpts { seed: 0x0091_bf00 + i, ..RunOpts::default() }.with_accesses(2_000);
+        let jobs = grid(&["milc", "tpcc"], &PrefetchKind::ALL);
+        let run = Pipeline::sweep(&o, jobs).with_threads(4).run(&|| 0.0).unwrap();
+        let counts = (run.stats.traces_generated, run.stats.traces_served);
+        assert_eq!(counts, (2, 6), "run {i}: (generated, served)");
+        assert!(run.stats.peak_trace_bytes <= 2 * 2_000 * 8, "run {i}");
+    }
 }

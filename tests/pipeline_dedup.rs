@@ -1,10 +1,11 @@
 //! Submission-time dedup in the job-graph pipeline
-//! ([`asd_sim::pipeline`]), with its run-cache accounting.
+//! ([`asd_sim::pipeline`]), with its run-cache and trace-memo accounting.
 //!
-//! The test asserts exact deltas of the process-wide run cache's run and
-//! trace-memo counters, which any concurrent simulation in the same
-//! process moves. It is therefore the only test in this binary: cargo
-//! runs each test binary in a process of its own.
+//! The test asserts exact deltas of the process-wide run cache's
+//! counters, which any concurrent simulation in the same process moves.
+//! It is therefore the only test in this binary: cargo runs each test
+//! binary in a process of its own. The trace counts belong to the run
+//! itself ([`asd_sim::pipeline::PipelineStats`]).
 
 use asd_sim::pipeline::{FigureOutput, FigurePlan, Job, Pipeline};
 use asd_sim::{cache, PrefetchKind, RunOpts, SystemConfig};
@@ -41,17 +42,16 @@ fn duplicate_jobs_across_figures_simulate_once() {
     assert_eq!(pipe.inflight_joins(), 1);
 
     let (hits_before, misses_before) = cache::global().stats();
-    let (trace_hits_before, trace_misses_before) = cache::global().trace_stats();
     let run = pipe.run(&|| 0.0).unwrap();
     let (hits_after, misses_after) = cache::global().stats();
-    let (trace_hits_after, trace_misses_after) = cache::global().trace_stats();
     // One node, one simulation: the fresh key misses exactly once and the
     // joined figure never touches the cache again.
     assert_eq!(misses_after - misses_before, 1, "exactly one simulation ran");
     assert_eq!(hits_after - hits_before, 0, "the duplicate joined; it did not re-look-up");
     // That simulation generated its one fresh trace; nothing else asked.
-    assert_eq!(trace_misses_after - trace_misses_before, 1, "one trace generated");
-    assert_eq!(trace_hits_after - trace_hits_before, 0, "no trace served twice");
+    assert_eq!(run.stats.traces_generated, 1, "one trace generated");
+    assert_eq!(run.stats.traces_served, 0, "no trace served twice");
+    assert_eq!(run.stats.peak_trace_bytes, 3_000 * 8, "8 bytes per access");
     assert_eq!(run.stats.peak_live_jobs, 1);
     let first = run.figures[0].output.text.strip_prefix("first").unwrap();
     let second = run.figures[1].output.text.strip_prefix("second").unwrap();

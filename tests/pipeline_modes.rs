@@ -6,7 +6,9 @@
 //!
 //! `ASD_RUN_CACHE` is latched once per process, so every combination
 //! spawns the real binary (`CARGO_BIN_EXE_figures`) as a subprocess with
-//! its own environment.
+//! its own environment. So does the check that an invalid
+//! `ASD_SWEEP_THREADS` is an error, which keeps the variable out of this
+//! process.
 
 use asd_bench::json::Value;
 use std::path::PathBuf;
@@ -156,4 +158,23 @@ fn full_catalog_matches_across_thread_counts() {
     );
     assert_eq!(figure_metrics(&serial.doc), figure_metrics(&parallel.doc));
     assert!(pipeline_stat(&parallel.doc, "inflight_joins") > 0.0);
+}
+
+#[test]
+fn an_invalid_thread_count_is_an_error() {
+    for value in ["0", "-1", "two", "", "1.5"] {
+        let out = Command::new(BIN)
+            .arg("cost")
+            .env("ASD_SWEEP_THREADS", value)
+            .env("ASD_FIGURES_JSON", "-")
+            .output()
+            .expect("spawn figures binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "ASD_SWEEP_THREADS={value:?}\nstderr:\n{stderr}");
+        assert!(
+            stderr.contains(&format!("invalid ASD_SWEEP_THREADS=`{value}`: expected a positive")),
+            "ASD_SWEEP_THREADS={value:?}: the error names the variable and the value\n{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "ASD_SWEEP_THREADS={value:?}: no figure printed");
+    }
 }

@@ -1,8 +1,8 @@
 //! End-to-end integration tests for the `asd-serve` daemon: bit-identity
 //! across cold cache and warm disk cache, restart with zero new
 //! simulation runs, disk-record corruption recovery, the typed
-//! error surface, graceful shutdown, the trace corpus, and the pinned
-//! CLI exit codes.
+//! error surface, graceful shutdown (also with an idle client connected),
+//! the trace corpus, and the pinned CLI exit codes.
 //!
 //! Every test spawns the real binary (`CARGO_BIN_EXE_asd-serve`) as a
 //! subprocess: the run cache's memory tier is process-wide, so a fresh
@@ -10,8 +10,10 @@
 
 use asd_serve::client::{bench_specs, reference_doc, spawn_daemon, Client, DaemonHandle};
 use asd_serve::{JobSpec, ServeError};
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::time::Duration;
 
 const BIN: &str = env!("CARGO_BIN_EXE_asd-serve");
 
@@ -205,6 +207,28 @@ fn shutdown_drains_inflight_jobs_then_refuses_new_work() {
     }
     drop(submitter);
     assert_eq!(d.wait_exit().expect("exit"), 0, "clean exit after drain");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn shutdown_ends_idle_connections_at_once() {
+    let dir = scratch("idle");
+    // The default read timeout (30 s) is what an idle connection would
+    // hold the process for if the drain waited out its handler's read.
+    let d = daemon(&dir);
+    let idle = TcpStream::connect(&d.addr).expect("connect the idle client");
+    // Connections are accepted in order, so once this one is answered a
+    // handler holds the idle one, blocked in its read.
+    let mut controller = Client::connect(&d.addr).expect("connect");
+    controller.ping().expect("ping");
+    // asd-lint: allow(D001) -- timing the daemon's exit on the host clock, not simulated time
+    let asked = std::time::Instant::now();
+    controller.shutdown().expect("shutdown accepted");
+    drop(controller);
+    assert_eq!(d.wait_exit().expect("exit"), 0, "clean exit after drain");
+    let took = asked.elapsed();
+    assert!(took < Duration::from_secs(5), "exit took {took:?} with an idle connection open");
+    drop(idle);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
