@@ -45,39 +45,14 @@
 //! and workload set — the CI smoke runs 2 engines over 2 profiles.
 
 use asd_bench::full_opts;
-use asd_bench::json::Value;
 use asd_sim::arena::{arena_plan, default_roster};
-use asd_sim::figures::plan_sized;
+use asd_sim::figures::{plan_sized, CATALOG};
 use asd_sim::pipeline::{FigureOutput, FigurePlan, MetricValue, Pipeline, PipelineStats};
 use asd_sim::RunOpts;
+use asd_telemetry::json::Value;
 use asd_telemetry::{names, Registry, TelemetryConfig, Unit};
 use asd_trace::suites;
 use std::time::Instant;
-
-/// Every figure the binary can regenerate, in print order (`all` runs
-/// the whole list top to bottom; a subset keeps this relative order).
-const CATALOG: [&str; 20] = [
-    "fig2",
-    "fig3",
-    "fig5",
-    "fig8",
-    "fig6",
-    "fig9",
-    "fig7",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "fig15",
-    "fig16",
-    "cost",
-    "sched",
-    "arena",
-    "telemetry",
-    "ablations",
-    "smt",
-];
 
 /// Collects one record per regenerated figure. Wall-clock times live on a
 /// telemetry registry (`bench.<figure>.wall_ms` gauges), and the JSON

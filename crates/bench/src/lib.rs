@@ -10,14 +10,16 @@
 //!   `std::time` harness — the workspace has no external dependencies)
 //!   times one reduced-size regeneration of each figure, so `cargo bench`
 //!   exercises the entire experimental surface.
+//!
+//! The figure names live in `asd_sim::figures::CATALOG`, and the bench
+//! report is written through `asd_telemetry::json`, the workspace's one
+//! JSON codec.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 use asd_sim::RunOpts;
-
-pub mod json;
 
 /// Run options for the publication-size tables printed by the binary.
 pub fn full_opts() -> RunOpts {
@@ -30,12 +32,6 @@ pub fn bench_opts() -> RunOpts {
     RunOpts::default().with_accesses(4_000)
 }
 
-/// The figure identifiers the harness understands.
-pub const FIGURES: [&str; 17] = [
-    "fig2", "fig3", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
-    "fig14", "fig15", "fig16", "cost", "sched", "arena",
-];
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -43,13 +39,5 @@ mod tests {
     #[test]
     fn opts_are_ordered() {
         assert!(full_opts().accesses > bench_opts().accesses);
-    }
-
-    #[test]
-    fn figure_list_is_complete() {
-        assert!(FIGURES.contains(&"fig2"));
-        assert!(FIGURES.contains(&"fig16"));
-        assert!(FIGURES.contains(&"cost"));
-        assert!(FIGURES.contains(&"arena"));
     }
 }

@@ -13,11 +13,8 @@
 //! and undocumented exported sim types.
 //!
 //! The pipeline is `lexer` → [`parse`] (per-file [`parse::FileSummary`]
-//! digests, cacheable) → [`semantic`] (workspace symbol table, call
-//! graph, graph lints, suppression). The [`cache`] module persists the
-//! digests keyed by content hash, so a re-lint of an unchanged tree skips
-//! lexing and parsing entirely; the semantic pass always recomputes, so
-//! output is bit-identical with the cache hot, cold, or disabled.
+//! digests) → [`semantic`] (workspace symbol table, call graph, graph
+//! lints, suppression). Every run lexes and parses every file.
 //! [`output`] renders SARIF 2.1.0 and JSON for CI.
 //!
 //! Three entry points, one implementation:
@@ -38,7 +35,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod cache;
 pub mod lexer;
 pub mod lints;
 pub mod output;
@@ -60,10 +56,6 @@ pub struct Report {
     pub files_scanned: usize,
     /// Number of crate manifests checked.
     pub manifests_checked: usize,
-    /// Files whose summary was replayed from the incremental cache.
-    pub cache_hits: usize,
-    /// Files that were lexed and parsed fresh this run.
-    pub cache_misses: usize,
 }
 
 impl Report {
@@ -72,9 +64,8 @@ impl Report {
         self.findings.is_empty()
     }
 
-    /// Render the report the way the CLI prints it. Deliberately does
-    /// not mention cache state: stdout must be bit-identical whether the
-    /// cache was hot, cold, or disabled (`--stats` goes to stderr).
+    /// Render the report the way the CLI prints it: one line per finding,
+    /// then the finding, file and manifest counts.
     pub fn render(&self) -> String {
         let mut out = String::new();
         for f in &self.findings {
@@ -107,18 +98,10 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
     None
 }
 
-/// Lint the workspace with the incremental cache enabled (the default
-/// entry point — equivalent to [`run_workspace_with`]`(root, true)`).
-pub fn run_workspace(root: &Path) -> io::Result<Report> {
-    run_workspace_with(root, true)
-}
-
 /// Lint every `crates/*/src`, `crates/*/tests`, `crates/*/benches`,
 /// workspace `tests/`, and workspace `examples/` file, plus every crate
-/// manifest, under `root`. With `use_cache`, per-file summaries are
-/// replayed from `target/asd-lint/` when the file is unchanged (size +
-/// mtime, falling back to a content hash) and persisted after the run.
-pub fn run_workspace_with(root: &Path, use_cache: bool) -> io::Result<Report> {
+/// manifest, under `root`.
+pub fn run_workspace(root: &Path) -> io::Result<Report> {
     let mut findings = Vec::new();
     let mut manifests_checked = 0usize;
     // Workspace-level [[test]]/[[example]] targets declared by a crate
@@ -182,37 +165,13 @@ pub fn run_workspace_with(root: &Path, use_cache: bool) -> io::Result<Report> {
         }
     }
 
-    // Per-file summaries: replayed from the cache when fresh, parsed
-    // otherwise. The semantic pass below always runs over the full set,
-    // so cross-file lints see every edit regardless of cache state.
-    let mut store = if use_cache { cache::Store::load(root) } else { cache::Store::default() };
     let mut summaries: Vec<parse::FileSummary> = Vec::with_capacity(units.len());
-    let mut cache_hits = 0usize;
-    let mut cache_misses = 0usize;
     for (file, rel_path, crate_name, kind) in &units {
-        let stat = if use_cache { cache::stat_key(file) } else { None };
-        let cached = stat.and_then(|(size, mtime_ns)| {
-            store
-                .lookup(rel_path, size, mtime_ns, || fs::read(file).ok().map(|b| cache::fnv1a(&b)))
-                .cloned()
-        });
-        if let Some(summary) = cached {
-            cache_hits += 1;
-            summaries.push(summary);
-            continue;
-        }
-        cache_misses += 1;
-        let src = fs::read_to_string(file)?;
-        let lexed = lexer::lex(&src);
-        let summary =
-            parse::summarize(FileContext { path: rel_path, crate_name, kind: *kind }, &lexed);
-        if let Some((size, mtime_ns)) = stat {
-            store.put(size, mtime_ns, cache::fnv1a(src.as_bytes()), summary.clone());
-        }
-        summaries.push(summary);
-    }
-    if use_cache && cache_misses > 0 {
-        store.save(root);
+        let lexed = lexer::lex(&fs::read_to_string(file)?);
+        summaries.push(parse::summarize(
+            FileContext { path: rel_path, crate_name, kind: *kind },
+            &lexed,
+        ));
     }
 
     findings.extend(semantic::analyze(&summaries));
@@ -221,7 +180,7 @@ pub fn run_workspace_with(root: &Path, use_cache: bool) -> io::Result<Report> {
     // Two identical constructs on one line (e.g. chained `.expect()`s)
     // produce identical findings; report each site once.
     findings.dedup();
-    Ok(Report { findings, files_scanned: units.len(), manifests_checked, cache_hits, cache_misses })
+    Ok(Report { findings, files_scanned: units.len(), manifests_checked })
 }
 
 /// `path = "../../tests/sweep.rs"` in a manifest target section →

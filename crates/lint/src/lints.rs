@@ -108,8 +108,8 @@ pub const CATALOG: [LintInfo; 15] = [
 ];
 
 /// The canonical one-line fix hint for each lint code. Findings carry the
-/// hint by value so renderers (text, SARIF) need no lookup, but cached
-/// and parse-level findings are reconstituted through this table.
+/// hint by value so renderers (text, SARIF) need no lookup, but
+/// parse-level findings are reconstituted through this table.
 pub fn hint_for(code: &str) -> &'static str {
     match code {
         "D000" => "use `// asd-lint: allow(Dxxx) -- reason` with a nonempty reason, a known code, and a matching finding",

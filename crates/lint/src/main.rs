@@ -2,13 +2,12 @@
 //!
 //! ```text
 //! cargo run -q -p asd-lint [--catalog] [--format text|json|sarif]
-//!                          [--out FILE] [--no-cache] [--stats] [ROOT]
+//!                          [--out FILE] [ROOT]
 //! ```
 //!
 //! Exits 0 on a clean tree, 1 on findings, 2 on internal errors (bad
-//! flags, unreadable files, missing workspace root). `--stats` prints
-//! scan and cache counters to **stderr**, so stdout stays bit-identical
-//! across cache-hot, cache-cold, and `--no-cache` runs.
+//! flags, unreadable files, missing workspace root). The text report's
+//! last line counts findings, files and manifests.
 
 #![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
@@ -20,8 +19,6 @@ fn main() -> ExitCode {
     let mut root_arg: Option<PathBuf> = None;
     let mut format = "text".to_string();
     let mut out_file: Option<PathBuf> = None;
-    let mut use_cache = true;
-    let mut stats = false;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -34,8 +31,9 @@ fn main() -> ExitCode {
             }
             "--help" | "-h" => {
                 println!("asd-lint: determinism & invariant linter for the ASD workspace");
-                println!("usage: asd-lint [--catalog] [--format text|json|sarif] [--out FILE]");
-                println!("                [--no-cache] [--stats] [ROOT]");
+                println!(
+                    "usage: asd-lint [--catalog] [--format text|json|sarif] [--out FILE] [ROOT]"
+                );
                 println!("suppress per site with: // asd-lint: allow(Dxxx) -- reason");
                 return ExitCode::SUCCESS;
             }
@@ -57,8 +55,6 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--no-cache" => use_cache = false,
-            "--stats" => stats = true,
             other if other.starts_with('-') => {
                 eprintln!("asd-lint: unknown flag `{other}` (see --help)");
                 return ExitCode::from(2);
@@ -82,7 +78,7 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
 
-    match asd_lint::run_workspace_with(&root, use_cache) {
+    match asd_lint::run_workspace(&root) {
         Ok(report) => {
             let rendered = match format.as_str() {
                 "json" => asd_lint::output::to_json(&report),
@@ -96,19 +92,6 @@ fn main() -> ExitCode {
                 }
             } else {
                 print!("{rendered}");
-            }
-            if stats {
-                let total = report.cache_hits + report.cache_misses;
-                let rate =
-                    if total == 0 { 0.0 } else { 100.0 * report.cache_hits as f64 / total as f64 };
-                eprintln!(
-                    "asd-lint: stats: {} files, {} manifests, cache {} hit / {} miss ({rate:.1}% hit rate{})",
-                    report.files_scanned,
-                    report.manifests_checked,
-                    report.cache_hits,
-                    report.cache_misses,
-                    if use_cache { "" } else { ", cache disabled" },
-                );
             }
             if report.is_clean() {
                 ExitCode::SUCCESS

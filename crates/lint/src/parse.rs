@@ -9,8 +9,7 @@
 //! else (expressions, patterns, generics beyond bracket matching) is
 //! skipped structurally.
 //!
-//! The output is a [`FileSummary`]: a flat, serialisable digest of one
-//! file. Summaries are what the incremental cache stores and what
+//! The output is a [`FileSummary`]: a flat digest of one file, which
 //! [`crate::semantic`] stitches into the workspace symbol table and call
 //! graph. Local (single-file) lints that need item structure — D011
 //! (order-sensitive float reductions) and D014 (doc coverage of exported
@@ -122,7 +121,7 @@ pub struct CounterOp {
 
 /// A single-file finding recorded at parse time (codes whose evidence is
 /// entirely local). The display `hint` is recovered from the catalog by
-/// code, so summaries stay compact and cacheable.
+/// code, so summaries stay compact.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LocalFinding {
     /// 1-based line.
@@ -133,8 +132,8 @@ pub struct LocalFinding {
     pub message: String,
 }
 
-/// The per-file digest: everything the semantic pass and the incremental
-/// cache need to know about one source file.
+/// The per-file digest: everything the semantic pass needs to know about
+/// one source file.
 #[derive(Debug, Clone)]
 pub struct FileSummary {
     /// Workspace-relative path.

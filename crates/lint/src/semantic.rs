@@ -2,8 +2,7 @@
 //! transitive/dataflow lints (D010, D012, D013), D014 exposition, and
 //! unified suppression handling.
 //!
-//! Input is a set of [`FileSummary`] digests (from [`crate::parse`],
-//! either freshly parsed or replayed from the incremental cache). The
+//! Input is a set of [`FileSummary`] digests from [`crate::parse`]. The
 //! pass:
 //!
 //! 1. builds a name-indexed **symbol table** of every `fn` in the set and

@@ -14,8 +14,8 @@ use crate::error::ServeError;
 use crate::proto::{
     build_sweep, err_of_value, read_frame, read_json, sweep_doc, write_frame, write_json, JobSpec,
 };
-use asd_bench::json::Value;
 use asd_sim::pipeline::Pipeline;
+use asd_telemetry::json::Value;
 use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 use std::path::Path;

@@ -11,7 +11,7 @@
 
 use crate::error::ServeError;
 use crate::proto::JobSpec;
-use asd_bench::json::Value;
+use asd_telemetry::json::Value;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Condvar, Mutex, MutexGuard};
 

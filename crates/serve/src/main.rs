@@ -14,9 +14,9 @@
 #![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
-use asd_bench::json::{self, Value};
 use asd_serve::client::{spawn_daemon, BenchOpts, Client, LISTEN_BANNER};
 use asd_serve::{Server, ServerConfig};
+use asd_telemetry::json::{self, Value};
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -6,17 +6,21 @@
 //! carry raw bytes under the same framing, with the preceding JSON
 //! exchange establishing their meaning.
 //!
+//! Requests and responses are read and written through
+//! `asd_telemetry::json`, the workspace's one JSON codec, which also
+//! writes the `figures` bench report.
+//!
 //! **Bit-identity.** Responses embed results as [`result_to_value`]
-//! objects rendered by `asd_bench::json` — the same float formatter the
+//! objects rendered by that codec — the same float formatter the
 //! figure pipeline uses, and `f64`'s `Display` round-trips — so
 //! comparing rendered documents is comparing exact bits. Figure, arena,
 //! and ablation jobs return the same rendered text the CLI prints, via
 //! one shared dispatch ([`asd_sim::figures::figure_text`]).
 
 use crate::error::ServeError;
-use asd_bench::json::{self, Value};
 use asd_sim::pipeline::Job;
 use asd_sim::{PrefetchKind, RunOpts, RunResult, SystemConfig};
+use asd_telemetry::json::{self, Value};
 use asd_trace::suites;
 use std::io::{BufRead, Write};
 
@@ -164,8 +168,7 @@ pub enum JobSpec {
     /// One figure/table from the regeneration catalog; the result is its
     /// rendered text.
     Figure {
-        /// Catalog name (`fig2`..`fig16`, `cost`, `sched`, `smt`,
-        /// `ablations`).
+        /// A name from [`asd_sim::figures::CATALOG`].
         figure: String,
         /// Access budget (catalog-specific overrides still apply).
         accesses: u64,
@@ -349,10 +352,7 @@ pub fn validate_spec(spec: &JobSpec) -> Result<(), ServeError> {
             build_sweep(spec)?;
         }
         JobSpec::Figure { figure, .. } => {
-            if !asd_bench::FIGURES.contains(&figure.as_str())
-                && figure != "smt"
-                && figure != "ablations"
-            {
+            if !asd_sim::figures::CATALOG.contains(&figure.as_str()) {
                 return Err(ServeError::MalformedRequest {
                     message: format!("unknown figure `{figure}`"),
                 });
@@ -518,6 +518,15 @@ mod tests {
     }
 
     #[test]
+    fn a_signed_unicode_escape_is_a_malformed_request() {
+        // `\u+065` is three hex digits behind a sign, not an escape.
+        let mut frame = Vec::new();
+        write_frame(&mut frame, br#"{"op":"submit","job":{"kind":"sw\u+065ep"}}"#).unwrap();
+        let err = read_json(&mut BufReader::new(&frame[..])).unwrap_err();
+        assert!(matches!(err, ServeError::MalformedRequest { .. }), "{err:?}");
+    }
+
+    #[test]
     fn spec_roundtrips_through_json() {
         let spec = JobSpec::Sweep {
             benchmarks: vec!["milc".into(), "lbm".into()],
@@ -539,10 +548,16 @@ mod tests {
         let mut v = Value::obj();
         v.set("kind", "teleport");
         assert!(parse_spec(&v).is_err(), "unknown kind");
-        let mut v = Value::obj();
-        v.set("kind", "figure");
-        v.set("figure", "fig99");
-        assert!(parse_spec(&v).is_err(), "unknown figure");
+        let figure = |name: &str| {
+            let mut v = Value::obj();
+            v.set("kind", "figure");
+            v.set("figure", name);
+            parse_spec(&v)
+        };
+        for name in asd_sim::figures::CATALOG {
+            assert!(figure(name).is_ok(), "catalog figure {name} rejected");
+        }
+        assert!(figure("fig99").is_err(), "unknown figure");
         let spec = JobSpec::Sweep {
             benchmarks: vec!["not-a-benchmark".into()],
             configs: vec!["NP".into()],

@@ -29,9 +29,9 @@ use crate::jobs::{JobSnapshot, JobTable};
 use crate::proto::{
     self, err_obj, ok_obj, parse_spec, read_json, write_frame, write_json, JobSpec,
 };
-use asd_bench::json::Value;
 use asd_sim::pipeline::Pipeline;
 use asd_sim::RunOpts;
+use asd_telemetry::json::Value;
 use asd_telemetry::{expo, names, Registry, TelemetryConfig, Unit};
 use asd_trace::suites;
 use std::collections::BTreeMap;

@@ -691,8 +691,35 @@ fn power_plan(name: &str, suite: Suite, title: &'static str, opts: &RunOpts) -> 
     })
 }
 
+/// Every figure name [`plan`] knows, in the order the `figures` binary
+/// prints them (`all` runs the whole list top to bottom; a subset keeps
+/// this relative order). The `asd-serve` daemon accepts exactly these
+/// names for a figure job.
+pub const CATALOG: [&str; 20] = [
+    "fig2",
+    "fig3",
+    "fig5",
+    "fig8",
+    "fig6",
+    "fig9",
+    "fig7",
+    "fig10",
+    "fig11",
+    "fig12",
+    "fig13",
+    "fig14",
+    "fig15",
+    "fig16",
+    "cost",
+    "sched",
+    "arena",
+    "telemetry",
+    "ablations",
+    "smt",
+];
+
 /// The declarative catalog behind [`figure_text`] and the `figures`
-/// binary: one [`FigurePlan`] per figure name. Equivalent to
+/// binary: one [`FigurePlan`] per [`CATALOG`] name. Equivalent to
 /// [`plan_sized`] with the catalog's absolute size overrides applied
 /// (`fig3` at 150 000 accesses, `smt` at 30 000).
 ///
@@ -950,5 +977,18 @@ mod tests {
         assert_eq!(figure_text("cost", &opts).unwrap(), hardware_cost_table());
         assert_eq!(figure_text("fig2", &opts).unwrap(), fig2_slh(&opts).unwrap().1);
         assert!(matches!(figure_text("fig99", &opts), Err(SimError::UnknownFigure { .. })));
+    }
+
+    #[test]
+    fn catalog_names_are_exactly_the_plannable_figures() {
+        for name in CATALOG {
+            assert!(plan(name, &tiny()).is_ok(), "{name} does not plan");
+        }
+        for name in ["fig1", "fig4", "fig99", "all", "", "FIG2", "smt "] {
+            assert!(
+                matches!(plan(name, &tiny()), Err(SimError::UnknownFigure { .. })),
+                "{name:?} plans"
+            );
+        }
     }
 }

@@ -3,7 +3,7 @@
 //! or per-epoch CSV — plus the matching in-tree validators the CI smoke
 //! steps run (the workspace has no external parsers to lean on).
 
-use crate::jsonv::JValue;
+use crate::json::{self, Value};
 use crate::registry::{MetricValue, Snapshot};
 
 /// Format an `f64` for machine-readable output; non-finite values become
@@ -246,22 +246,6 @@ pub mod prom {
 pub mod chrome {
     use super::*;
 
-    fn esc(s: &str) -> String {
-        let mut out = String::with_capacity(s.len());
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out
-    }
-
     /// Render the snapshot's events as instant events and its series as
     /// counter tracks, with the standard process/thread metadata.
     pub fn render(s: &Snapshot) -> String {
@@ -290,11 +274,12 @@ pub mod chrome {
         }
         for m in &s.metrics {
             if let MetricValue::Series(points) = &m.value {
+                let mut name = String::new();
+                json::write_escaped(&m.name, &mut name);
                 for (t, v) in points {
                     ev.push(format!(
-                        "{{\"name\":\"{}\",\"ph\":\"C\",\"ts\":{t},\"pid\":1,\"tid\":0,\
+                        "{{\"name\":{name},\"ph\":\"C\",\"ts\":{t},\"pid\":1,\"tid\":0,\
                          \"args\":{{\"value\":{}}}}}",
-                        esc(&m.name),
                         fmt_f64(*v),
                     ));
                 }
@@ -315,7 +300,7 @@ pub mod chrome {
     /// `ph`/`name` and (except metadata events) a numeric `ts`. Returns
     /// the number of trace events.
     pub fn validate(text: &str) -> Result<usize, String> {
-        let doc = JValue::parse(text).map_err(|e| e.to_string())?;
+        let doc = json::parse(text).map_err(|e| e.to_string())?;
         let events = doc
             .get("traceEvents")
             .and_then(|v| v.as_arr())
@@ -396,7 +381,7 @@ pub mod csv {
 pub mod bench_diff {
     use super::*;
 
-    fn wall_times(doc: &JValue) -> Result<Vec<(String, f64)>, String> {
+    fn wall_times(doc: &Value) -> Result<Vec<(String, f64)>, String> {
         let figures = doc
             .get("figures")
             .and_then(|v| v.as_arr())
@@ -461,9 +446,9 @@ pub mod bench_diff {
         warn_pct: f64,
         fail_pct: f64,
     ) -> Result<Diff, String> {
-        let base = wall_times(&JValue::parse(baseline).map_err(|e| format!("baseline: {e}"))?)
+        let base = wall_times(&json::parse(baseline).map_err(|e| format!("baseline: {e}"))?)
             .map_err(|e| format!("baseline: {e}"))?;
-        let cur = wall_times(&JValue::parse(current).map_err(|e| format!("current: {e}"))?)
+        let cur = wall_times(&json::parse(current).map_err(|e| format!("current: {e}"))?)
             .map_err(|e| format!("current: {e}"))?;
         let mut out = Diff::default();
         for (name, _) in &cur {
@@ -501,9 +486,9 @@ pub mod bench_diff {
     /// Figures present in only one report render with `-` in the missing
     /// column and no delta.
     pub fn markdown_table(baseline: &str, current: &str) -> Result<String, String> {
-        let base = wall_times(&JValue::parse(baseline).map_err(|e| format!("baseline: {e}"))?)
+        let base = wall_times(&json::parse(baseline).map_err(|e| format!("baseline: {e}"))?)
             .map_err(|e| format!("baseline: {e}"))?;
-        let cur = wall_times(&JValue::parse(current).map_err(|e| format!("current: {e}"))?)
+        let cur = wall_times(&json::parse(current).map_err(|e| format!("current: {e}"))?)
             .map_err(|e| format!("current: {e}"))?;
         let mut out = String::from(
             "| figure | baseline wall_ms | current wall_ms | delta |\n\
@@ -592,7 +577,7 @@ mod tests {
         let n = chrome::validate(&text).expect("trace validates");
         // 2 metadata + 2 instants + 2 counter samples.
         assert_eq!(n, 6, "{text}");
-        let doc = JValue::parse(&text).unwrap();
+        let doc = json::parse(&text).unwrap();
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
         let issued = events
             .iter()

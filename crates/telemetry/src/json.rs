@@ -1,6 +1,7 @@
-//! A minimal JSON document builder **and parser** for the
-//! machine-readable bench reports (`BENCH_figures.json`) and the
-//! `asd-serve` wire protocol.
+//! The workspace's one JSON codec: the document builder **and parser**
+//! behind the machine-readable bench report (`BENCH_figures.json`), the
+//! `asd-serve` wire protocol, and the exposition validators
+//! (`telemetry-check`, [`crate::expo::bench_diff`]).
 //!
 //! The workspace has no external dependencies, so this is the smallest
 //! emitter that produces valid RFC 8259 output: objects keep insertion
@@ -153,7 +154,9 @@ impl Value {
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
+/// Append `s` to `out` as a quoted JSON string literal, escaping quotes,
+/// backslashes and control characters.
+pub(crate) fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -230,8 +233,9 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Deepest object/array nesting [`parse`] accepts. Protocol messages
-/// nest a handful of levels; 128 leaves a wide margin while keeping the
+/// Deepest object/array nesting [`parse`] accepts: 128 nested arrays or
+/// objects parse, and a 129th is an error. Protocol messages nest a
+/// handful of levels; 128 leaves a wide margin while keeping the
 /// recursive parser safe on untrusted network input.
 pub const MAX_PARSE_DEPTH: usize = 128;
 
@@ -276,18 +280,18 @@ fn expect_byte(bytes: &[u8], pos: &mut usize, want: u8) -> Result<(), JsonError>
     }
 }
 
+/// Parse the value at `*pos`, which sits inside `depth` open arrays and
+/// objects.
 fn parse_value(
     input: &str,
     bytes: &[u8],
     pos: &mut usize,
     depth: usize,
 ) -> Result<Value, JsonError> {
-    if depth > MAX_PARSE_DEPTH {
-        return Err(err(*pos, "nesting too deep"));
-    }
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(err(*pos, "unexpected end of input")),
+        Some(b'[' | b'{') if depth >= MAX_PARSE_DEPTH => Err(err(*pos, "nesting too deep")),
         Some(b'n') => parse_lit(bytes, pos, "null", Value::Null),
         Some(b't') => parse_lit(bytes, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Value::Bool(false)),
@@ -412,7 +416,7 @@ fn parse_string(input: &str, bytes: &[u8], pos: &mut usize) -> Result<String, Js
                     Some(b'r') => out.push('\r'),
                     Some(b't') => out.push('\t'),
                     Some(b'u') => {
-                        let code = parse_hex4(input, bytes, *pos + 1)?;
+                        let code = parse_hex4(bytes, *pos + 1)?;
                         *pos += 4;
                         // Surrogate pairs: a high surrogate must be
                         // followed by an escaped low surrogate.
@@ -420,7 +424,7 @@ fn parse_string(input: &str, bytes: &[u8], pos: &mut usize) -> Result<String, Js
                             if bytes.get(*pos + 1) == Some(&b'\\')
                                 && bytes.get(*pos + 2) == Some(&b'u')
                             {
-                                let low = parse_hex4(input, bytes, *pos + 3)?;
+                                let low = parse_hex4(bytes, *pos + 3)?;
                                 if !(0xDC00..0xE000).contains(&low) {
                                     return Err(err(*pos, "invalid low surrogate"));
                                 }
@@ -447,16 +451,20 @@ fn parse_string(input: &str, bytes: &[u8], pos: &mut usize) -> Result<String, Js
     }
 }
 
-fn parse_hex4(input: &str, bytes: &[u8], at: usize) -> Result<u32, JsonError> {
-    if at + 4 > bytes.len() || !input.is_char_boundary(at) || !input.is_char_boundary(at + 4) {
-        return Err(err(at, "truncated \\u escape"));
-    }
-    u32::from_str_radix(&input[at..at + 4], 16).map_err(|_| err(at, "invalid \\u escape"))
+/// The four hex digits of a `\u` escape starting at `at`, read one digit
+/// at a time: a sign or any other non-digit is an error.
+fn parse_hex4(bytes: &[u8], at: usize) -> Result<u32, JsonError> {
+    let digits = bytes.get(at..at + 4).ok_or_else(|| err(at, "truncated \\u escape"))?;
+    digits
+        .iter()
+        .try_fold(0, |code, &b| char::from(b).to_digit(16).map(|d| code * 16 + d))
+        .ok_or_else(|| err(at, "invalid \\u escape"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asd_core::rng::Xoshiro256PlusPlus;
 
     #[test]
     fn renders_nested_document() {
@@ -482,6 +490,11 @@ mod tests {
         assert_eq!(Value::Num(f64::NAN).render(), "null");
         assert_eq!(Value::Num(f64::INFINITY).render(), "null");
         assert_eq!(Value::Num(0.25).render(), "0.25");
+        // An overflowing literal parses to infinity, so such a document
+        // does not round-trip: the fuzz pass below skips it.
+        let big = parse("[1e400]").unwrap();
+        assert_eq!(big, Value::Arr(vec![Value::Num(f64::INFINITY)]));
+        assert_eq!(big.render(), "[null]");
     }
 
     #[test]
@@ -521,6 +534,7 @@ mod tests {
         assert_eq!(arr[0].as_u64(), Some(1));
         assert_eq!(arr[1].as_f64(), Some(250.0));
         assert_eq!(arr[2].as_str(), Some("A\u{1F600}"));
+        assert_eq!(parse("\"\\u004A\\u004a\""), Ok(Value::Str("JJ".into())));
     }
 
     #[test]
@@ -536,6 +550,10 @@ mod tests {
             "\"unterminated",
             "\"bad \\q escape\"",
             "\"\\ud800 lone\"",
+            "\"\\u+041\"",
+            "\"sw\\u+065ep\"",
+            "\"\\u00g1\"",
+            "\"\\u00\"",
             "{} trailing",
             "nan",
         ] {
@@ -545,6 +563,17 @@ mod tests {
         // overflowing the stack.
         let deep = "[".repeat(10_000) + &"]".repeat(10_000);
         assert!(parse(&deep).is_err());
+    }
+
+    #[test]
+    fn nesting_limit_is_max_parse_depth() {
+        let nested = |inner: &str, n: usize| "[".repeat(n) + inner + &"]".repeat(n);
+        assert!(parse(&nested("", MAX_PARSE_DEPTH)).is_ok());
+        assert!(parse(&nested("1", MAX_PARSE_DEPTH)).is_ok());
+        assert!(parse(&nested("{}", MAX_PARSE_DEPTH - 1)).is_ok());
+        let e = parse(&nested("", MAX_PARSE_DEPTH + 1)).unwrap_err();
+        assert_eq!((e.at, e.message.as_str()), (MAX_PARSE_DEPTH, "nesting too deep"));
+        assert!(parse(&nested("{}", MAX_PARSE_DEPTH)).is_err());
     }
 
     #[test]
@@ -569,5 +598,86 @@ mod tests {
         assert_eq!(v.u64_field("n"), Some(9));
         assert_eq!(v.str_field("missing"), None);
         assert_eq!(Value::Null.get("s"), None);
+    }
+
+    /// Valid documents of every kind the codec carries: an `asd-serve`
+    /// submit request, an error response with escapes and non-ASCII text,
+    /// a Chrome trace-event document, and the committed bench report.
+    const CORPUS: [&str; 4] = [
+        r#"{"op":"submit","job":{"kind":"sweep","benchmarks":["milc","lbm"],"configs":["NP","PMS","next-line"],"accesses":3000,"seed":42,"smt":false}}"#,
+        r#"{"ok":false,"error":{"kind":"malformed-request","message":"bad \"spec\"\\ line\n\ttab \u00e9\ud83d\ude00 é ✓ \u0001"}}"#,
+        "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"name\":\"asd-sim\"}},\n{\"name\":\"prefetch_issued\",\"cat\":\"sim\",\"ph\":\"i\",\"ts\":40,\"pid\":1,\"tid\":0,\"s\":\"t\",\"args\":{\"line\":7,\"depth\":2,\"cycle\":40}},\n{\"name\":\"mc.epoch.prefetches\",\"ph\":\"C\",\"ts\":1000,\"args\":{\"value\":-2.5e-3}}\n]}\n",
+        include_str!("../../../BENCH_figures.json"),
+    ];
+
+    /// Bytes that steer the parser: structure, string escapes, literal
+    /// and number starts, whitespace, and a raw control character.
+    const SIGNIFICANT: &[u8] = b"{}[]:,\"\\/bfnrtu0123456789aAeE+-. \t\n\x01";
+
+    fn finite(v: &Value) -> bool {
+        match v {
+            Value::Num(n) => n.is_finite(),
+            Value::Arr(items) => items.iter().all(finite),
+            Value::Obj(fields) => fields.iter().all(|(_, v)| finite(v)),
+            _ => true,
+        }
+    }
+
+    /// A seeded fuzz pass: 20,000 mutants of the corpus, each one to four
+    /// byte replacements, insertions, deletions or truncations. `parse`
+    /// must return a value or an error that points inside the input, and
+    /// every accepted document with finite numbers must render back to
+    /// text that parses to an equal value. Documents are drawn in inverse
+    /// proportion to their length, so each takes about the same share of
+    /// the parsed bytes and the pass stays well under a second in a debug
+    /// build.
+    #[test]
+    fn fuzzed_documents_error_in_bounds_or_roundtrip() {
+        for doc in CORPUS {
+            assert!(parse(doc).is_ok(), "corpus document rejected: {doc}");
+        }
+        let longest = CORPUS.iter().map(|doc| doc.len()).max().unwrap_or(1);
+        let draws: Vec<&str> = CORPUS
+            .iter()
+            .flat_map(|doc| std::iter::repeat(*doc).take(longest / doc.len()))
+            .collect();
+        let mut rng = Xoshiro256PlusPlus::seed_from_u64(0x4A53_4F4E);
+        let (mut mutants, mut accepted, mut roundtripped) = (0, 0, 0);
+        while mutants < 20_000 {
+            let mut bytes = draws[rng.gen_range_usize(0, draws.len())].as_bytes().to_vec();
+            for _ in 0..rng.gen_range_usize(1, 5) {
+                let byte = SIGNIFICANT[rng.gen_range_usize(0, SIGNIFICANT.len())];
+                match rng.gen_range_usize(0, 4) {
+                    0 if !bytes.is_empty() => {
+                        let at = rng.gen_range_usize(0, bytes.len());
+                        bytes[at] = byte;
+                    }
+                    1 => bytes.insert(rng.gen_range_usize(0, bytes.len() + 1), byte),
+                    2 if !bytes.is_empty() => {
+                        bytes.remove(rng.gen_range_usize(0, bytes.len()));
+                    }
+                    3 if !bytes.is_empty() => bytes.truncate(rng.gen_range_usize(0, bytes.len())),
+                    _ => {}
+                }
+            }
+            // `parse` takes `&str`: a mutation that split a multi-byte
+            // character is not a document, so it does not count.
+            let Ok(text) = std::str::from_utf8(&bytes) else { continue };
+            mutants += 1;
+            match parse(text) {
+                Err(e) => assert!(e.at <= text.len(), "{e} past the end of {text:?}"),
+                Ok(v) => {
+                    accepted += 1;
+                    if finite(&v) {
+                        let rendered = v.render();
+                        assert_eq!(parse(&rendered).as_ref(), Ok(&v), "{text:?} -> {rendered:?}");
+                        roundtripped += 1;
+                    }
+                }
+            }
+        }
+        // The pass must exercise both outcomes, not only one.
+        assert!(accepted > 1_000 && mutants - accepted > 1_000, "{accepted} of {mutants} parsed");
+        assert!(roundtripped > 1_000, "{roundtripped} round-tripped");
     }
 }

@@ -22,6 +22,9 @@
 //!   `BENCH_figures.json` wall-time regression diff.
 //! * [`metrics`] — the single home of the derived Figure 13 ratios,
 //!   computable from raw counters or back out of a merged [`Snapshot`].
+//! * [`json`] — the workspace's one JSON codec: the bench report, the
+//!   `asd-serve` wire protocol and the validators above all read and
+//!   write JSON through it.
 //!
 //! Each instrumented component owns its own registry *section* (no
 //! shared mutability on the hot path); at the end of a run the sections
@@ -30,13 +33,14 @@
 //! `tests/telemetry.rs` pins across suites and sweep modes.
 //!
 //! This crate sits directly above `core` in the workspace layering and
-//! depends on nothing, so every sim crate can use it.
+//! depends on nothing (its tests use `asd-core`'s seeded RNG), so every
+//! sim crate can use it.
 
 pub mod config;
 pub mod events;
 pub mod expo;
 pub mod hist;
-pub mod jsonv;
+pub mod json;
 pub mod metrics;
 pub mod registry;
 
@@ -47,3 +51,51 @@ pub use metrics::{names, PrefetchCounts, PrefetchMetrics};
 pub use registry::{
     CounterId, GaugeId, HistogramId, Metric, MetricValue, Registry, SeriesId, Snapshot, Unit,
 };
+
+/// Parser cases for [`json`] on small hand-written documents: scalars,
+/// member order, `\u` escapes and surrogate pairs, raw UTF-8 and
+/// malformed input. `json.rs` holds the codec's rendering, round-trip,
+/// depth-limit and fuzz tests.
+#[cfg(test)]
+mod jsonv {
+    mod tests {
+        use crate::json::{parse, Value};
+
+        #[test]
+        fn parses_scalars() {
+            assert_eq!(parse("null"), Ok(Value::Null));
+            assert_eq!(parse(" true "), Ok(Value::Bool(true)));
+            assert_eq!(parse("-12.5e2"), Ok(Value::Num(-1250.0)));
+            assert_eq!(parse(r#""a\nb""#), Ok(Value::Str("a\nb".into())));
+        }
+
+        #[test]
+        fn parses_nested_structures_in_order() {
+            let v = parse(r#"{"b": [1, {"x": null}], "a": "s"}"#).unwrap();
+            let Value::Obj(fields) = &v else { panic!("not an object: {v:?}") };
+            let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(keys, ["b", "a"]);
+            assert_eq!(v.get("b").and_then(Value::as_arr).unwrap()[0].as_f64(), Some(1.0));
+        }
+
+        #[test]
+        fn unicode_escapes_and_surrogate_pairs() {
+            assert_eq!(parse(r#""\u0041""#), Ok(Value::Str("A".into())));
+            assert_eq!(parse(r#""\ud83d\ude00""#), Ok(Value::Str("😀".into())));
+            assert!(parse(r#""\ud83d""#).is_err(), "lone high surrogate rejected");
+            assert!(parse(r#""\udc00""#).is_err(), "lone low surrogate rejected");
+        }
+
+        #[test]
+        fn rejects_malformed_documents() {
+            for bad in ["", "{", "[1,]", "{\"a\":}", "tru", "1 2", "\"\x01\"", "nul"] {
+                assert!(parse(bad).is_err(), "{bad:?} should fail");
+            }
+        }
+
+        #[test]
+        fn utf8_passthrough() {
+            assert_eq!(parse("\"héllo✓😀\""), Ok(Value::Str("héllo✓😀".into())));
+        }
+    }
+}

@@ -11,11 +11,7 @@ run() {
 
 run cargo fmt --all --check
 run cargo clippy --workspace --all-targets --offline -- -D warnings
-# Lint twice: the first run populates target/asd-lint/, the second
-# replays it — --stats prints finding counts and the cache hit rate
-# (second line should be ~100% hit on an unchanged tree).
-run cargo run -q -p asd-lint --offline -- --stats
-run cargo run -q -p asd-lint --offline -- --stats
+run cargo run -q -p asd-lint --offline
 run cargo build --workspace --all-targets --offline
 # Rustdoc with warnings as errors: a broken or private intra-doc link
 # (say, to a method a refactor deleted) fails the gate instead of

@@ -10,7 +10,7 @@
 //! `ASD_SWEEP_THREADS` is an error, which keeps the variable out of this
 //! process.
 
-use asd_bench::json::Value;
+use asd_telemetry::json::Value;
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -70,7 +70,7 @@ fn run_figures(combo: &Combo, figures: &[&str], accesses: &str) -> RunOutput {
     );
     let body = std::fs::read_to_string(&path).expect("read JSON report");
     let _ = std::fs::remove_file(&path);
-    let doc = asd_bench::json::parse(&body).expect("parse JSON report");
+    let doc = asd_telemetry::json::parse(&body).expect("parse JSON report");
     RunOutput { stdout: out.stdout, doc }
 }
 

@@ -46,7 +46,7 @@ fn submit_and_wait(client: &mut Client, spec: &JobSpec) -> String {
 
 fn stat(client: &mut Client, key: &str) -> f64 {
     let stats = client.server_stats().expect("stats");
-    stats.get(key).and_then(asd_bench::json::Value::as_f64).unwrap_or(-1.0)
+    stats.get(key).and_then(asd_telemetry::json::Value::as_f64).unwrap_or(-1.0)
 }
 
 #[test]
@@ -132,7 +132,7 @@ fn protocol_errors_are_structured_and_typed() {
     let d = daemon(&dir);
     let mut c = Client::connect(&d.addr).expect("connect");
 
-    let mut bogus = asd_bench::json::Value::obj();
+    let mut bogus = asd_telemetry::json::Value::obj();
     bogus.set("op", "teleport");
     match c.request(&bogus) {
         Err(ServeError::MalformedRequest { message }) => {
