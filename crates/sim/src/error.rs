@@ -56,7 +56,8 @@ pub enum SimError {
         /// What went wrong.
         message: String,
     },
-    /// An environment variable the simulator reads is set to a value it
+    /// An environment variable a binary reads (the `figures` CLI's
+    /// `ASD_*` settings; the library reads none) is set to a value it
     /// does not accept (`ASD_SWEEP_THREADS=0`, say).
     InvalidEnv {
         /// The variable.

@@ -2,7 +2,7 @@
 
 use crate::config::{PrefetchKind, RunOpts, SystemConfig};
 use crate::error::SimError;
-use crate::pipeline::{Job, Pipeline};
+use crate::pipeline::{Job, Pipeline, RunContext};
 use crate::system::{RunResult, System};
 use asd_trace::WorkloadProfile;
 
@@ -23,12 +23,9 @@ pub fn run_benchmark(
     run_custom(profile, cfg, kind.name(), opts)
 }
 
-/// Run one benchmark under a fully custom system configuration. This is
-/// the single cached-run entry point: every pipeline node and ad-hoc
-/// driver call lands here, so cacheable runs share both the
-/// cross-figure [`crate::cache`] store *and* its single-flight registry —
-/// two concurrent callers with the same key produce exactly one
-/// simulation, with the second joining the first's in-flight run.
+/// Run one benchmark under a fully custom system configuration: one
+/// direct simulation, which consults no run cache (batches that share
+/// points go through a [`Pipeline`] and its [`RunContext`]).
 ///
 /// # Errors
 ///
@@ -39,32 +36,7 @@ pub fn run_custom(
     label: &str,
     opts: &RunOpts,
 ) -> Result<RunResult, SimError> {
-    run_built(profile, cfg, label, opts, |cfg| System::new(cfg, profile, opts))
-}
-
-/// [`run_custom`] with the system, when one must be simulated, built by
-/// `build` from the configuration: the pipeline executor's builder reads
-/// the run's trace memo.
-pub(crate) fn run_built(
-    profile: &WorkloadProfile,
-    cfg: SystemConfig,
-    label: &str,
-    opts: &RunOpts,
-    build: impl FnOnce(SystemConfig) -> Result<System, SimError>,
-) -> Result<RunResult, SimError> {
-    let Some(key) = crate::cache::key(&cfg, profile, opts) else {
-        return Ok(build(cfg)?.with_label(label).run());
-    };
-    match crate::cache::global().claim(&key, label) {
-        crate::cache::Claim::Hit(hit) => Ok(*hit),
-        crate::cache::Claim::Lead(lease) => {
-            // A `?` here drops the lease un-completed, releasing joiners
-            // to re-claim and surface the same error themselves.
-            let result = build(cfg)?.with_label(label).run();
-            lease.complete(&result);
-            Ok(result)
-        }
-    }
+    Ok(System::new(cfg, profile, opts)?.with_label(label).run())
 }
 
 /// The four-configuration comparison the paper's Figures 5–7 are built
@@ -84,8 +56,9 @@ pub struct FourWay {
 }
 
 impl FourWay {
-    /// Run all four configurations of one benchmark as one sweep (same
-    /// results as four [`run_benchmark`] calls).
+    /// Run all four configurations of one benchmark as one sweep on a
+    /// fresh [`RunContext`] (same results as four [`run_benchmark`]
+    /// calls).
     ///
     /// # Errors
     ///
@@ -160,8 +133,8 @@ pub(crate) fn four_way_assemble(
 
 /// Run the four-configuration comparison for every profile, all
 /// `4 x profiles.len()` simulations as one sweep on the
-/// [`crate::pipeline`] executor. Results are bit-identical to calling
-/// [`FourWay::run`] per profile.
+/// [`crate::pipeline`] executor, under a fresh default [`RunContext`].
+/// Results are bit-identical to calling [`FourWay::run`] per profile.
 ///
 /// # Errors
 ///
@@ -170,7 +143,8 @@ pub fn four_way_suite(
     profiles: &[WorkloadProfile],
     opts: &RunOpts,
 ) -> Result<Vec<FourWay>, SimError> {
-    let results = Pipeline::sweep(opts, four_way_jobs(profiles, opts)).results()?;
+    let ctx = RunContext::default();
+    let results = Pipeline::sweep(&ctx, opts, four_way_jobs(profiles, opts)).results()?;
     Ok(four_way_assemble(profiles, results))
 }
 

@@ -9,7 +9,7 @@
 use crate::config::{PrefetchKind, RunOpts, SystemConfig};
 use crate::error::SimError;
 use crate::experiment::{four_way_assemble, four_way_jobs, mean, FourWay};
-use crate::pipeline::{FigureOutput, FigurePlan, Job, MetricValue, Pipeline};
+use crate::pipeline::{FigureOutput, FigurePlan, Job, MetricValue, Pipeline, RunContext};
 use crate::report::{pct, ratio, Table};
 use crate::slh_study::{self, EpochSlh};
 use crate::source::{TraceSource, TraceStream};
@@ -903,11 +903,11 @@ pub fn plan_sized(name: &str, opts: &RunOpts, uniform: bool) -> Result<FigurePla
     }
 }
 
-/// Regenerate one figure by catalog name and return its rendered text —
-/// the single dispatch table behind both the `figures` CLI and the
-/// `asd-serve` daemon, so a figure fetched from either path is
-/// byte-identical by construction. Implemented as [`plan`] run through a
-/// one-plan [`Pipeline`], the executor the CLI uses for every figure.
+/// Regenerate one figure by catalog name under `ctx` and return its
+/// rendered text — the single dispatch table behind both the `figures`
+/// CLI and the `asd-serve` daemon, so a figure fetched from either path
+/// is byte-identical by construction. Implemented as [`plan`] run through
+/// a one-plan [`Pipeline`], the executor the CLI uses for every figure.
 /// Size overrides mirror the CLI: `fig3` runs at 150 000 accesses and
 /// `smt` at 30 000 regardless of `opts.accesses`; everything else uses
 /// `opts` as given.
@@ -916,8 +916,8 @@ pub fn plan_sized(name: &str, opts: &RunOpts, uniform: bool) -> Result<FigurePla
 ///
 /// [`SimError::UnknownFigure`] for a name outside the catalog, plus any
 /// error of the underlying driver.
-pub fn figure_text(name: &str, opts: &RunOpts) -> Result<String, SimError> {
-    let mut pipe = Pipeline::new();
+pub fn figure_text(ctx: &RunContext, name: &str, opts: &RunOpts) -> Result<String, SimError> {
+    let mut pipe = Pipeline::new(ctx);
     pipe.submit(plan(name, opts)?);
     Ok(pipe.run(&|| 0.0)?.figures.into_iter().map(|f| f.output.text).collect())
 }
@@ -940,7 +940,8 @@ mod tests {
 
     #[test]
     fn fig13_produces_rows() {
-        let mut pipe = Pipeline::new();
+        let ctx = RunContext::default();
+        let mut pipe = Pipeline::new(&ctx);
         pipe.submit(plan("fig13", &tiny()).unwrap());
         let fig = pipe.run(&|| 0.0).unwrap().figures.remove(0).output;
         assert!(fig.text.contains("coverage"));
@@ -974,9 +975,10 @@ mod tests {
     #[test]
     fn figure_text_matches_direct_drivers() {
         let opts = RunOpts { accesses: 20_000, ..RunOpts::default() };
-        assert_eq!(figure_text("cost", &opts).unwrap(), hardware_cost_table());
-        assert_eq!(figure_text("fig2", &opts).unwrap(), fig2_slh(&opts).unwrap().1);
-        assert!(matches!(figure_text("fig99", &opts), Err(SimError::UnknownFigure { .. })));
+        let ctx = RunContext::default();
+        assert_eq!(figure_text(&ctx, "cost", &opts).unwrap(), hardware_cost_table());
+        assert_eq!(figure_text(&ctx, "fig2", &opts).unwrap(), fig2_slh(&opts).unwrap().1);
+        assert!(matches!(figure_text(&ctx, "fig99", &opts), Err(SimError::UnknownFigure { .. })));
     }
 
     #[test]

@@ -23,7 +23,10 @@
 //! (benchmark, configuration) runs, one figure, or a whole figure set —
 //! goes through the [`pipeline`] executor, which fans the runs across OS
 //! threads with bit-deterministic, job-ordered results and collapses
-//! points shared between figures into single runs.
+//! points shared between figures into single runs. A pipeline runs under
+//! an explicit [`RunContext`] (worker count, memoization switch, run
+//! cache) that its caller builds; the library reads no environment
+//! variable and keeps no process-wide state.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,5 +49,6 @@ pub mod wire;
 
 pub use config::{engine_by_name, engine_names, PrefetchKind, RunOpts, SystemConfig};
 pub use error::SimError;
+pub use pipeline::RunContext;
 pub use source::{ResolvedTrace, TraceSource, TraceStream};
 pub use system::{collect_trace, RunResult, System};

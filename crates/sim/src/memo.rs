@@ -66,18 +66,14 @@ pub(crate) struct TraceMemo {
 impl TraceMemo {
     /// Register a run of `profile` under `cfg` and `opts` as a reader of
     /// each of its threads' traces, and return their ids in thread order.
-    /// A run reads nothing here when the run cache is off or its accesses
-    /// come from a file (or a source naming no profile, which fails when
-    /// the run resolves it).
+    /// A run reads nothing here when its accesses come from a file (or a
+    /// source naming no profile, which fails when the run resolves it).
     pub(crate) fn register(
         &mut self,
         cfg: &SystemConfig,
         profile: &WorkloadProfile,
         opts: &RunOpts,
     ) -> Vec<usize> {
-        if !crate::cache::enabled() {
-            return Vec::new();
-        }
         let (profile, seed) = match &cfg.trace {
             None => (profile.clone(), opts.seed),
             Some(TraceSource::Generate { profile, seed }) => match suites::by_name(profile) {

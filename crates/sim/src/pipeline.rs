@@ -1,5 +1,5 @@
-//! The job executor: the one place that claims simulation work and
-//! spawns worker threads.
+//! The job executor: the one place that claims simulation work, spawns
+//! worker threads and consults a run cache.
 //!
 //! Every batch of simulations — a whole `figures all` run, one figure, a
 //! four-way comparison, an arena, a daemon sweep — is a set of
@@ -7,14 +7,14 @@
 //! plus an `assemble` closure that turns their results into the plan's
 //! output. A figure's output is a [`FigureOutput`]; a *sweep*
 //! ([`Pipeline::sweep`]) is a one-plan pipeline whose output is the
-//! results themselves. A [`Pipeline`] accepts any number of plans and
-//! runs their union:
+//! results themselves. A [`Pipeline`] runs under the [`RunContext`] it is
+//! built with, accepts any number of plans, and runs their union:
 //!
 //! - **Submission-time dedup.** Jobs are collapsed into *nodes* by their
 //!   [`crate::cache`] key: two plans (or two jobs of one plan) requesting
 //!   the same point share one node (counted in
 //!   [`PipelineStats::inflight_joins`]). Uncacheable jobs (trace-sourced,
-//!   anonymous custom engines, cache disabled) always get their own node.
+//!   anonymous custom engines, memoization off) always get their own node.
 //! - **One work queue.** All nodes drain through a single shrinking-chunk
 //!   cursor, so there is no idle tail between plans.
 //! - **Eager assembly.** A plan's `assemble` runs on whichever worker
@@ -29,35 +29,31 @@
 //!   finish frees it, so a run holds only the traces of nodes between
 //!   their first and last reader ([`PipelineStats::traces_generated`],
 //!   [`PipelineStats::traces_served`],
-//!   [`PipelineStats::peak_trace_bytes`]). `ASD_RUN_CACHE=0` turns the
-//!   memo off with the run cache, and every node streams from the
-//!   generator.
+//!   [`PipelineStats::peak_trace_bytes`]). A context with memoization off
+//!   turns the memo off too, and every node streams from the generator.
 //! - **Deterministic output.** [`Pipeline::run`] returns outputs in
 //!   submission order, and `assemble` receives one result per job, in job
 //!   order, each re-stamped with its job's label — whatever the thread
 //!   count or completion order. On failure it reports the earliest
 //!   submitted plan's earliest job-order error.
 //!
-//! Workers come from [`Pipeline::with_threads`], else the
-//! `ASD_SWEEP_THREADS` environment variable, which must be a positive
-//! integer ([`SimError::InvalidEnv`] otherwise), else the machine's
-//! available parallelism; one worker runs everything on the calling
-//! thread.
+//! The context's worker count ([`RunContext::with_threads`]) sets how
+//! many workers run; one worker runs everything on the calling thread.
 //!
-//! Node execution goes through the run cache the way
-//! [`crate::experiment::run_custom`] does, which adds the cache's
-//! *single-flight* registry: even two independent `Pipeline`s (e.g.
-//! concurrent `asd-serve` jobs) computing the same key run one
-//! simulation, with the loser joining the winner's in-flight run (see
-//! [`RunCache::flight_stats`](crate::cache::RunCache::flight_stats)).
+//! A node with a cache key goes through the context's run cache, which
+//! adds the cache's *single-flight* registry: even two `Pipeline`s on one
+//! context (e.g. concurrent `asd-serve` jobs) computing the same key run
+//! one simulation, with the loser joining the winner's in-flight run (see
+//! [`RunCache::flight_stats`]).
 
+use crate::cache::{self, RunCache};
 use crate::config::{RunOpts, SystemConfig};
 use crate::error::SimError;
-use crate::experiment::run_built;
 use crate::memo::TraceMemo;
 use crate::system::{RunResult, System};
 use asd_trace::WorkloadProfile;
 use std::collections::BTreeMap;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -226,36 +222,94 @@ pub struct PipelineRun<T = FigureOutput> {
     pub stats: PipelineStats,
 }
 
+/// What a batch of simulations shares: the worker-thread count, whether
+/// jobs are memoized, and the run cache. The caller builds it and hands
+/// it to every [`Pipeline`] of the batch; two contexts share no cache
+/// entry, flight or counter. [`RunContext::default`] runs on the
+/// machine's available parallelism, memoizes, and has no disk tier.
+pub struct RunContext {
+    threads: usize,
+    memoize: bool,
+    cache: RunCache,
+}
+
+impl Default for RunContext {
+    fn default() -> Self {
+        RunContext {
+            threads: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+            memoize: true,
+            cache: RunCache::default(),
+        }
+    }
+}
+
+impl RunContext {
+    /// Run on `threads` workers (at least one); `1` runs every job on the
+    /// calling thread.
+    #[must_use]
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = threads.max(1);
+        self
+    }
+
+    /// With memoization off no job has a cache key: nothing is
+    /// deduplicated, cached or read from the trace memo. Results are
+    /// bit-identical either way.
+    #[must_use]
+    pub fn with_memoize(mut self, memoize: bool) -> Self {
+        self.memoize = memoize;
+        self
+    }
+
+    /// Persist the run cache under `dir` (created on first write), and
+    /// read it back from there, across processes.
+    #[must_use]
+    pub fn with_disk_dir(mut self, dir: PathBuf) -> Self {
+        self.cache.disk_dir = Some(dir);
+        self
+    }
+
+    /// The worker-thread count.
+    pub fn threads(&self) -> usize {
+        self.threads
+    }
+
+    /// Whether jobs are memoized.
+    pub fn memoize(&self) -> bool {
+        self.memoize
+    }
+
+    /// The run cache, for its counters and the disk-tier index.
+    pub fn cache(&self) -> &RunCache {
+        &self.cache
+    }
+}
+
 /// The job executor. Submit plans, then [`Pipeline::run`] their union.
 /// See the module docs for the execution model.
-pub struct Pipeline<T = FigureOutput> {
+pub struct Pipeline<'c, T = FigureOutput> {
+    ctx: &'c RunContext,
     nodes: Vec<Node>,
     by_key: BTreeMap<String, usize>,
     figures: Vec<Planned<T>>,
     submitted: usize,
     joins: u64,
-    threads: Option<usize>,
 }
 
-impl Pipeline {
-    /// An empty pipeline of figures.
-    pub fn new() -> Self {
-        Pipeline::empty()
+impl<'c> Pipeline<'c> {
+    /// An empty pipeline of figures, run under `ctx`.
+    pub fn new(ctx: &'c RunContext) -> Self {
+        Pipeline::empty(ctx)
     }
 }
 
-impl Default for Pipeline {
-    fn default() -> Self {
-        Pipeline::new()
-    }
-}
-
-impl Pipeline<Vec<RunResult>> {
+impl<'c> Pipeline<'c, Vec<RunResult>> {
     // asd-lint: cold -- builds one batch's job graph, once per sweep, never per cycle
-    /// A sweep: one plan running `jobs` under `opts`, whose output is
-    /// their results in job order, each re-stamped with its job's label.
-    pub fn sweep(opts: &RunOpts, jobs: Vec<Job>) -> Self {
-        let mut pipe = Pipeline::empty();
+    /// A sweep under `ctx`: one plan running `jobs` under `opts`, whose
+    /// output is their results in job order, each re-stamped with its
+    /// job's label.
+    pub fn sweep(ctx: &'c RunContext, opts: &RunOpts, jobs: Vec<Job>) -> Self {
+        let mut pipe = Pipeline::empty(ctx);
         pipe.submit(FigurePlan::new("sweep", opts, jobs, Ok));
         pipe
     }
@@ -272,25 +326,16 @@ impl Pipeline<Vec<RunResult>> {
     }
 }
 
-impl<T: Send> Pipeline<T> {
-    fn empty() -> Self {
+impl<'c, T: Send> Pipeline<'c, T> {
+    fn empty(ctx: &'c RunContext) -> Self {
         Pipeline {
+            ctx,
             nodes: Vec::new(),
             by_key: BTreeMap::new(),
             figures: Vec::new(),
             submitted: 0,
             joins: 0,
-            threads: None,
         }
-    }
-
-    /// Override the worker-thread count (defaults to `ASD_SWEEP_THREADS`
-    /// or the machine's available parallelism); `1` runs every job on the
-    /// calling thread. An explicit count ignores `ASD_SWEEP_THREADS`.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
-        self
     }
 
     /// Number of plans submitted so far.
@@ -315,8 +360,9 @@ impl<T: Send> Pipeline<T> {
 
     /// Add a plan to the graph. Each of its jobs is collapsed onto an
     /// existing node when its cache key matches one already submitted
-    /// (by this or an earlier plan); uncacheable jobs always get fresh
-    /// nodes. The plan's assembly runs as soon as its last node lands.
+    /// (by this or an earlier plan); uncacheable jobs, and every job
+    /// under a context with memoization off, get fresh nodes. The plan's
+    /// assembly runs as soon as its last node lands.
     pub fn submit(&mut self, plan: FigurePlan<T>) {
         let FigurePlan { name, opts, jobs, assemble } = plan;
         let mut labels = Vec::with_capacity(jobs.len());
@@ -324,7 +370,7 @@ impl<T: Send> Pipeline<T> {
         let mut deps: Vec<usize> = Vec::new();
         for job in jobs {
             self.submitted += 1;
-            let key = crate::cache::key(&job.cfg, &job.profile, &opts);
+            let key = self.ctx.memoize.then(|| cache::key(&job.cfg, &job.profile, &opts)).flatten();
             let node = match key.as_ref().and_then(|k| self.by_key.get(k)) {
                 Some(&existing) => {
                     self.joins += 1;
@@ -367,10 +413,8 @@ impl<T: Send> Pipeline<T> {
     ///
     /// # Errors
     ///
-    /// [`SimError::InvalidEnv`] before any node runs, when no thread count
-    /// was given and `ASD_SWEEP_THREADS` is set to anything but a positive
-    /// integer; else the earliest submitted plan's earliest job-order
-    /// [`SimError`], or the first plan's assembly error.
+    /// The earliest submitted plan's earliest job-order [`SimError`], or
+    /// the first plan's assembly error.
     pub fn run(self, clock: &(dyn Fn() -> f64 + Sync)) -> Result<PipelineRun<T>, SimError> {
         self.run_observed(clock, &|_, _| {})
     }
@@ -390,16 +434,18 @@ impl<T: Send> Pipeline<T> {
         clock: &(dyn Fn() -> f64 + Sync),
         progress: &(dyn Fn(usize, usize) + Sync),
     ) -> Result<PipelineRun<T>, SimError> {
-        let Pipeline { nodes, figures, submitted, joins, threads, .. } = self;
+        let Pipeline { ctx, nodes, by_key, figures, submitted, joins } = self;
         let total = nodes.len();
-        let workers = match threads {
-            Some(n) => n,
-            None => worker_count()?,
+        let workers = ctx.threads.clamp(1, total.max(1));
+        let mut keys: Vec<Option<String>> = vec![None; total];
+        for (key, n) in by_key {
+            keys[n] = Some(key);
         }
-        .clamp(1, total.max(1));
         let mut memo = TraceMemo::default();
-        let reads: Vec<Vec<usize>> =
-            nodes.iter().map(|n| memo.register(&n.cfg, &n.profile, &n.opts)).collect();
+        let mut reads: Vec<Vec<usize>> = vec![Vec::new(); total];
+        if ctx.memoize {
+            reads = nodes.iter().map(|n| memo.register(&n.cfg, &n.profile, &n.opts)).collect();
+        }
 
         let slots: Vec<ResultSlot> = (0..total).map(|_| Mutex::new(None)).collect();
         let outputs: Vec<OutputSlot<T>> = figures.iter().map(|_| Mutex::new(None)).collect();
@@ -419,7 +465,9 @@ impl<T: Send> Pipeline<T> {
             peak: 0,
         };
         let exec = Exec {
+            cache: &ctx.cache,
             nodes: &nodes,
+            keys: &keys,
             reads: &reads,
             memo: &memo,
             figures: &figures,
@@ -487,28 +535,6 @@ impl<T: Send> Pipeline<T> {
     }
 }
 
-/// Default worker count: `ASD_SWEEP_THREADS` if set, else the machine's
-/// available parallelism.
-///
-/// # Errors
-///
-/// [`SimError::InvalidEnv`] when the variable is set to anything but a
-/// positive integer.
-fn worker_count() -> Result<usize, SimError> {
-    const VAR: &str = "ASD_SWEEP_THREADS";
-    match std::env::var_os(VAR) {
-        Some(raw) => match raw.to_str().and_then(|v| v.parse::<usize>().ok()) {
-            Some(n) if n > 0 => Ok(n),
-            _ => Err(SimError::InvalidEnv {
-                var: VAR.to_string(),
-                value: raw.to_string_lossy().into_owned(),
-                expected: "a positive integer".to_string(),
-            }),
-        },
-        None => Ok(std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)),
-    }
-}
-
 /// A shrinking-chunk work cursor over `total` nodes.
 ///
 /// Idle workers claim contiguous ranges via CAS on a shared cursor.
@@ -571,7 +597,10 @@ struct Track {
 /// but never the reverse — node deposits release the slot before
 /// touching the tracker.
 struct Exec<'a, T> {
+    cache: &'a RunCache,
     nodes: &'a [Node],
+    /// Each node's cache key, if it has one.
+    keys: &'a [Option<String>],
     /// The memo traces each node reads, in thread order (none when it
     /// streams from a file or the memo is off).
     reads: &'a [Vec<usize>],
@@ -626,20 +655,26 @@ impl<T> Exec<'_, T> {
         self.lock_track().ready.pop()
     }
 
-    /// Run node `index` and deposit its result, readying (or failing)
-    /// any plan whose last dependency this was, then report progress.
-    /// The node reads its generated traces from the run's memo, and gives
-    /// each back when it finishes, however it finished.
+    /// Run node `index` (through the run cache when it has a key) and
+    /// deposit its result, readying (or failing) any plan whose last
+    /// dependency this was, then report progress. The node reads its
+    /// generated traces from the run's memo, and gives each back when it
+    /// finishes, however it finished.
     fn run_node(&self, index: usize) {
         let node = &self.nodes[index];
         let reads = &self.reads[index];
-        let result = run_built(&node.profile, node.cfg.clone(), &node.label, &node.opts, |cfg| {
-            if reads.is_empty() {
-                System::new(cfg, &node.profile, &node.opts)
+        let simulate = || -> Result<RunResult, SimError> {
+            let system = if reads.is_empty() {
+                System::new(node.cfg.clone(), &node.profile, &node.opts)?
             } else {
-                Ok(System::build(cfg, self.memo.resolve(reads)))
-            }
-        });
+                System::build(node.cfg.clone(), self.memo.resolve(reads))
+            };
+            Ok(system.with_label(&node.label).run())
+        };
+        let result = match &self.keys[index] {
+            Some(key) => self.cache.get_or_run(key, &node.label, simulate),
+            None => simulate(),
+        };
         for &id in reads {
             self.memo.release(id);
         }
@@ -764,8 +799,8 @@ mod tests {
         }
         let calls = AtomicUsize::new(0);
         let maxed = AtomicUsize::new(0);
-        let run = Pipeline::sweep(&opts, jobs)
-            .with_threads(3)
+        let ctx = RunContext::default().with_threads(3);
+        let run = Pipeline::sweep(&ctx, &opts, jobs)
             .run_observed(&|| 0.0, &|done, total| {
                 assert_eq!(total, 6);
                 calls.fetch_add(1, Ordering::Relaxed);

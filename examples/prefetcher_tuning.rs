@@ -3,8 +3,9 @@
 //! paper leaves as an implicit design choice.
 //!
 //! All 17 design points run as one parallel sweep on the executor
-//! ([`Pipeline::sweep`]); results come back in job order, so each table
-//! just slices its range out of the batch.
+//! ([`Pipeline::sweep`], under a default [`RunContext`]); results come
+//! back in job order, so each table just slices its range out of the
+//! batch.
 //!
 //! ```text
 //! cargo run --release --example prefetcher_tuning [benchmark]
@@ -14,7 +15,7 @@ use asd_core::AsdConfig;
 use asd_mc::{EngineKind, McConfig};
 use asd_sim::pipeline::{Job, Pipeline};
 use asd_sim::report::{ratio, Table};
-use asd_sim::{PrefetchKind, RunOpts, SystemConfig};
+use asd_sim::{PrefetchKind, RunContext, RunOpts, SystemConfig};
 use asd_trace::suites;
 
 const PB_LINES: [usize; 4] = [8, 16, 32, 1024];
@@ -59,7 +60,9 @@ fn main() {
         jobs.push(Job::new(&profile, pms(mc), &format!("degree{degree}")));
     }
 
-    let results = Pipeline::sweep(&opts, jobs).results().expect("generated sweeps never fail");
+    let results = Pipeline::sweep(&RunContext::default(), &opts, jobs)
+        .results()
+        .expect("generated sweeps never fail");
     let base = results[0].cycles as f64;
     let mut rest = results[1..].iter();
     let mut table = |title: &str, labels: Vec<String>| {

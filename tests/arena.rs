@@ -2,20 +2,18 @@
 //! bit-identical serial vs parallel vs a direct cache-free run, and the
 //! league table itself must reproduce one pinned golden ordering.
 //!
-//! `ASD_RUN_CACHE` is latched once per process, so (as in
-//! `tests/run_cache.rs`) the cache-off leg is the direct
-//! [`System::run`] path — exactly what a disabled cache degenerates to.
-//! The parallel pass runs first, so it simulates every job; the serial
-//! pass after it is served from the run cache. Zoo engines participate in
-//! the run cache through `EngineFactory::stable_id`, so the cache-served
-//! pass here is also the soundness check for those ids.
+//! The cache-free leg is the direct [`System::run`] path, which consults
+//! no run cache. The parallel and serial sweeps share one
+//! [`RunContext`]: the parallel pass runs first, so it simulates every
+//! job, and the serial pass after it is served from the context's run
+//! cache. Zoo engines participate in the run cache through
+//! `EngineFactory::stable_id`, so the cache-served pass here is also the
+//! soundness check for those ids.
 
 use asd_sim::pipeline::{Job, Pipeline};
-use asd_sim::{PrefetchKind, RunOpts, RunResult, System, SystemConfig};
+use asd_sim::{PrefetchKind, RunContext, RunOpts, RunResult, System, SystemConfig};
 use asd_trace::suites;
 
-/// Seed distinct from the other test binaries so this file owns its
-/// cache keys.
 fn opts() -> RunOpts {
     RunOpts { seed: 0xa12e9a, ..RunOpts::default() }.with_accesses(3_000)
 }
@@ -46,10 +44,18 @@ fn assert_same(a: &RunResult, b: &RunResult, what: &str) {
 #[test]
 fn every_zoo_engine_is_bit_identical_serial_parallel_and_uncached() {
     let opts = opts();
-    let parallel = Pipeline::sweep(&opts, zoo_jobs()).with_threads(4).results().unwrap();
-    let serial = Pipeline::sweep(&opts, zoo_jobs()).with_threads(1).results().unwrap();
+    let parallel_ctx = RunContext::default().with_threads(4);
+    let parallel = Pipeline::sweep(&parallel_ctx, &opts, zoo_jobs()).results().unwrap();
+    // The same run cache on one worker: every job is served from it.
     let jobs = zoo_jobs();
+    let serial_ctx = parallel_ctx.with_threads(1);
+    let serial = Pipeline::sweep(&serial_ctx, &opts, zoo_jobs()).results().unwrap();
     assert_eq!(serial.len(), asd_engines::names().len() * 2);
+    assert_eq!(
+        serial_ctx.cache().stats(),
+        (jobs.len() as u64, jobs.len() as u64),
+        "(hits, misses): the parallel pass simulated every job, the serial pass none"
+    );
     for (i, job) in jobs.into_iter().enumerate() {
         // The reference: a fresh system, no cache involvement at all.
         let direct =
@@ -71,7 +77,7 @@ fn league_table_ordering_is_golden() {
         .collect();
     let roster = asd_sim::arena::default_roster();
     let engines: Vec<&str> = roster.iter().map(String::as_str).collect();
-    let a = asd_sim::arena::arena_with(&engines, &profiles, &opts).unwrap();
+    let a = asd_sim::arena::arena_with(&RunContext::default(), &engines, &profiles, &opts).unwrap();
     let order: Vec<&str> = a.rows.iter().map(|r| r.engine.as_str()).collect();
     // At this run length ASD's epoch-driven histogram barely warms up, so
     // it trails the always-on engines; the full-length arena of record

@@ -4,17 +4,15 @@
 //! the paper rests on this property; lints D001–D004 guard it statically,
 //! these tests guard it dynamically.
 //!
-//! Both sides of every comparison simulate. The run cache is
-//! process-wide, so each test owns a seed no other test uses: its
-//! executor run misses on every job, and the serial side is direct
-//! [`System::run`] calls, which never consult the run cache.
+//! Both sides of every comparison simulate: the executor runs on a fresh
+//! [`RunContext`], whose run cache starts empty, and the serial side is
+//! direct [`System::run`] calls, which never consult a run cache.
 
 use asd_sim::pipeline::{Job, Pipeline};
-use asd_sim::{PrefetchKind, RunOpts, RunResult, System, SystemConfig};
+use asd_sim::{PrefetchKind, RunContext, RunOpts, RunResult, System, SystemConfig};
 use asd_trace::suites;
 
-/// Short runs with a per-test seed: `0xde7e` tags this binary, the low
-/// byte tags the test.
+/// Short runs with a per-test seed.
 fn opts(test: u64) -> RunOpts {
     RunOpts { seed: 0x00de_7e00 + test, ..RunOpts::default() }.with_accesses(4_000)
 }
@@ -66,20 +64,10 @@ fn same_seed_twice_is_bit_identical_serially() {
 #[test]
 fn four_worker_sweep_is_bit_identical_to_serial() {
     let opts = opts(2);
-    let parallel = Pipeline::sweep(&opts, seeded_jobs()).with_threads(4).results().unwrap();
+    let ctx = RunContext::default().with_threads(4);
+    let parallel = Pipeline::sweep(&ctx, &opts, seeded_jobs()).results().unwrap();
+    assert_eq!(ctx.cache().stats(), (0, 6), "(hits, misses): every job simulated");
     assert_bit_identical(&serial(&opts), &parallel, "4 workers vs serial");
-}
-
-#[test]
-fn env_var_worker_override_is_bit_identical_to_serial() {
-    // `ASD_SWEEP_THREADS` only applies when no explicit thread count is
-    // set; the other executor run in this binary sets one, so the
-    // variable cannot leak into it even though tests share the process.
-    let opts = opts(3);
-    std::env::set_var("ASD_SWEEP_THREADS", "4");
-    let parallel = Pipeline::sweep(&opts, seeded_jobs()).results().unwrap();
-    std::env::remove_var("ASD_SWEEP_THREADS");
-    assert_bit_identical(&serial(&opts), &parallel, "ASD_SWEEP_THREADS=4 vs serial");
 }
 
 #[test]

@@ -1,22 +1,21 @@
 //! Edge-case tests for the job executor ([`asd_sim::pipeline`]): empty
-//! figure sets, zero-job figures, duplicate labels, uncacheable
-//! (trace-sourced) jobs, error selection (the earliest failing job of the
-//! earliest submitted plan), deterministic output order under a threaded
-//! run, and the run's trace memo (each trace generated once, and freed
-//! after its last reader). Submission-time dedup with its cache accounting lives in
-//! `tests/pipeline_dedup.rs`, a binary of its own, because it asserts
-//! exact deltas of process-wide counters that sibling tests here move.
+//! figure sets, zero-job figures, duplicate labels, submission-time dedup
+//! with its run-cache accounting, uncacheable (trace-sourced) jobs, error
+//! selection (the earliest failing job of the earliest submitted plan),
+//! deterministic output order under a threaded run, and the run's trace
+//! memo (each trace generated once, and freed after its last reader).
 //!
-//! Seeds are unique to this file (and to each test) so no other test
-//! binary or sibling test can pre-populate their cache keys.
+//! Every test builds its own [`RunContext`], so the counts it asserts are
+//! its own runs' whatever the tests beside it simulate.
 
 use asd_sim::experiment::run_custom;
 use asd_sim::pipeline::{FigureOutput, FigurePlan, Job, Pipeline};
-use asd_sim::{cache, figures, PrefetchKind, RunOpts, SimError, System, SystemConfig, TraceSource};
+use asd_sim::{
+    figures, PrefetchKind, RunContext, RunOpts, SimError, System, SystemConfig, TraceSource,
+};
 use asd_trace::suites;
 
-/// Short runs with a per-test seed: `0x91be` tags this binary, the low
-/// byte tags the test, so every test owns fresh cache keys.
+/// Short runs with a per-test seed.
 fn opts(test: u64) -> RunOpts {
     RunOpts { seed: 0x0091_be00 + test, ..RunOpts::default() }.with_accesses(3_000)
 }
@@ -40,7 +39,7 @@ fn echo_plan(name: &str, opts: &RunOpts, jobs: Vec<Job>) -> FigurePlan {
 
 #[test]
 fn empty_pipeline_yields_no_figures_and_zero_stats() {
-    let run = Pipeline::new().run(&|| 0.0).unwrap();
+    let run = Pipeline::new(&RunContext::default()).run(&|| 0.0).unwrap();
     assert!(run.figures.is_empty());
     assert_eq!(run.stats.figures, 0);
     assert_eq!(run.stats.submitted_jobs, 0);
@@ -52,7 +51,8 @@ fn empty_pipeline_yields_no_figures_and_zero_stats() {
 #[test]
 fn zero_job_figure_assembles_and_reads_the_clock() {
     // `cost` is a pure table: no simulations, assembly produces the text.
-    let mut pipe = Pipeline::new();
+    let ctx = RunContext::default();
+    let mut pipe = Pipeline::new(&ctx);
     pipe.submit(figures::plan("cost", &opts(1)).unwrap());
     let run = pipe.run(&|| 42.5).unwrap();
     assert_eq!(run.figures.len(), 1);
@@ -69,7 +69,8 @@ fn single_job_figure_matches_a_direct_run() {
     let milc = suites::by_name("milc").unwrap();
     let direct = System::new(np(1), &milc, &o).unwrap().with_label("NP").run();
 
-    let mut pipe = Pipeline::new();
+    let ctx = RunContext::default();
+    let mut pipe = Pipeline::new(&ctx);
     pipe.submit(echo_plan("solo", &o, vec![Job::new(&milc, np(1), "NP")]));
     let graph = pipe.run(&|| 0.0).unwrap();
     assert_eq!(graph.figures[0].output.text, format!("solo NP={}", direct.cycles));
@@ -84,7 +85,8 @@ fn trace_sourced_jobs_are_uncacheable_and_never_dedup() {
     let o = opts(4);
     let milc = suites::by_name("milc").unwrap();
     let replay = || np(1).with_trace(TraceSource::replay("/nonexistent/pipeline-test.asdt"));
-    let mut pipe = Pipeline::new();
+    let ctx = RunContext::default();
+    let mut pipe = Pipeline::new(&ctx);
     pipe.submit(echo_plan("a", &o, vec![Job::new(&milc, replay(), "NP")]));
     pipe.submit(echo_plan("b", &o, vec![Job::new(&milc, replay(), "NP")]));
     assert_eq!(pipe.submitted_jobs(), 2);
@@ -113,10 +115,12 @@ fn job_error_selection_matches_sweep_run() {
     // A sweep of the jobs, on any number of workers, and the same jobs as
     // one figure must pick that error even though `bad-a` also fails.
     for threads in [1, 4] {
-        let got = Pipeline::sweep(&o, jobs()).with_threads(threads).results().unwrap_err();
+        let ctx = RunContext::default().with_threads(threads);
+        let got = Pipeline::sweep(&ctx, &o, jobs()).results().unwrap_err();
         assert_eq!(got, want, "sweep on {threads} workers");
     }
-    let mut pipe = Pipeline::new();
+    let ctx = RunContext::default();
+    let mut pipe = Pipeline::new(&ctx);
     pipe.submit(echo_plan("f", &o, jobs()));
     assert_eq!(pipe.run(&|| 0.0).unwrap_err(), want);
 }
@@ -130,7 +134,8 @@ fn cross_figure_errors_report_the_earliest_submitted_figure() {
     let expected =
         run_custom(&milc, bad("/nonexistent/pipeline-first.asdt"), "bad", &o).unwrap_err();
 
-    let mut pipe = Pipeline::new();
+    let ctx = RunContext::default();
+    let mut pipe = Pipeline::new(&ctx);
     pipe.submit(echo_plan(
         "first",
         &o,
@@ -148,7 +153,8 @@ fn cross_figure_errors_report_the_earliest_submitted_figure() {
 #[test]
 fn assemble_errors_propagate() {
     let o = opts(7);
-    let mut pipe = Pipeline::new();
+    let ctx = RunContext::default();
+    let mut pipe = Pipeline::new(&ctx);
     pipe.submit(FigurePlan::new("boom", &o, Vec::new(), |_| {
         Err(SimError::UnknownFigure { name: "boom".to_string() })
     }));
@@ -172,21 +178,50 @@ fn duplicate_jobs_within_one_figure_keep_their_labels() {
             Ok(FigureOutput::text_only("ok".to_string()))
         },
     );
-    let mut pipe = Pipeline::new();
+    let ctx = RunContext::default();
+    let mut pipe = Pipeline::new(&ctx);
     pipe.submit(plan);
     let run = pipe.run(&|| 0.0).unwrap();
     assert_eq!(run.figures[0].output.text, "ok");
-    if cache::enabled() {
-        assert_eq!(run.stats.unique_jobs, 1);
-        assert_eq!(run.stats.inflight_joins, 1);
-    }
+    assert_eq!(run.stats.unique_jobs, 1);
+    assert_eq!(run.stats.inflight_joins, 1);
+}
+
+#[test]
+fn duplicate_jobs_across_figures_simulate_once() {
+    let o = opts(3);
+    let lbm = suites::by_name("lbm").unwrap();
+    let plan = |name: &str| echo_plan(name, &o, vec![Job::new(&lbm, np(1), "NP")]);
+
+    let ctx = RunContext::default();
+    let mut pipe = Pipeline::new(&ctx);
+    pipe.submit(plan("first"));
+    pipe.submit(plan("second"));
+    assert_eq!(pipe.submitted_jobs(), 2);
+    assert_eq!(pipe.unique_jobs(), 1, "identical jobs collapse at submission");
+    assert_eq!(pipe.inflight_joins(), 1);
+
+    let run = pipe.run(&|| 0.0).unwrap();
+    // One node, one simulation: the key misses once on the fresh context,
+    // and the joined figure never looks it up again.
+    assert_eq!(ctx.cache().stats(), (0, 1), "(hits, misses): exactly one simulation ran");
+    assert_eq!(ctx.cache().flight_stats(), (1, 0), "(leads, joins): nobody parked");
+    // That simulation generated its one fresh trace; nothing else asked.
+    assert_eq!(run.stats.traces_generated, 1, "one trace generated");
+    assert_eq!(run.stats.traces_served, 0, "no trace served twice");
+    assert_eq!(run.stats.peak_trace_bytes, 3_000 * 8, "8 bytes per access");
+    assert_eq!(run.stats.peak_live_jobs, 1);
+    let first = run.figures[0].output.text.strip_prefix("first").unwrap();
+    let second = run.figures[1].output.text.strip_prefix("second").unwrap();
+    assert_eq!(first, second, "both figures saw the same result");
 }
 
 #[test]
 fn threaded_run_returns_figures_in_submission_order() {
     let o = opts(9);
     let names = ["delta", "alpha", "echo", "bravo", "charlie"];
-    let mut pipe = Pipeline::new().with_threads(4);
+    let ctx = RunContext::default().with_threads(4);
+    let mut pipe = Pipeline::new(&ctx);
     for (i, name) in names.iter().enumerate() {
         // Distinct benchmarks so each figure has real, non-deduped work.
         let profile = suites::all_profiles().into_iter().nth(i).unwrap();
@@ -211,9 +246,6 @@ fn grid(profiles: &[&str], kinds: &[PrefetchKind]) -> Vec<Job> {
 
 #[test]
 fn a_trace_is_freed_after_its_last_reader_not_at_the_end_of_the_run() {
-    if !cache::enabled() {
-        return; // the trace memo is off with the run cache
-    }
     // Jobs reading traces A, A, B, on one worker, which runs them in
     // order: if A were kept to the end of the run, the run would hold A
     // and B at once.
@@ -222,7 +254,8 @@ fn a_trace_is_freed_after_its_last_reader_not_at_the_end_of_the_run() {
         .into_iter()
         .chain(grid(&["lbm"], &[PrefetchKind::Np]))
         .collect();
-    let run = Pipeline::sweep(&o, jobs).with_threads(1).run(&|| 0.0).unwrap();
+    let ctx = RunContext::default().with_threads(1);
+    let run = Pipeline::sweep(&ctx, &o, jobs).run(&|| 0.0).unwrap();
     assert_eq!(run.stats.traces_generated, 2);
     assert_eq!(run.stats.traces_served, 1, "the second job reads A from the memo");
     assert_eq!(
@@ -234,16 +267,14 @@ fn a_trace_is_freed_after_its_last_reader_not_at_the_end_of_the_run() {
 
 #[test]
 fn looped_threaded_runs_generate_each_shared_trace_once() {
-    if !cache::enabled() {
-        return; // the trace memo is off with the run cache
-    }
     // Four workers race for two traces, four readers each, in every run:
     // a memo that regenerated a trace, or freed one before its last
     // reader, would count a third generation.
     for i in 0..20 {
         let o = RunOpts { seed: 0x0091_bf00 + i, ..RunOpts::default() }.with_accesses(2_000);
         let jobs = grid(&["milc", "tpcc"], &PrefetchKind::ALL);
-        let run = Pipeline::sweep(&o, jobs).with_threads(4).run(&|| 0.0).unwrap();
+        let ctx = RunContext::default().with_threads(4);
+        let run = Pipeline::sweep(&ctx, &o, jobs).run(&|| 0.0).unwrap();
         let counts = (run.stats.traces_generated, run.stats.traces_served);
         assert_eq!(counts, (2, 6), "run {i}: (generated, served)");
         assert!(run.stats.peak_trace_bytes <= 2 * 2_000 * 8, "run {i}");

@@ -4,11 +4,11 @@
 //! thread and on two. Only the bookkeeping blocks (`cache`, `pipeline`,
 //! `wall_ms`) may differ between runs.
 //!
-//! `ASD_RUN_CACHE` is latched once per process, so every combination
-//! spawns the real binary (`CARGO_BIN_EXE_figures`) as a subprocess with
-//! its own environment. So does the check that an invalid
-//! `ASD_SWEEP_THREADS` is an error, which keeps the variable out of this
-//! process.
+//! The modes are the binary's own `ASD_*` settings, which it reads once
+//! into its run context, so every combination spawns the real binary
+//! (`CARGO_BIN_EXE_figures`) as a subprocess with its own environment. So
+//! does the check that an invalid setting or an unknown figure name is
+//! refused before anything runs.
 
 use asd_telemetry::json::Value;
 use std::path::PathBuf;
@@ -61,13 +61,17 @@ fn run_figures(combo: &Combo, figures: &[&str], accesses: &str) -> RunOutput {
         .env("ASD_FIGURES_JSON", &path)
         .output()
         .expect("spawn figures binary");
+    let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
         out.status.success(),
-        "{}: figures exited with {:?}\nstderr:\n{}",
+        "{}: figures exited with {:?}\nstderr:\n{stderr}",
         combo.tag,
         out.status.code(),
-        String::from_utf8_lossy(&out.stderr)
     );
+    // `ASD_SWEEP_THREADS` reaches the executor: the `pipeline:` line
+    // names the run context's worker count.
+    let workers = format!(" on {} worker thread(s)", combo.threads);
+    assert!(stderr.contains(&workers), "{}: expected `{workers}` in\n{stderr}", combo.tag);
     let body = std::fs::read_to_string(&path).expect("read JSON report");
     let _ = std::fs::remove_file(&path);
     let doc = asd_telemetry::json::parse(&body).expect("parse JSON report");
@@ -160,21 +164,40 @@ fn full_catalog_matches_across_thread_counts() {
     assert!(pipeline_stat(&parallel.doc, "inflight_joins") > 0.0);
 }
 
+/// A refused invocation: its arguments, the variable it sets, and what
+/// stderr must say.
+type Refused = (Vec<&'static str>, Option<(&'static str, &'static str)>, String);
+
 #[test]
-fn an_invalid_thread_count_is_an_error() {
-    for value in ["0", "-1", "two", "", "1.5"] {
-        let out = Command::new(BIN)
-            .arg("cost")
-            .env("ASD_SWEEP_THREADS", value)
-            .env("ASD_FIGURES_JSON", "-")
-            .output()
-            .expect("spawn figures binary");
+fn invalid_settings_and_unknown_figures_are_refused() {
+    let mut cases: Vec<Refused> = Vec::new();
+    for (var, values, expected) in [
+        ("ASD_SWEEP_THREADS", &["0", "-1", "two", "", "1.5"][..], "a positive integer"),
+        ("ASD_FIGURES_ACCESSES", &["abc", "0"][..], "a positive integer"),
+        ("ASD_RUN_CACHE", &["off"][..], "0 or 1"),
+    ] {
+        for &value in values {
+            let message = format!("invalid {var}=`{value}`: expected {expected}");
+            cases.push((vec!["cost"], Some((var, value)), message));
+        }
+    }
+    for args in [vec!["fig99"], vec!["all", "fig99"]] {
+        cases.push((args, None, "unknown figure `fig99`".to_string()));
+    }
+    let json = json_path("refused");
+    for (args, var, expected) in cases {
+        let _ = std::fs::remove_file(&json);
+        let mut cmd = Command::new(BIN);
+        cmd.args(&args).env("ASD_FIGURES_JSON", &json);
+        if let Some((name, value)) = var {
+            cmd.env(name, value);
+        }
+        let out = cmd.output().expect("spawn figures binary");
+        let what = format!("figures {args:?} with {var:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "ASD_SWEEP_THREADS={value:?}\nstderr:\n{stderr}");
-        assert!(
-            stderr.contains(&format!("invalid ASD_SWEEP_THREADS=`{value}`: expected a positive")),
-            "ASD_SWEEP_THREADS={value:?}: the error names the variable and the value\n{stderr}"
-        );
-        assert!(out.stdout.is_empty(), "ASD_SWEEP_THREADS={value:?}: no figure printed");
+        assert_eq!(out.status.code(), Some(1), "{what}\nstderr:\n{stderr}");
+        assert!(stderr.contains(&expected), "{what}: stderr must say `{expected}`\n{stderr}");
+        assert!(out.stdout.is_empty(), "{what}: no figure printed");
+        assert!(!json.exists(), "{what}: no report written");
     }
 }

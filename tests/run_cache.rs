@@ -2,22 +2,16 @@
 //! memoized cache must be indistinguishable — every counter, bit for bit
 //! — from simulating it fresh with the cache out of the loop.
 //!
-//! `ASD_RUN_CACHE` is latched once per process, so these tests do not
-//! toggle the variable; instead they compare the results the run memo
-//! stores and serves ([`Pipeline::sweep`], [`experiment::run_custom`]) against
-//! direct [`System::run`], which never consults the run memo. The direct
-//! runs still read their traces from the trace memo, so this is not the
-//! `ASD_RUN_CACHE=0` path; the trace memo's own tests pin its streams to
-//! the generator's, and `tests/pipeline_modes.rs` compares the figures
-//! binary with the cache on and off, across processes.
+//! Each test builds its own [`RunContext`]: two sweeps on one context
+//! share its run cache, so the second is served from it, while direct
+//! [`System::run`] calls never consult a cache. `tests/pipeline_modes.rs`
+//! compares the figures binary with memoization on and off, across
+//! processes.
 
 use asd_sim::pipeline::{Job, Pipeline};
-use asd_sim::{experiment, PrefetchKind, RunOpts, RunResult, System, SystemConfig};
+use asd_sim::{PrefetchKind, RunContext, RunOpts, RunResult, System, SystemConfig};
 use asd_trace::suites;
 
-/// Options distinct from every other test binary's, so this file owns its
-/// cache keys (the cache is process-global; binaries are separate
-/// processes, but keep the keys self-describing anyway).
 fn opts() -> RunOpts {
     RunOpts { seed: 0xcac4e, ..RunOpts::default() }.with_accesses(3_500)
 }
@@ -34,10 +28,25 @@ fn assert_same(a: &RunResult, b: &RunResult, what: &str) {
     assert_eq!(a.asd, b.asd, "{tag}");
 }
 
+/// One job of `bench` under `cfg` on `ctx`, labelled `label`.
+fn run_one(
+    ctx: &RunContext,
+    bench: &str,
+    cfg: SystemConfig,
+    label: &str,
+    opts: &RunOpts,
+) -> RunResult {
+    let profile = suites::by_name(bench).unwrap();
+    let mut results =
+        Pipeline::sweep(ctx, opts, vec![Job::new(&profile, cfg, label)]).results().unwrap();
+    results.remove(0)
+}
+
 #[test]
 fn cached_results_match_uncached_direct_runs() {
     let opts = opts();
     let benches = ["milc", "tonto", "lbm"];
+    let ctx = RunContext::default().with_threads(1);
     let sweep = || {
         let mut jobs = Vec::new();
         for bench in benches {
@@ -46,11 +55,14 @@ fn cached_results_match_uncached_direct_runs() {
                 jobs.push(Job::new(&profile, SystemConfig::for_kind(kind, 1), kind.name()));
             }
         }
-        Pipeline::sweep(&opts, jobs).with_threads(1)
+        Pipeline::sweep(&ctx, &opts, jobs)
     };
-    // First pass populates the cache, second pass is served from it.
+    // First pass populates the context's cache, second pass is served
+    // from it.
     let first = sweep().results().unwrap();
+    assert_eq!(ctx.cache().stats(), (0, 6), "(hits, misses): the first pass simulates");
     let second = sweep().results().unwrap();
+    assert_eq!(ctx.cache().stats(), (6, 6), "(hits, misses): the second pass is served");
     // The reference: fresh systems, no cache involvement at all.
     let mut i = 0;
     for bench in benches {
@@ -70,10 +82,11 @@ fn cached_results_match_uncached_direct_runs() {
 #[test]
 fn cache_hits_are_restamped_with_the_callers_label() {
     let opts = opts();
-    let profile = suites::by_name("GemsFDTD").unwrap();
+    let ctx = RunContext::default();
     let cfg = SystemConfig::for_kind(PrefetchKind::Ms, 1);
-    let a = experiment::run_custom(&profile, cfg.clone(), "first-label", &opts).unwrap();
-    let b = experiment::run_custom(&profile, cfg, "second-label", &opts).unwrap();
+    let a = run_one(&ctx, "GemsFDTD", cfg.clone(), "first-label", &opts);
+    let b = run_one(&ctx, "GemsFDTD", cfg, "second-label", &opts);
+    assert_eq!(ctx.cache().stats(), (1, 1), "(hits, misses): the second run is served");
     assert_eq!(a.config, "first-label");
     assert_eq!(b.config, "second-label", "hit must carry the new label, not the cached one");
     assert_eq!(a.cycles, b.cycles);
@@ -83,18 +96,11 @@ fn cache_hits_are_restamped_with_the_callers_label() {
 #[test]
 fn cache_traffic_is_observable() {
     let opts = RunOpts { seed: 0x57a75, ..opts() };
-    let profile = suites::by_name("tpcc").unwrap();
+    let ctx = RunContext::default();
     let cfg = SystemConfig::for_kind(PrefetchKind::Ps, 1);
-    let (h0, m0) = asd_sim::cache::global().stats();
-    experiment::run_custom(&profile, cfg.clone(), "PS", &opts).unwrap();
-    experiment::run_custom(&profile, cfg, "PS", &opts).unwrap();
-    let (h1, m1) = asd_sim::cache::global().stats();
-    if asd_sim::cache::enabled() {
-        assert!(m1 > m0, "first run of a distinct key must count a miss");
-        assert!(h1 > h0, "second run of the same key must count a hit");
-    } else {
-        // Someone ran this binary with ASD_RUN_CACHE=0: every lookup is
-        // a bypass and the counters must stay flat.
-        assert_eq!((h1, m1), (h0, m0));
-    }
+    assert_eq!(ctx.cache().stats(), (0, 0), "a fresh context has seen nothing");
+    run_one(&ctx, "tpcc", cfg.clone(), "PS", &opts);
+    assert_eq!(ctx.cache().stats(), (0, 1), "(hits, misses) after the first run");
+    run_one(&ctx, "tpcc", cfg, "PS", &opts);
+    assert_eq!(ctx.cache().stats(), (1, 1), "(hits, misses) after the second run");
 }

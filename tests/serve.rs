@@ -5,8 +5,9 @@
 //! the trace corpus, and the pinned CLI exit codes.
 //!
 //! Every test spawns the real binary (`CARGO_BIN_EXE_asd-serve`) as a
-//! subprocess: the run cache's memory tier is process-wide, so a fresh
-//! process is the only honest way to test "cold memory, warm disk".
+//! subprocess: the daemon's run context, memory tier included, lives as
+//! long as its process, so a fresh process is the only honest way to test
+//! "cold memory, warm disk".
 
 use asd_serve::client::{bench_specs, reference_doc, spawn_daemon, Client, DaemonHandle};
 use asd_serve::{JobSpec, ServeError};

@@ -3,20 +3,19 @@
 //! and a third-party prefetch engine must run through the full system
 //! without any change to `asd-mc` or `asd-sim`.
 //!
-//! The run cache is process-wide, so a repeated sweep would be served
-//! from it. Each test therefore owns a seed no other test uses, runs the
-//! executor first (every job misses and simulates), and compares it with
-//! direct [`System::run`] calls, which never consult the run cache.
+//! Each executor run has a [`RunContext`] of its own, so it simulates
+//! every job unless the test hands a second sweep the same context, and
+//! it is compared with direct [`System::run`] calls, which never consult
+//! a run cache.
 
 use asd_mc::{custom_engine, EngineFactory, McConfig, PrefetchEngine};
 use asd_sim::experiment::run_custom;
 use asd_sim::pipeline::{Job, Pipeline};
-use asd_sim::{PrefetchKind, RunOpts, RunResult, System, SystemConfig};
+use asd_sim::{PrefetchKind, RunContext, RunOpts, RunResult, System, SystemConfig};
 use asd_trace::suites;
 use std::sync::Arc;
 
-/// Short runs with a per-test seed: `0x5eeb` tags this binary, the low
-/// byte tags the test.
+/// Short runs with a per-test seed.
 fn opts(test: u64, accesses: u64) -> RunOpts {
     RunOpts { seed: 0x005e_eb00 + test, ..RunOpts::default() }.with_accesses(accesses)
 }
@@ -47,7 +46,8 @@ fn parallel_sweep_bit_identical_to_serial() {
     // must match the serial execution exactly, in job order.
     let opts = opts(1, 4_000);
     let benches = ["milc", "lbm", "tpcc"];
-    let par = Pipeline::sweep(&opts, four_way_jobs(&benches)).with_threads(4).results().unwrap();
+    let ctx = RunContext::default().with_threads(4);
+    let par = Pipeline::sweep(&ctx, &opts, four_way_jobs(&benches)).results().unwrap();
     let ser = direct(four_way_jobs(&benches), &opts);
     assert_eq!(par.len(), 12);
     assert_eq!(par.len(), ser.len());
@@ -65,13 +65,16 @@ fn parallel_sweep_bit_identical_to_serial() {
 
 #[test]
 fn sweep_is_repeatable() {
-    // A parallel sweep, the same sweep again (now served from the run
-    // cache), and a direct re-simulation all agree run for run.
+    // A parallel sweep, the same sweep again on the same context (now
+    // served from its run cache), and a direct re-simulation all agree run
+    // for run.
     let opts = opts(2, 3_000);
-    let sweep = || Pipeline::sweep(&opts, four_way_jobs(&["tonto"])).with_threads(4);
+    let ctx = RunContext::default().with_threads(4);
+    let sweep = || Pipeline::sweep(&ctx, &opts, four_way_jobs(&["tonto"]));
     let a = sweep().results().unwrap();
     let b = sweep().results().unwrap();
     let c = direct(four_way_jobs(&["tonto"]), &opts);
+    assert_eq!(ctx.cache().stats(), (4, 4), "(hits, misses): the repeat is served");
     assert_eq!(a.len(), 4);
     for ((x, y), z) in a.iter().zip(&b).zip(&c) {
         assert_eq!(x.cycles, z.cycles, "{}", x.config);
@@ -156,8 +159,11 @@ fn custom_engine_works_inside_parallel_sweep() {
         }
         jobs
     };
-    let par = Pipeline::sweep(&opts, jobs()).with_threads(2).results().unwrap();
-    let ser = Pipeline::sweep(&opts, jobs()).with_threads(1).results().unwrap();
+    let par_ctx = RunContext::default().with_threads(2);
+    let par = Pipeline::sweep(&par_ctx, &opts, jobs()).results().unwrap();
+    let ser_ctx = par_ctx.with_threads(1);
+    let ser = Pipeline::sweep(&ser_ctx, &opts, jobs()).results().unwrap();
+    assert_eq!(ser_ctx.cache().stats(), (0, 0), "anonymous engines never reach the cache");
     assert_eq!(par.len(), 2);
     for (p, s) in par.iter().zip(&ser) {
         assert_eq!(p.cycles, s.cycles, "{}", p.benchmark);

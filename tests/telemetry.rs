@@ -10,7 +10,7 @@
 
 use asd_sim::experiment::run_custom;
 use asd_sim::pipeline::{Job, Pipeline};
-use asd_sim::{PrefetchKind, RunOpts, RunResult, System, SystemConfig};
+use asd_sim::{PrefetchKind, RunContext, RunOpts, RunResult, System, SystemConfig};
 use asd_telemetry::{names, PrefetchMetrics, TelemetryConfig};
 use asd_trace::suites;
 
@@ -52,9 +52,8 @@ fn telemetry_on_vs_off_is_bit_identical_across_profiles() {
 
 #[test]
 fn serial_and_parallel_sweeps_produce_identical_snapshots() {
-    // A seed of its own, so the parallel sweep simulates every job instead
-    // of being served the other tests' runs from the run cache; the
-    // serial side is direct runs, which never consult the cache.
+    // The parallel sweep runs on a fresh context, so it simulates every
+    // job; the serial side is direct runs, which never consult a cache.
     let opts = RunOpts { seed: 0x7e1e_5eed, ..opts() };
     let jobs = || {
         PROFILES.map(|bench| {
@@ -68,7 +67,8 @@ fn serial_and_parallel_sweeps_produce_identical_snapshots() {
         .into_iter()
         .map(|j| System::new(j.cfg, &j.profile, &opts).unwrap().with_label(&j.label).run())
         .collect();
-    let parallel = Pipeline::sweep(&opts, jobs().into()).with_threads(4).results().unwrap();
+    let ctx = RunContext::default().with_threads(4);
+    let parallel = Pipeline::sweep(&ctx, &opts, jobs().into()).results().unwrap();
     assert_eq!(parallel.len(), PROFILES.len());
     for (s, p) in serial.iter().zip(&parallel) {
         assert_same_simulation(s, p, &format!("{}: parallel vs serial", s.benchmark));
