@@ -45,7 +45,9 @@
 //! and workload set — the CI smoke runs 2 engines over 2 profiles.
 //!
 //! A name outside the catalog, or an `ASD_*` value outside its accepted
-//! set ([`Settings`]), exits 1 before anything runs.
+//! set ([`Settings`]), exits 1 before anything runs. A failed write to
+//! stdout (a reader that closed the pipe, say) ends the run with exit 1,
+//! one `figures:` line on stderr, and no report written.
 
 use asd_bench::full_opts;
 use asd_sim::arena::{arena_plan, default_roster};
@@ -53,8 +55,9 @@ use asd_sim::figures::{plan_sized, CATALOG};
 use asd_sim::pipeline::{FigureOutput, FigurePlan, MetricValue, Pipeline, PipelineStats};
 use asd_sim::{RunContext, RunOpts, SimError};
 use asd_telemetry::json::Value;
-use asd_telemetry::{names, Registry, TelemetryConfig, Unit};
 use asd_trace::suites;
+use std::error::Error;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::time::Instant;
@@ -126,161 +129,57 @@ fn positive<T: FromStr + PartialOrd + Default>(name: &str) -> Result<Option<T>, 
     }
 }
 
-/// Collects one record per regenerated figure. Wall-clock times live on a
-/// telemetry registry (`bench.<figure>.wall_ms` gauges), and the JSON
-/// document reads them back from the snapshot — the same source of truth
-/// the exposition backends use.
-struct Report {
-    figures: Vec<(String, Value)>,
-    tel: Registry,
-}
+/// One regenerated figure in the report: its name, its wall time to
+/// completion (time-to-ready from pipeline start; figures overlap), and
+/// its metrics.
+type Record = (String, f64, Value);
 
-impl Report {
-    fn new() -> Self {
-        Report {
-            figures: Vec::new(),
-            tel: Registry::section("bench.", &TelemetryConfig::metrics_only()),
-        }
-    }
-
-    /// Record a figure: name, wall time to its completion (time-to-ready
-    /// from pipeline start; figures overlap), and its metrics.
-    fn add(&mut self, name: &str, wall_ms: f64, metrics: Value) {
-        self.tel.fill_gauge(
-            &format!("{name}.wall_ms"),
-            Unit::Millis,
-            "host wall-clock time to this figure's completion",
-            wall_ms,
-        );
-        self.figures.push((name.to_string(), metrics));
-    }
-
-    fn document(
-        mut self,
-        ctx: &RunContext,
-        opts: &RunOpts,
-        stats: &PipelineStats,
-        total_wall_ms: f64,
-    ) -> Value {
-        // Surface the context's run cache and the run's trace memo
-        // through the same registry the wall-time gauges live on, so every
-        // exposition backend (and this JSON document) sees how much of the
-        // pipeline was deduplicated.
-        let (run_hits, run_misses) = ctx.cache().stats();
-        for (name, help, v) in [
-            ("cache.run_hits", "figure points served from the cross-figure run cache", run_hits),
-            ("cache.run_misses", "figure points actually simulated", run_misses),
-            (
-                "cache.trace_hits",
-                "per-thread trace reads the run's trace memo served",
-                stats.traces_served,
-            ),
-            (
-                "cache.trace_misses",
-                "per-thread traces the run's trace memo generated",
-                stats.traces_generated,
-            ),
-        ] {
-            self.tel.fill_gauge(name, Unit::Events, help, v as f64);
-        }
-        // The scheduler's own counters, under `bench.pipeline.*`.
-        for (metric, unit, help, v) in [
-            (
-                "figures",
-                Unit::Events,
-                "figures regenerated by this invocation",
-                stats.figures as f64,
-            ),
-            (
-                "submitted_jobs",
-                Unit::Events,
-                "simulation jobs requested across all figures, before dedup",
-                stats.submitted_jobs as f64,
-            ),
-            (
-                "unique_jobs",
-                Unit::Events,
-                "distinct simulation jobs actually scheduled",
-                stats.unique_jobs as f64,
-            ),
-            (
-                "inflight_joins",
-                Unit::Events,
-                "jobs that joined another figure's identical job instead of re-running",
-                stats.inflight_joins as f64,
-            ),
-            (
-                "peak_live_jobs",
-                Unit::Events,
-                "high-water mark of job results held live at once",
-                stats.peak_live_jobs as f64,
-            ),
-            (
-                "peak_trace_bytes",
-                Unit::None,
-                "high-water mark of memoized trace bytes the run held at once",
-                stats.peak_trace_bytes as f64,
-            ),
-            (
-                "total_wall_ms",
-                Unit::Millis,
-                "end-to-end wall time across every requested figure",
-                total_wall_ms,
-            ),
-        ] {
-            self.tel.fill_gauge(&names::pipeline_metric(metric), unit, help, v);
-        }
-        let snap = self.tel.snapshot();
-        // Summed per-figure times-to-ready, reported beside the true total.
-        let wall_sum: f64 = self
-            .figures
-            .iter()
-            .map(|(name, _)| snap.gauge(&format!("bench.{name}.wall_ms")).unwrap_or(0.0))
-            .sum();
-        let mut cache = Value::obj();
-        cache.set("enabled", ctx.memoize());
-        for key in ["run_hits", "run_misses", "trace_hits", "trace_misses"] {
-            cache.set(key, snap.gauge(&format!("bench.cache.{key}")).unwrap_or(0.0));
-        }
-        let mut pipe = Value::obj();
-        for key in [
-            "figures",
-            "submitted_jobs",
-            "unique_jobs",
-            "inflight_joins",
-            "peak_live_jobs",
-            "peak_trace_bytes",
-        ] {
-            let name = format!("bench.{}", names::pipeline_metric(key));
-            pipe.set(key, snap.gauge(&name).unwrap_or(0.0));
-        }
-        let total = snap
-            .gauge(&format!("bench.{}", names::pipeline_metric("total_wall_ms")))
-            .unwrap_or(0.0);
-        pipe.set("total_wall_ms", total);
-        pipe.set("figure_wall_sum_ms", wall_sum);
-        let mut o = Value::obj();
-        o.set("accesses", opts.accesses).set("seed", opts.seed);
-        let mut doc = Value::obj();
-        doc.set("schema", "asd-bench-figures/1");
-        doc.set("opts", o);
-        doc.set("cache", cache);
-        doc.set("pipeline", pipe);
-        let rows = self
-            .figures
-            .into_iter()
-            .map(|(name, metrics)| {
-                let mut rec = Value::obj();
-                let wall = snap.gauge(&format!("bench.{name}.wall_ms")).unwrap_or(0.0);
-                rec.set("name", name);
-                rec.set("wall_ms", wall);
-                rec.set("metrics", metrics);
-                rec
-            })
-            .collect();
-        doc.set("figures", Value::Arr(rows));
-        doc
-    }
+/// The JSON report: the run options, the context's run-cache counts and
+/// the run's trace-memo counts, the job graph's counters with the
+/// end-to-end wall time, and one record per figure.
+fn document(
+    ctx: &RunContext,
+    opts: &RunOpts,
+    stats: &PipelineStats,
+    figures: Vec<Record>,
+    total_wall_ms: f64,
+) -> Value {
+    let (run_hits, run_misses) = ctx.cache().stats();
+    let mut cache = Value::obj();
+    cache
+        .set("enabled", ctx.memoize())
+        .set("run_hits", run_hits)
+        .set("run_misses", run_misses)
+        .set("trace_hits", stats.traces_served)
+        .set("trace_misses", stats.traces_generated);
+    // Summed per-figure times-to-ready, reported beside the true total.
+    let wall_sum: f64 = figures.iter().map(|(_, wall_ms, _)| wall_ms).sum();
+    let mut pipe = Value::obj();
+    pipe.set("figures", stats.figures)
+        .set("submitted_jobs", stats.submitted_jobs)
+        .set("unique_jobs", stats.unique_jobs)
+        .set("inflight_joins", stats.inflight_joins)
+        .set("peak_live_jobs", stats.peak_live_jobs)
+        .set("peak_trace_bytes", stats.peak_trace_bytes)
+        .set("total_wall_ms", total_wall_ms)
+        .set("figure_wall_sum_ms", wall_sum);
+    let mut o = Value::obj();
+    o.set("accesses", opts.accesses).set("seed", opts.seed);
+    let rows = figures
+        .into_iter()
+        .map(|(name, wall_ms, metrics)| {
+            let mut rec = Value::obj();
+            rec.set("name", name).set("wall_ms", wall_ms).set("metrics", metrics);
+            rec
+        })
+        .collect();
+    let mut doc = Value::obj();
+    doc.set("schema", "asd-bench-figures/1")
+        .set("opts", o)
+        .set("cache", cache)
+        .set("pipeline", pipe)
+        .set("figures", Value::Arr(rows));
+    doc
 }
 
 /// Convert a figure's typed metric to the report's JSON value.
@@ -351,27 +250,27 @@ fn write_artifacts(dir: &Path, artifacts: &[(String, String)]) {
     }
 }
 
-/// Print one finished figure, write its artifacts if a target directory
-/// is configured, and record it in the report.
-fn emit(report: &mut Report, settings: &Settings, name: &str, wall_ms: f64, output: FigureOutput) {
-    println!("{}\n", output.text);
+/// Print one finished figure and write its artifacts if a target
+/// directory is configured.
+fn emit(out: &mut impl Write, settings: &Settings, output: &FigureOutput) -> io::Result<()> {
+    writeln!(out, "{}\n", output.text)?;
     if let Some(dir) = &settings.telemetry_dir {
         if !output.artifacts.is_empty() {
             write_artifacts(dir, &output.artifacts);
         }
     }
-    report.add(name, wall_ms, metrics_to_json(output.metrics));
+    Ok(())
 }
 
 /// Submit every plan into one job graph, run it, print the outputs in
-/// catalog order, and return the graph's counters.
+/// catalog order, and return each figure's report record with the
+/// graph's counters.
 fn run_graph(
     settings: &Settings,
     selected: &[&str],
     opts: &RunOpts,
-    report: &mut Report,
     t0: Instant,
-) -> Result<PipelineStats, SimError> {
+) -> Result<(Vec<Record>, PipelineStats), Box<dyn Error>> {
     let mut pipe = Pipeline::new(&settings.ctx);
     for name in selected {
         pipe.submit(build_plan(name, settings, opts)?);
@@ -386,10 +285,14 @@ fn run_graph(
         settings.ctx.threads(),
     );
     let run = pipe.run(&|| t0.elapsed().as_secs_f64() * 1e3)?;
+    let mut stdout = io::stdout().lock();
+    let mut records = Vec::with_capacity(run.figures.len());
     for fig in run.figures {
-        emit(report, settings, &fig.name, fig.wall_ms, fig.output);
+        emit(&mut stdout, settings, &fig.output)
+            .map_err(|e| format!("could not write to stdout: {e}"))?;
+        records.push((fig.name, fig.wall_ms, metrics_to_json(fig.output.metrics)));
     }
-    Ok(run.stats)
+    Ok((records, run.stats))
 }
 
 fn main() -> std::process::ExitCode {
@@ -402,11 +305,11 @@ fn main() -> std::process::ExitCode {
     }
 }
 
-fn run() -> Result<(), SimError> {
+fn run() -> Result<(), Box<dyn Error>> {
     let settings = Settings::from_env()?;
     let args: Vec<String> = std::env::args().skip(1).collect();
     if let Some(name) = args.iter().find(|a| *a != "all" && !CATALOG.contains(&a.as_str())) {
-        return Err(SimError::UnknownFigure { name: name.clone() });
+        return Err(SimError::UnknownFigure { name: name.clone() }.into());
     }
     let all = args.is_empty() || args.iter().any(|a| a == "all");
     let selected: Vec<&str> =
@@ -416,13 +319,12 @@ fn run() -> Result<(), SimError> {
     // catalog's per-figure absolute overrides (fig3, smt).
     let opts = settings.accesses.map_or_else(full_opts, |n| full_opts().with_accesses(n));
 
-    let mut report = Report::new();
     let t0 = Instant::now();
-    let stats = run_graph(&settings, &selected, &opts, &mut report, t0)?;
+    let (records, stats) = run_graph(&settings, &selected, &opts, t0)?;
     let total_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     if let Some(path) = &settings.json {
-        let doc = report.document(&settings.ctx, &opts, &stats, total_wall_ms);
+        let doc = document(&settings.ctx, &opts, &stats, records, total_wall_ms);
         match std::fs::write(path, doc.render() + "\n") {
             Ok(()) => eprintln!("wrote {}", path.display()),
             Err(e) => eprintln!("figures: could not write {}: {e}", path.display()),

@@ -164,7 +164,6 @@ impl Dram {
     }
 
     /// Freeze this channel's live-updated instruments.
-    // asd-lint: cold -- exposition freeze: runs at snapshot time, not per cycle
     pub fn telemetry_snapshot(&self) -> Snapshot {
         self.tel.snapshot()
     }

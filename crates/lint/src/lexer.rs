@@ -10,13 +10,11 @@
 //! code. Number literals keep their text, because D008 must tell
 //! `remove(0)` apart from `remove(idx)`.
 //!
-//! Suppression directives (`// asd-lint: allow(Dxxx) -- reason`),
-//! hot-path markers (`// asd-lint: hot`), and cold-path markers
-//! (`// asd-lint: cold`) are recognised while scanning line comments and
-//! surfaced separately so the driver can match them against findings
-//! (respectively: suppress them; anchor D009's per-function allocation
-//! scan and D010's reachability roots; and cut D010's call-graph walk at
-//! functions that are off the per-cycle path).
+//! Suppression directives (`// asd-lint: allow(Dxxx) -- reason`) and
+//! hot-path markers (`// asd-lint: hot`) are recognised while scanning
+//! line comments and surfaced separately: directives are matched against
+//! findings to suppress them, and each marker anchors D009's
+//! per-function allocation scan.
 
 /// One lexed token kind.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,14 +68,6 @@ pub struct Lexed {
     /// 1-based lines carrying a `// asd-lint: hot` hot-path marker
     /// (D009 scans the function that follows each one).
     pub hots: Vec<u32>,
-    /// 1-based lines carrying a `// asd-lint: cold` marker: the function
-    /// that follows is declared off the per-cycle path (exposition,
-    /// amortized growth), and D010's reachability walk stops there.
-    pub colds: Vec<u32>,
-    /// Every 1-based line covered by a doc comment (`///`, `//!`, or a
-    /// `/** ... */` / `/*! ... */` block). D014 uses adjacency to these
-    /// lines to decide whether an exported item is documented.
-    pub doc_lines: Vec<u32>,
 }
 
 /// Lex `src` into tokens and suppression directives. Never fails: any
@@ -91,8 +81,6 @@ pub fn lex(src: &str) -> Lexed {
         tokens: Vec::new(),
         allows: Vec::new(),
         hots: Vec::new(),
-        colds: Vec::new(),
-        doc_lines: Vec::new(),
     }
     .run()
 }
@@ -104,8 +92,6 @@ struct Lexer {
     tokens: Vec<Token>,
     allows: Vec<Allow>,
     hots: Vec<u32>,
-    colds: Vec<u32>,
-    doc_lines: Vec<u32>,
 }
 
 fn is_ident_start(c: char) -> bool {
@@ -160,13 +146,7 @@ impl Lexer {
                 }
             }
         }
-        Lexed {
-            tokens: self.tokens,
-            allows: self.allows,
-            hots: self.hots,
-            colds: self.colds,
-            doc_lines: self.doc_lines,
-        }
+        Lexed { tokens: self.tokens, allows: self.allows, hots: self.hots }
     }
 
     fn line_comment(&mut self) {
@@ -185,23 +165,16 @@ impl Lexer {
             self.bump();
         }
         if doc {
-            self.doc_lines.push(line);
             return;
         }
         match parse_directive(&text, line) {
             Some(Directive::Allow(allow)) => self.allows.push(allow),
             Some(Directive::Hot) => self.hots.push(line),
-            Some(Directive::Cold) => self.colds.push(line),
             None => {}
         }
     }
 
     fn block_comment(&mut self) {
-        // `/** ... */` and `/*! ... */` are doc blocks (`/**/` and `/***/`
-        // degenerate forms are not).
-        let doc = (self.peek(2) == Some('*') && !matches!(self.peek(3), Some('/' | '*')))
-            || self.peek(2) == Some('!');
-        let first_line = self.line;
         // Rust block comments nest.
         let mut depth = 0usize;
         while let Some(c) = self.peek(0) {
@@ -219,9 +192,6 @@ impl Lexer {
             } else {
                 self.bump();
             }
-        }
-        if doc {
-            self.doc_lines.extend(first_line..=self.line);
         }
     }
 
@@ -417,32 +387,24 @@ enum Directive {
     Allow(Allow),
     /// A hot-path marker (`hot`).
     Hot,
-    /// A cold-path marker (`cold`).
-    Cold,
 }
 
 /// Parse a directive out of one line comment's text, if the marker
 /// `asd-lint:` is present. Well-formed directives look like
 /// `asd-lint: allow(D005) -- reason text` (codes may be a comma list) or
-/// the path markers `asd-lint: hot` / `asd-lint: cold`, each optionally
-/// followed by a `-- reason` trailer. Anything else after the marker is
-/// reported as a malformed (suppression-shaped) directive so typos fail
-/// loudly (D000).
+/// the path marker `asd-lint: hot`, optionally followed by a `-- reason`
+/// trailer. Anything else after the marker is reported as a malformed
+/// (suppression-shaped) directive so typos fail loudly (D000).
 fn parse_directive(comment: &str, line: u32) -> Option<Directive> {
     let idx = comment.find("asd-lint:")?;
     let rest = comment[idx + "asd-lint:".len()..].trim_start();
-    // `hot` / `cold`, bare or with a `-- reason` trailer.
-    let marker = |kw: &str| {
-        rest.strip_prefix(kw).is_some_and(|t| {
-            let t = t.trim_start();
-            t.is_empty() || t.strip_prefix("--").is_some_and(|r| !r.trim().is_empty())
-        })
-    };
-    if marker("hot") {
+    // `hot`, bare or with a `-- reason` trailer.
+    let hot = rest.strip_prefix("hot").is_some_and(|t| {
+        let t = t.trim_start();
+        t.is_empty() || t.strip_prefix("--").is_some_and(|r| !r.trim().is_empty())
+    });
+    if hot {
         return Some(Directive::Hot);
-    }
-    if marker("cold") {
-        return Some(Directive::Cold);
     }
     let Some(body) = rest.strip_prefix("allow(") else {
         return Some(Directive::Allow(Allow { line, codes: Vec::new(), well_formed: false }));
@@ -619,25 +581,16 @@ mod tests {
     }
 
     #[test]
-    fn doc_lines_recorded_for_line_and_block_doc() {
-        let src = "/// one\nfn a() {}\n/** two\nspans */\nfn b() {}\n//! inner\n";
-        assert_eq!(lex(src).doc_lines, vec![1, 3, 4, 6]);
-    }
-
-    #[test]
-    fn cold_marker_recorded_with_optional_reason() {
-        let src = "// asd-lint: cold\nfn a() {}\n// asd-lint: cold -- exposition only\nfn b() {}\n// asd-lint: hot -- per-cycle tick\nfn c() {}\n";
-        let lexed = lex(src);
-        assert_eq!(lexed.colds, [1, 3]);
-        assert_eq!(lexed.hots, [5]);
-        assert!(lexed.allows.is_empty());
-    }
-
-    #[test]
     fn marker_with_empty_reason_or_glued_suffix_is_malformed() {
-        for src in ["// asd-lint: cold --\n", "// asd-lint: coldly\n", "// asd-lint: hot --  \n"] {
+        // `hot` is the only path marker: a leftover `cold` is malformed.
+        for src in [
+            "// asd-lint: cold --\n",
+            "// asd-lint: coldly\n",
+            "// asd-lint: hot --  \n",
+            "// asd-lint: cold\n",
+        ] {
             let lexed = lex(src);
-            assert!(lexed.colds.is_empty() && lexed.hots.is_empty(), "{src:?}");
+            assert!(lexed.hots.is_empty(), "{src:?}");
             assert_eq!(lexed.allows.len(), 1, "{src:?}");
             assert!(!lexed.allows[0].well_formed, "{src:?}");
         }

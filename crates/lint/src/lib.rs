@@ -7,14 +7,14 @@
 //! (catalogued in [`lints::CATALOG`] and DESIGN.md) ban the ways that
 //! promise could silently rot — wall-clock reads, hasher-ordered
 //! iteration, unseeded randomness, mutable globals, panicking library
-//! paths, missing crate-root lint headers, layering inversions, and (via
-//! the semantic pass) transitive hot-path allocation, order-sensitive
-//! float reductions, unchecked counter arithmetic, swallowed `Result`s,
-//! and undocumented exported sim types.
+//! paths, missing crate-root lint headers, layering inversions,
+//! front-of-`Vec` shifts, and heap allocation in functions marked
+//! `// asd-lint: hot`.
 //!
-//! The pipeline is `lexer` → [`parse`] (per-file [`parse::FileSummary`]
-//! digests) → [`semantic`] (workspace symbol table, call graph, graph
-//! lints, suppression). Every run lexes and parses every file.
+//! The pass is lexical and per file: [`lexer`] reduces each file to
+//! tokens, suppression directives and hot markers, and
+//! [`lints::check_file`] runs D001–D009 over them and applies that
+//! file's own suppressions (D000). Every run lexes every file.
 //! [`output`] renders SARIF 2.1.0 and JSON for CI.
 //!
 //! Three entry points, one implementation:
@@ -38,8 +38,6 @@
 pub mod lexer;
 pub mod lints;
 pub mod output;
-pub mod parse;
-pub mod semantic;
 
 pub use lints::{FileContext, FileKind, Finding, LintInfo, CATALOG};
 
@@ -165,21 +163,13 @@ pub fn run_workspace(root: &Path) -> io::Result<Report> {
         }
     }
 
-    let mut summaries: Vec<parse::FileSummary> = Vec::with_capacity(units.len());
     for (file, rel_path, crate_name, kind) in &units {
         let lexed = lexer::lex(&fs::read_to_string(file)?);
-        summaries.push(parse::summarize(
-            FileContext { path: rel_path, crate_name, kind: *kind },
-            &lexed,
-        ));
+        let ctx = FileContext { path: rel_path, crate_name, kind: *kind };
+        findings.extend(lints::check_file(ctx, &lexed));
     }
-
-    findings.extend(semantic::analyze(&summaries));
     findings
         .sort_by(|a, b| (a.path.as_str(), a.line, a.code).cmp(&(b.path.as_str(), b.line, b.code)));
-    // Two identical constructs on one line (e.g. chained `.expect()`s)
-    // produce identical findings; report each site once.
-    findings.dedup();
     Ok(Report { findings, files_scanned: units.len(), manifests_checked })
 }
 

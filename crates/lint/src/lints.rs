@@ -1,5 +1,7 @@
-//! The simulator invariant catalog (D001–D009) and the token-level
-//! checks that enforce it.
+//! The simulator invariant catalog (D000–D009) and the checks that
+//! enforce it, one lexed file at a time: [`check_file`] runs the token
+//! lints D001–D009 and then the file's own suppression directives (D000),
+//! and [`check_manifest`] checks a crate manifest's half of D007.
 //!
 //! Every lint exists to protect one property: **bit-determinism** of the
 //! simulation results. The parallel [`Pipeline`] executor's correctness
@@ -71,7 +73,7 @@ pub struct LintInfo {
 
 /// The full catalog, in code order (D000 is the meta-lint for malformed
 /// suppression directives).
-pub const CATALOG: [LintInfo; 15] = [
+pub const CATALOG: [LintInfo; 10] = [
     LintInfo { code: "D000", rule: "suppression directives must be well-formed, known, and used" },
     LintInfo { code: "D001", rule: "no wall-clock (`Instant`/`SystemTime`) in simulation crates" },
     LintInfo { code: "D002", rule: "no default-hasher `HashMap`/`HashSet` in simulation state" },
@@ -85,31 +87,11 @@ pub const CATALOG: [LintInfo; 15] = [
         rule: "no front-of-`Vec` shifting (`.remove(0)`/`.insert(0, _)`) in simulation crates",
     },
     LintInfo { code: "D009", rule: "no heap allocation in functions marked `// asd-lint: hot`" },
-    LintInfo {
-        code: "D010",
-        rule: "no heap allocation transitively reachable from a hot-path function (call graph)",
-    },
-    LintInfo {
-        code: "D011",
-        rule: "no order-sensitive float reductions (`.sum::<f64>()`, float `fold`) in sim crates",
-    },
-    LintInfo {
-        code: "D012",
-        rule: "no unchecked subtraction on sim-state counter fields (`*Stats`/`*Counters`)",
-    },
-    LintInfo {
-        code: "D013",
-        rule: "no silently discarded `Result` from fallible workspace calls in library code",
-    },
-    LintInfo {
-        code: "D014",
-        rule: "exported sim types carry doc comments stating their invariants",
-    },
 ];
 
 /// The canonical one-line fix hint for each lint code. Findings carry the
-/// hint by value so renderers (text, SARIF) need no lookup, but
-/// parse-level findings are reconstituted through this table.
+/// hint by value so the text and JSON renderers need no lookup; SARIF's
+/// rule catalog and D000 findings read it from here.
 pub fn hint_for(code: &str) -> &'static str {
     match code {
         "D000" => "use `// asd-lint: allow(Dxxx) -- reason` with a nonempty reason, a known code, and a matching finding",
@@ -122,11 +104,6 @@ pub fn hint_for(code: &str) -> &'static str {
         "D007" => "dependency direction is core/telemetry <- {trace,dram} <- {traceio,cache,cpu,mc} <- engines <- sim <- bench; invert the reference or move the code down a layer",
         "D008" => "index-0 remove/insert memmoves the whole Vec every call; use a ring buffer (VecDeque) or push/swap at the back, or allow(D008) with why this path is cold",
         "D009" => "functions marked `// asd-lint: hot` run per simulated cycle; reuse a buffer owned by the struct, or allow(D009) with why this branch is cold",
-        "D010" => "this function is reachable from a `// asd-lint: hot` marker through the call graph; hoist the buffer to the owning struct, mark the callee `// asd-lint: cold` if it runs off-cycle, or allow(D010) at the allocation with why the path is cold",
-        "D011" => "float addition is not associative, so the reduced value depends on iteration order; pin the order (sorted/slice iteration) and allow(D011) with the ordering argument, or restructure",
-        "D012" => "an underflowing counter panics in debug and wraps in release — two different results; use saturating_sub/checked_sub/wrapping_sub, or allow(D012) with why underflow is impossible",
-        "D013" => "a dropped Result hides sim-state corruption; propagate with `?`, handle the error, or allow(D013) with why failure is benign here",
-        "D014" => "exported simulation types document the invariants callers rely on; add a doc comment (see DESIGN.md, D014)",
         _ => "see the lint catalog in DESIGN.md",
     }
 }
@@ -205,21 +182,13 @@ pub fn is_sim_crate(name: &str) -> bool {
     SIM_CRATES.contains(&name)
 }
 
-/// Analyze one file end to end: token-level lints, the item parser's
-/// local lints (D011/D014), the single-file slice of the graph lints
-/// (D010/D012/D013 over this file's own call graph), suppression
-/// directives, and directive hygiene (D000). Equivalent to running
-/// [`crate::semantic::analyze`] over a one-file workspace; the
+/// Lint one file: every token-level lint (D001–D009), then the file's
+/// own suppression directives. A well-formed `allow` covers findings of
+/// its codes on its own line and the next; one that is malformed, names
+/// an unknown code, or covers no finding is itself a finding (D000).
+/// Findings come back sorted by `(line, code)`, each site once. The
 /// whole-workspace driver is [`crate::run_workspace`].
 pub fn check_file(ctx: FileContext<'_>, lexed: &Lexed) -> Vec<Finding> {
-    let summary = crate::parse::summarize(ctx, lexed);
-    crate::semantic::analyze(&[summary])
-}
-
-/// Run every token-level lint (D001–D009) on one lexed file, with **no**
-/// suppression applied: the semantic pass owns allow application so that
-/// graph-lint findings participate in stale-directive detection.
-pub fn local_findings(ctx: FileContext<'_>, lexed: &Lexed) -> Vec<Finding> {
     let tokens = &lexed.tokens;
     let test_regions = test_regions(tokens);
     let in_test = |line: u32| test_regions.iter().any(|&(a, b)| a <= line && line <= b);
@@ -236,6 +205,40 @@ pub fn local_findings(ctx: FileContext<'_>, lexed: &Lexed) -> Vec<Finding> {
     check_d007_source(&ctx, tokens, &mut findings);
     check_d008(&ctx, tokens, &in_test, &mut findings);
     check_d009(&ctx, tokens, &lexed.hots, &in_test, &mut findings);
+
+    let allows = &lexed.allows;
+    let mut used = vec![false; allows.len()];
+    findings.retain(|f| {
+        let mut suppressed = false;
+        for (a, used) in allows.iter().zip(&mut used) {
+            if a.well_formed
+                && (a.line == f.line || a.line + 1 == f.line)
+                && a.codes.iter().any(|c| c == f.code)
+            {
+                suppressed = true;
+                *used = true;
+            }
+        }
+        !suppressed
+    });
+    for (a, used) in allows.iter().zip(used) {
+        let message = if !a.well_formed {
+            "malformed asd-lint suppression directive".to_string()
+        } else if let Some(unknown) =
+            a.codes.iter().find(|c| !CATALOG.iter().any(|l| l.code == c.as_str()))
+        {
+            format!("suppression names unknown lint code `{unknown}`")
+        } else if !used {
+            format!("stale suppression: no {} finding on this or the next line", a.codes.join("/"))
+        } else {
+            continue;
+        };
+        push(&mut findings, &ctx, a.line, "D000", message, hint_for("D000"));
+    }
+    findings.sort_by_key(|f| (f.line, f.code));
+    // Two identical constructs on one line (e.g. chained `.expect()`s)
+    // produce identical findings; report each site once.
+    findings.dedup();
     findings
 }
 
@@ -253,12 +256,7 @@ fn punct_at(tokens: &[Token], i: usize, c: char) -> bool {
 /// Find the index of the token closing the bracket opened at `open`
 /// (which must hold `open_c`), honouring nesting. Returns `None` on
 /// unbalanced input.
-pub(crate) fn match_bracket(
-    tokens: &[Token],
-    open: usize,
-    open_c: char,
-    close_c: char,
-) -> Option<usize> {
+fn match_bracket(tokens: &[Token], open: usize, open_c: char, close_c: char) -> Option<usize> {
     let mut depth = 0usize;
     for (j, t) in tokens.iter().enumerate().skip(open) {
         match &t.tok {
@@ -277,7 +275,7 @@ pub(crate) fn match_bracket(
 
 /// Line ranges covered by `#[cfg(test)]` items (modules, functions, use
 /// declarations). `#[cfg(not(test))]` does not count.
-pub(crate) fn test_regions(tokens: &[Token]) -> Vec<(u32, u32)> {
+fn test_regions(tokens: &[Token]) -> Vec<(u32, u32)> {
     let mut regions = Vec::new();
     let mut i = 0usize;
     while i < tokens.len() {
@@ -712,10 +710,8 @@ fn check_d009(
 
 /// Recognise a heap-allocating construct at token `i`: `Box::new(` /
 /// `Vec::new(` / `Vec::with_capacity(` / `Vec::from(`, `vec![…]`,
-/// `.collect()` (turbofished or not), and `.to_vec()`. Shared between
-/// D009's direct scan and the parser's per-function allocation sites
-/// (which D010 resolves transitively).
-pub(crate) fn alloc_at(tokens: &[Token], i: usize) -> Option<String> {
+/// `.collect()` (turbofished or not), and `.to_vec()`.
+fn alloc_at(tokens: &[Token], i: usize) -> Option<String> {
     let name = ident_at(tokens, i)?;
     match name {
         // `Box::new(` / `Vec::new(` (and `Vec::with_capacity(`).
@@ -833,7 +829,7 @@ mod tests {
         let lexed = lex(src);
         let f = check_file(
             FileContext {
-                path: "crates/bench/benches/figures.rs",
+                path: "crates/bench/benches/telemetry_overhead.rs",
                 crate_name: "bench",
                 kind: FileKind::Bench,
             },
@@ -1088,7 +1084,7 @@ mod tests {
         let lexed = lex(src);
         let f = check_file(
             FileContext {
-                path: "crates/bench/benches/figures.rs",
+                path: "crates/bench/benches/telemetry_overhead.rs",
                 crate_name: "bench",
                 kind: FileKind::Bench,
             },
@@ -1164,7 +1160,7 @@ mod tests {
         let lexed = lex(src);
         let f = check_file(
             FileContext {
-                path: "crates/bench/benches/figures.rs",
+                path: "crates/bench/benches/telemetry_overhead.rs",
                 crate_name: "bench",
                 kind: FileKind::Bench,
             },

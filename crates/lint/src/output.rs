@@ -119,7 +119,7 @@ mod tests {
         }]);
         let sarif = to_sarif(&r);
         assert!(sarif.contains("\"version\": \"2.1.0\""));
-        assert!(sarif.contains("\"id\": \"D010\""), "rule catalog present");
+        assert!(sarif.contains("\"id\": \"D009\""), "rule catalog present");
         assert!(sarif.contains("\"ruleId\": \"D005\""));
         assert!(sarif.contains("\"startLine\": 7"));
         assert!(sarif.contains("crates/mc/src/x.rs"));

@@ -1,23 +1,20 @@
 //! Known-bad fixture corpus runner.
 //!
-//! Walks `tests/lint_fixtures/` at the workspace root. Every top-level
-//! `.rs` file is a single-file analysis unit; every subdirectory is one
-//! multi-file unit (its files are analyzed together, exercising
-//! cross-file call-graph and registry resolution). Fixture headers:
+//! Every `.rs` file in `tests/lint_fixtures/` at the workspace root is
+//! one fixture. Fixture headers:
 //!
 //! ```text
 //! //@ crate: <short crate name>
 //! //@ kind: <lib|bin|test|bench|example>
-//! //@ expect: D010@11, D000@5     (empty list = unit must be clean)
+//! //@ expect: D001@8, D000@5     (empty list = file must be clean)
 //! ```
 //!
-//! Each file is lexed and summarized under the synthetic path
-//! `crates/<crate>/src/<filename>`, the unit is run through the semantic
-//! pass, and the exact `(path, code, line)` finding set is compared
-//! against the union of the unit's `expect` headers.
+//! Each file is lexed and run through [`lints::check_file`] under the
+//! synthetic path `crates/<crate>/src/<filename>`, and its exact
+//! `(code, line)` finding set is compared against its `expect` header.
 
-use asd_lint::lints::{FileContext, FileKind};
-use asd_lint::{lexer, parse, semantic};
+use asd_lint::lexer;
+use asd_lint::lints::{self, FileContext, FileKind};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -27,7 +24,7 @@ struct Fixture {
     path: String,
     crate_name: String,
     kind: FileKind,
-    /// Expected `(code, line)` pairs contributed by this file.
+    /// Expected `(code, line)` pairs.
     expect: Vec<(String, u32)>,
     source: String,
 }
@@ -93,31 +90,23 @@ fn load_fixture(file: &Path) -> Fixture {
     }
 }
 
-/// Run one unit (a set of fixture files analyzed together) and assert
-/// its exact finding set.
-fn check_unit(label: &str, files: &[Fixture]) {
-    let summaries: Vec<_> = files
-        .iter()
-        .map(|f| {
-            let lexed = lexer::lex(&f.source);
-            let ctx = FileContext { path: &f.path, crate_name: &f.crate_name, kind: f.kind };
-            parse::summarize(ctx, &lexed)
-        })
-        .collect();
-    let findings = semantic::analyze(&summaries);
+/// Lint one fixture and assert its exact finding set.
+fn check_fixture(fixture: &Fixture) {
+    let lexed = lexer::lex(&fixture.source);
+    let ctx =
+        FileContext { path: &fixture.path, crate_name: &fixture.crate_name, kind: fixture.kind };
+    let findings = lints::check_file(ctx, &lexed);
 
-    let mut got: Vec<(String, String, u32)> =
-        findings.iter().map(|f| (f.path.clone(), f.code.to_string(), f.line)).collect();
-    let mut want: Vec<(String, String, u32)> = files
-        .iter()
-        .flat_map(|f| f.expect.iter().map(|(c, l)| (f.path.clone(), c.clone(), *l)))
-        .collect();
+    let mut got: Vec<(String, u32)> =
+        findings.iter().map(|f| (f.code.to_string(), f.line)).collect();
+    let mut want = fixture.expect.clone();
     got.sort();
     want.sort();
     assert_eq!(
         got,
         want,
-        "unit `{label}`: finding set mismatch\nfindings:\n{}",
+        "fixture `{}`: finding set mismatch\nfindings:\n{}",
+        fixture.path,
         findings.iter().map(|f| format!("  {f}\n")).collect::<String>()
     );
 }
@@ -125,64 +114,14 @@ fn check_unit(label: &str, files: &[Fixture]) {
 #[test]
 fn fixture_corpus_matches_expectations() {
     let root = fixtures_root();
-    let mut entries: Vec<PathBuf> = fs::read_dir(&root)
+    let mut files: Vec<PathBuf> = fs::read_dir(&root)
         .unwrap_or_else(|e| panic!("read {}: {e}", root.display()))
         .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "rs"))
         .collect();
-    entries.sort();
-    let mut units = 0usize;
-    for entry in entries {
-        if entry.is_dir() {
-            let mut members: Vec<PathBuf> = fs::read_dir(&entry)
-                .unwrap()
-                .map(|e| e.unwrap().path())
-                .filter(|p| p.extension().is_some_and(|x| x == "rs"))
-                .collect();
-            members.sort();
-            assert!(!members.is_empty(), "empty fixture dir {}", entry.display());
-            let fixtures: Vec<Fixture> = members.iter().map(|p| load_fixture(p)).collect();
-            check_unit(&entry.file_name().unwrap().to_string_lossy(), &fixtures);
-            units += 1;
-        } else if entry.extension().is_some_and(|x| x == "rs") {
-            let fixture = load_fixture(&entry);
-            check_unit(&entry.file_name().unwrap().to_string_lossy(), &[fixture]);
-            units += 1;
-        }
+    files.sort();
+    for file in &files {
+        check_fixture(&load_fixture(file));
     }
-    assert!(units >= 15, "expected a full corpus, found {units} units");
-}
-
-/// Every lint the tentpole added (D010–D014) must have at least one
-/// firing fixture and at least one clean (suppressed / out-of-scope)
-/// fixture in the corpus, so regressions in either direction are caught.
-#[test]
-fn corpus_covers_every_dataflow_lint_both_ways() {
-    let root = fixtures_root();
-    let mut fires = std::collections::BTreeSet::new();
-    let mut quiets = std::collections::BTreeSet::new();
-    let mut stack = vec![root];
-    while let Some(dir) = stack.pop() {
-        for e in fs::read_dir(&dir).unwrap() {
-            let p = e.unwrap().path();
-            if p.is_dir() {
-                stack.push(p);
-            } else if p.extension().is_some_and(|x| x == "rs") {
-                let fx = load_fixture(&p);
-                let code = p.file_name().unwrap().to_string_lossy().get(..4).map(str::to_uppercase);
-                if let Some(code) = code {
-                    if fx.expect.iter().any(|(c, _)| *c == code) {
-                        fires.insert(code);
-                    } else if fx.expect.iter().all(|(c, _)| *c != code) && fx.expect.is_empty() {
-                        quiets.insert(code);
-                    }
-                }
-            }
-        }
-    }
-    for code in ["D000", "D010", "D011", "D012", "D013", "D014"] {
-        assert!(fires.contains(code), "no firing fixture for {code}");
-    }
-    for code in ["D010", "D011", "D012", "D013", "D014"] {
-        assert!(quiets.contains(code), "no suppressed/clean fixture for {code}");
-    }
+    assert!(files.len() >= 5, "expected the full D000 corpus, found {} fixtures", files.len());
 }

@@ -210,7 +210,6 @@ impl<E: PrefetchEngine> MemoryController<E> {
     /// series, events) of this controller and its DRAM channel. Scalar
     /// counters are not duplicated here — [`MemoryController::stats`]
     /// stays authoritative and the run-level assembler mirrors it.
-    // asd-lint: cold -- exposition freeze: runs at snapshot time, not per cycle
     pub fn telemetry_snapshot(&self) -> Snapshot {
         let mut snap = self.tel.snapshot();
         snap.merge(self.dram.telemetry_snapshot());

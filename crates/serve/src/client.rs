@@ -269,7 +269,6 @@ pub fn spawn_daemon(program: &Path, args: &[&str]) -> Result<DaemonHandle, Serve
     reader.read_line(&mut line).map_err(|e| fail(e.to_string()))?;
     let Some(addr) = line.trim().strip_prefix(LISTEN_BANNER) else {
         let _ = child.kill();
-        // asd-lint: allow(D013) -- reaping a just-killed child; its status carries no information
         let _ = child.wait();
         return Err(fail(format!("expected listen banner, got {line:?}")));
     };
@@ -312,7 +311,6 @@ impl DaemonHandle {
     /// paths).
     pub fn kill(mut self) {
         let _ = self.child.kill();
-        // asd-lint: allow(D013) -- reaping a just-killed child; its status carries no information
         let _ = self.child.wait();
     }
 }
@@ -543,22 +541,43 @@ mod tests {
     use super::*;
     use crate::server::{Server, ServerConfig};
 
-    fn in_process_server(queue_cap: usize) -> (String, std::thread::JoinHandle<()>) {
-        let root = std::env::temp_dir()
-            .join(format!("asd-serve-client-test-{}-{queue_cap}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        let cfg = ServerConfig { queue_cap, root, ..Default::default() };
+    /// A test daemon's state root, removed when the test ends, also when
+    /// it fails.
+    struct StateRoot(std::path::PathBuf);
+
+    impl Drop for StateRoot {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// A daemon on an ephemeral port with a fresh state root.
+    fn in_process_server(queue_cap: usize) -> (String, std::thread::JoinHandle<()>, StateRoot) {
+        let root = StateRoot(
+            std::env::temp_dir()
+                .join(format!("asd-serve-client-test-{}-{queue_cap}", std::process::id())),
+        );
+        let _ = std::fs::remove_dir_all(&root.0);
+        let cfg = ServerConfig { queue_cap, root: root.0.clone(), ..Default::default() };
         let server = Server::bind(cfg).expect("bind ephemeral");
         let addr = server.local_addr().expect("local addr").to_string();
         let handle = std::thread::spawn(move || {
             server.run().expect("server run");
         });
-        (addr, handle)
+        (addr, handle, root)
+    }
+
+    /// Join a shut-down daemon and check that its state root goes with it.
+    fn join_and_clean(handle: std::thread::JoinHandle<()>, root: StateRoot) {
+        handle.join().expect("server thread");
+        let path = root.0.clone();
+        drop(root);
+        assert!(!path.exists(), "state root {} left behind", path.display());
     }
 
     #[test]
     fn client_roundtrip_is_bit_identical_and_errors_are_typed() {
-        let (addr, handle) = in_process_server(8);
+        let (addr, handle, root) = in_process_server(8);
         let mut client = Client::connect(&addr).expect("connect");
         assert_eq!(client.ping().expect("ping"), env!("CARGO_PKG_VERSION"));
 
@@ -583,12 +602,12 @@ mod tests {
 
         client.shutdown().expect("shutdown");
         drop(client);
-        handle.join().expect("server thread");
+        join_and_clean(handle, root);
     }
 
     #[test]
     fn load_bench_runs_clean_against_in_process_server() {
-        let (addr, handle) = in_process_server(64);
+        let (addr, handle, root) = in_process_server(64);
         let opts = BenchOpts { clients: 8, requests_per_client: 2, accesses: 1_100 };
         let report = load_bench(&addr, &opts).expect("load bench");
         assert_eq!(report.requests, 16);
@@ -596,6 +615,6 @@ mod tests {
         assert!(report.throughput() >= 0.0);
         assert!(!report.render().is_empty());
         Client::connect(&addr).expect("connect").shutdown().expect("shutdown");
-        handle.join().expect("server thread");
+        join_and_clean(handle, root);
     }
 }

@@ -141,7 +141,6 @@ impl Connections {
         let mut state = self.lock();
         state.closing = true;
         for stream in state.open.values() {
-            // asd-lint: allow(D013) -- the peer may have closed already; nothing is left to end
             let _ = stream.shutdown(Shutdown::Read);
         }
     }
@@ -406,7 +405,6 @@ fn handle_conn(
                 // Structured error response, then drop the connection —
                 // after a framing violation the stream position is
                 // unreliable.
-                // asd-lint: allow(D013) -- best-effort notification; the connection is being dropped either way
                 let _ = write_json(&mut writer, &err_obj(&e));
                 return;
             }

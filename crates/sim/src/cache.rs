@@ -174,7 +174,6 @@ pub(crate) fn key(cfg: &SystemConfig, profile: &WorkloadProfile, opts: &RunOpts)
 }
 
 impl RunCache {
-    // asd-lint: cold -- counter exposition, read once per report, never per cycle
     /// Hit/miss counters (misses are only counted for cacheable jobs;
     /// uncacheable jobs bypass the cache entirely).
     pub fn stats(&self) -> (u64, u64) {

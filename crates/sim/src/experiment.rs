@@ -153,7 +153,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         0.0
     } else {
-        // asd-lint: allow(D011) -- slice iteration: summation order is fixed by the caller's Vec
         xs.iter().sum::<f64>() / xs.len() as f64
     }
 }

@@ -185,7 +185,6 @@ impl TraceMemo {
         drop(freed);
     }
 
-    // asd-lint: cold -- counter exposition, read once per run, never per cycle
     /// `(generated, served, peak bytes)`: traces generated, reads served
     /// without generating, and the most bytes of records held at once.
     pub(crate) fn stats(&self) -> (u64, u64, usize) {

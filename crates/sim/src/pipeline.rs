@@ -304,7 +304,6 @@ impl<'c> Pipeline<'c> {
 }
 
 impl<'c> Pipeline<'c, Vec<RunResult>> {
-    // asd-lint: cold -- builds one batch's job graph, once per sweep, never per cycle
     /// A sweep under `ctx`: one plan running `jobs` under `opts`, whose
     /// output is their results in job order, each re-stamped with its
     /// job's label.

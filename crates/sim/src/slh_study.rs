@@ -166,7 +166,6 @@ pub fn slh_to_stream_shares(slh: &Slh) -> StreamShares {
             shares[i] = streams[i] / total;
         }
     }
-    // asd-lint: allow(D011) -- slice iteration: index order is fixed
     let longer = if total > 0.0 { streams[5..].iter().sum::<f64>() / total } else { 0.0 };
     StreamShares { shares, longer }
 }
@@ -177,7 +176,6 @@ pub fn mean_l1_distance(epochs: &[EpochSlh]) -> f64 {
     if epochs.is_empty() {
         return 0.0;
     }
-    // asd-lint: allow(D011) -- slice iteration: epoch order is fixed
     epochs.iter().map(|e| e.approx.l1_distance(&e.oracle)).sum::<f64>() / epochs.len() as f64
 }
 

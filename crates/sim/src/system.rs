@@ -372,7 +372,6 @@ impl<E: PrefetchEngine> Engined<E> {
 /// the contract [`asd_telemetry::PrefetchMetrics::from_snapshot`] and the
 /// exposition smoke checks consume.
 #[allow(clippy::too_many_arguments)]
-// asd-lint: cold -- exposition mirror: runs once at end of run, not per cycle
 fn mirror_stats(
     cfg: &TelemetryConfig,
     cycles: u64,

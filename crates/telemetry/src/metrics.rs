@@ -140,17 +140,6 @@ pub mod names {
         format!("{engine}.{metric}")
     }
 
-    /// Job-graph scheduler gauge names (`pipeline.<metric>`): the dedup
-    /// and wall-time counters a pipeline run publishes — in-flight
-    /// joins, peak live jobs, total vs. summed wall time. The bench
-    /// report carries them under its `bench.` section, so the exposed
-    /// family is `bench.pipeline.<metric>`.
-    pub fn pipeline_metric(metric: &str) -> String {
-        let metric: String =
-            metric.chars().map(|c| if c.is_ascii_alphanumeric() { c } else { '_' }).collect();
-        format!("pipeline.{metric}")
-    }
-
     /// Daemon health-gauge names for `asd-serve` (`jobs_accepted`,
     /// `jobs_completed`, `queue_depth`, `cache_disk_hits`, ...).
     /// Registries carrying these live under a `serve.` section prefix,

@@ -98,7 +98,6 @@ impl OracleSlh {
         self.sweep(idx);
     }
 
-    // asd-lint: cold -- amortized expiry: runs once every window*4 reads
     fn sweep(&mut self, idx: u64) {
         // Amortized expiry: sweep occasionally, not on every read.
         if idx % (self.window * 4) != 0 {

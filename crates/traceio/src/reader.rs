@@ -211,7 +211,6 @@ impl<R: Read> TraceReader<R> {
     ///
     /// The first decoding error of the batch; records decoded before it
     /// stay appended to `out` and the reader fuses.
-    // asd-lint: cold -- decodes while a replay source resolves or in tools, never per cycle
     pub fn fill(&mut self, max: usize, out: &mut Vec<MemAccess>) -> Result<usize, TraceIoError> {
         let start = out.len();
         while self.state == State::Running && out.len() - start < max {

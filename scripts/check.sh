@@ -64,7 +64,7 @@ rm -rf "$teldir"
 
 # Arena smoke: a 2-engine x 2-profile tournament through the full
 # league-table pipeline (roster resolution, shared NP baseline, ranking).
-# The 30-profile arena of record lives in `figures arena` / cargo bench.
+# The 30-profile arena of record lives in `figures arena`.
 run env ASD_FIGURES_JSON=- ASD_ARENA_ENGINES=asd,stream-table ASD_ARENA_PROFILES=milc,tpcc \
     cargo run -q --release -p asd-bench --offline --bin figures -- arena
 
@@ -139,14 +139,5 @@ run "$servebin" client "$serveaddr" shutdown
 wait "$serve_pid"
 run "$servebin" bench --clients 24 --requests 4 --accesses 1500 --dir "$servedir/bench"
 rm -rf "$servedir"
-
-# Kernel hot-loop smoke (opt-in: ASD_BENCH_SMOKE=1): best-of-3 wall times
-# of the event loop per paper configuration, for eyeballing a change's
-# effect on the kernel itself without waiting for the full best-of-5
-# bench run.
-if [[ "${ASD_BENCH_SMOKE:-0}" == "1" ]]; then
-    run env ASD_BENCH_ITERS=3 \
-        cargo bench -q -p asd-bench --offline --bench kernel_hotloop
-fi
 
 echo "All checks passed."

@@ -8,11 +8,12 @@
 //! into its run context, so every combination spawns the real binary
 //! (`CARGO_BIN_EXE_figures`) as a subprocess with its own environment. So
 //! does the check that an invalid setting or an unknown figure name is
-//! refused before anything runs.
+//! refused before anything runs, and the check that a closed stdout ends
+//! the run cleanly.
 
 use asd_telemetry::json::Value;
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 const BIN: &str = env!("CARGO_BIN_EXE_figures");
 
@@ -200,4 +201,33 @@ fn invalid_settings_and_unknown_figures_are_refused() {
         assert!(out.stdout.is_empty(), "{what}: no figure printed");
         assert!(!json.exists(), "{what}: no report written");
     }
+}
+
+#[test]
+fn a_closed_stdout_ends_the_run_without_a_panic() {
+    let json = json_path("closed-stdout");
+    let _ = std::fs::remove_file(&json);
+    let mut child = Command::new(BIN)
+        .arg("fig5")
+        .env("ASD_DISK_CACHE", "0")
+        .env("ASD_TELEMETRY_DIR", "-")
+        .env("ASD_FIGURES_ACCESSES", "2000")
+        .env("ASD_FIGURES_JSON", &json)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn figures binary");
+    // `fig5` simulates before it prints, so the reader is gone by the
+    // first write.
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for figures binary");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr:\n{stderr}");
+    assert!(!stderr.contains("panicked"), "stderr:\n{stderr}");
+    let failures: Vec<&str> = stderr.lines().filter(|l| l.starts_with("figures:")).collect();
+    assert!(
+        failures.len() == 1 && failures[0].contains("stdout"),
+        "one `figures:` line naming stdout:\n{stderr}"
+    );
+    assert!(!json.exists(), "no report written after a failed write");
 }
