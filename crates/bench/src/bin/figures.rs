@@ -47,7 +47,8 @@
 //! A name outside the catalog, or an `ASD_*` value outside its accepted
 //! set ([`Settings`]), exits 1 before anything runs. A failed write to
 //! stdout (a reader that closed the pipe, say) ends the run with exit 1,
-//! one `figures:` line on stderr, and no report written.
+//! one `figures:` line on stderr, and no report written. So does a failed
+//! write of an artifact or of the report, with the line naming its path.
 
 use asd_bench::full_opts;
 use asd_sim::arena::{arena_plan, default_roster};
@@ -234,32 +235,23 @@ fn build_plan(name: &str, settings: &Settings, opts: &RunOpts) -> Result<FigureP
     plan_sized(name, opts, settings.accesses.is_some())
 }
 
-/// Write a figure's artifact bodies (the telemetry demo's exposition
-/// renderings) into `dir`, created if needed.
-fn write_artifacts(dir: &Path, artifacts: &[(String, String)]) {
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("figures: could not create {}: {e}", dir.display());
-        return;
-    }
-    for (file, body) in artifacts {
-        let path = dir.join(file);
-        match std::fs::write(&path, body) {
-            Ok(()) => eprintln!("wrote {}", path.display()),
-            Err(e) => eprintln!("figures: could not write {}: {e}", path.display()),
-        }
-    }
+/// Write `body` to `path`; the error names the path.
+fn write_file(path: &Path, body: &str) -> Result<(), String> {
+    std::fs::write(path, body).map_err(|e| format!("could not write {}: {e}", path.display()))?;
+    eprintln!("wrote {}", path.display());
+    Ok(())
 }
 
-/// Print one finished figure and write its artifacts if a target
-/// directory is configured.
-fn emit(out: &mut impl Write, settings: &Settings, output: &FigureOutput) -> io::Result<()> {
-    writeln!(out, "{}\n", output.text)?;
-    if let Some(dir) = &settings.telemetry_dir {
-        if !output.artifacts.is_empty() {
-            write_artifacts(dir, &output.artifacts);
-        }
-    }
-    Ok(())
+/// Print one finished figure, then write its artifact bodies (the
+/// telemetry demo's exposition renderings) into the artifact directory,
+/// created if needed, when one is configured.
+fn emit(out: &mut impl Write, settings: &Settings, output: &FigureOutput) -> Result<(), String> {
+    writeln!(out, "{}\n", output.text).map_err(|e| format!("could not write to stdout: {e}"))?;
+    let Some(dir) = settings.telemetry_dir.as_ref().filter(|_| !output.artifacts.is_empty()) else {
+        return Ok(());
+    };
+    std::fs::create_dir_all(dir).map_err(|e| format!("could not create {}: {e}", dir.display()))?;
+    output.artifacts.iter().try_for_each(|(file, body)| write_file(&dir.join(file), body))
 }
 
 /// Submit every plan into one job graph, run it, print the outputs in
@@ -288,8 +280,7 @@ fn run_graph(
     let mut stdout = io::stdout().lock();
     let mut records = Vec::with_capacity(run.figures.len());
     for fig in run.figures {
-        emit(&mut stdout, settings, &fig.output)
-            .map_err(|e| format!("could not write to stdout: {e}"))?;
+        emit(&mut stdout, settings, &fig.output)?;
         records.push((fig.name, fig.wall_ms, metrics_to_json(fig.output.metrics)));
     }
     Ok((records, run.stats))
@@ -325,10 +316,7 @@ fn run() -> Result<(), Box<dyn Error>> {
 
     if let Some(path) = &settings.json {
         let doc = document(&settings.ctx, &opts, &stats, records, total_wall_ms);
-        match std::fs::write(path, doc.render() + "\n") {
-            Ok(()) => eprintln!("wrote {}", path.display()),
-            Err(e) => eprintln!("figures: could not write {}: {e}", path.display()),
-        }
+        write_file(path, &(doc.render() + "\n"))?;
     }
     Ok(())
 }

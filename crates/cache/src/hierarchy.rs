@@ -100,17 +100,19 @@ impl IntoIterator for Writebacks {
     }
 }
 
-/// Per-level statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct HierarchyStats {
-    /// L1 counters.
-    pub l1: CacheStats,
-    /// L2 counters.
-    pub l2: CacheStats,
-    /// L3 counters.
-    pub l3: CacheStats,
-    /// Lines written back to memory.
-    pub memory_writebacks: u64,
+asd_core::counters! {
+    /// Per-level statistics.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct HierarchyStats {
+        /// L1 counters.
+        pub l1: CacheStats => (nested),
+        /// L2 counters.
+        pub l2: CacheStats => (nested),
+        /// L3 counters.
+        pub l3: CacheStats => (nested),
+        /// Lines written back to memory.
+        pub memory_writebacks: u64 => (Lines, "dirty lines written back to memory"),
+    }
 }
 
 /// The L1/L2/L3 stack. Mostly-inclusive, write-back, write-allocate;

@@ -27,17 +27,19 @@ impl CacheConfig {
     }
 }
 
-/// Per-level counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStats {
-    /// Lookups that hit.
-    pub hits: u64,
-    /// Lookups that missed.
-    pub misses: u64,
-    /// Valid lines displaced by fills.
-    pub evictions: u64,
-    /// Dirty lines displaced by fills.
-    pub dirty_evictions: u64,
+asd_core::counters! {
+    /// Per-level counters.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct CacheStats {
+        /// Lookups that hit.
+        pub hits: u64 => (Accesses, "lookups that hit"),
+        /// Lookups that missed.
+        pub misses: u64 => (Accesses, "lookups that missed"),
+        /// Valid lines displaced by fills.
+        pub evictions: u64 => (unexported),
+        /// Dirty lines displaced by fills.
+        pub dirty_evictions: u64 => (unexported),
+    }
 }
 
 /// Tag-word bit: the held line is dirty. Line addresses are physical

@@ -20,19 +20,21 @@ pub struct PrefetchCandidate {
     pub trigger_len: u32,
 }
 
-/// Counters exposed by the detector for evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct AsdStats {
-    /// Reads observed.
-    pub reads: u64,
-    /// Prefetch candidates produced.
-    pub prefetches: u64,
-    /// Streams reported to the histograms (evictions + untracked singles).
-    pub streams_observed: u64,
-    /// Reads that could not be tracked because the filter was full.
-    pub untracked_reads: u64,
-    /// Completed epochs.
-    pub epochs: u64,
+crate::counters! {
+    /// Counters exposed by the detector for evaluation.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct AsdStats {
+        /// Reads observed.
+        pub reads: u64 => (Accesses, "reads seen by the ASD engine"),
+        /// Prefetch candidates produced.
+        pub prefetches: u64 => (Commands, "prefetch candidates the ASD engine generated"),
+        /// Streams reported to the histograms (evictions + untracked singles).
+        pub streams_observed: u64 => (Events, "streams reported to the histograms"),
+        /// Reads that could not be tracked because the filter was full.
+        pub untracked_reads: u64 => (Accesses, "reads not tracked by any filter slot"),
+        /// Completed epochs.
+        pub epochs: u64 => (Events, "completed epochs"),
+    }
 }
 
 /// The Adaptive Stream Detection prefetch engine.

@@ -27,6 +27,8 @@
 //! * [`AdaptiveScheduler`] — the paper's §3.5 Adaptive Scheduling: selects
 //!   among five prioritization policies for the Low Priority Queue based on
 //!   the measured frequency of prefetch-induced conflicts.
+//! * [`counters`](mod@counters) — the counter schema: [`counters!`] declares each
+//!   end-of-run stats struct once, with the walk its readers share.
 //! * [`cost`] — analytic hardware cost model (bit counts) backing the paper's
 //!   §5.1 hardware cost discussion.
 //!
@@ -66,6 +68,7 @@ pub mod calendar;
 pub mod clock;
 mod config;
 pub mod cost;
+pub mod counters;
 mod detector;
 mod epoch;
 mod error;

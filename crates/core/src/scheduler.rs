@@ -110,15 +110,17 @@ impl QueueView {
     }
 }
 
-/// Counters for the adaptive scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SchedulerStats {
-    /// Total prefetch-induced conflicts observed.
-    pub conflicts: u64,
-    /// Number of times the policy moved toward conservative.
-    pub tightened: u64,
-    /// Number of times the policy moved toward aggressive.
-    pub loosened: u64,
+crate::counters! {
+    /// Counters for the adaptive scheduler.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct SchedulerStats {
+        /// Total prefetch-induced conflicts observed.
+        pub conflicts: u64 => (Events, "prefetch-induced conflicts seen by Adaptive Scheduling"),
+        /// Number of times the policy moved toward conservative.
+        pub tightened: u64 => (Events, "policy steps toward conservative"),
+        /// Number of times the policy moved toward aggressive.
+        pub loosened: u64 => (Events, "policy steps toward aggressive"),
+    }
 }
 
 /// Adaptive Scheduling: tracks how often a regular command was blocked by a

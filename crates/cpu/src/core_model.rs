@@ -58,24 +58,40 @@ impl Default for CoreConfig {
     }
 }
 
-/// Counters for one core over a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CoreStats {
-    /// Trace accesses executed.
-    pub accesses: u64,
-    /// Loads executed.
-    pub reads: u64,
-    /// Stores executed.
-    pub writes: u64,
-    /// Accesses that missed all caches (demand DRAM reads).
-    pub demand_memory_reads: u64,
-    /// Processor-side prefetch reads sent to memory.
-    pub ps_reads_sent: u64,
-    /// Cycles threads spent unable to issue while waiting on a fill,
-    /// summed over all thread contexts.
-    pub stall_cycles: u64,
-    /// Cache hierarchy counters.
-    pub cache: HierarchyStats,
+asd_core::counters! {
+    /// Counters for one core over a run. Its own counters are named
+    /// `cpu.*` and its hierarchy's `cache.*`, so the walk starts at the
+    /// root path.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct CoreStats {
+        /// Trace accesses executed.
+        pub accesses: u64 => ("cpu.accesses", Accesses, "trace accesses executed"),
+        /// Loads executed.
+        pub reads: u64 => ("cpu.reads", Accesses, "loads executed"),
+        /// Stores executed.
+        pub writes: u64 => ("cpu.writes", Accesses, "stores executed"),
+        /// Accesses that missed all caches (demand DRAM reads).
+        pub demand_memory_reads: u64 => (
+            "cpu.demand_memory_reads",
+            Accesses,
+            "demand reads that missed the whole hierarchy"
+        ),
+        /// Processor-side prefetch reads sent to memory.
+        pub ps_reads_sent: u64 => (
+            "cpu.ps_reads_sent",
+            Commands,
+            "processor-side prefetch reads sent to memory"
+        ),
+        /// Cycles threads spent unable to issue while waiting on a fill,
+        /// summed over all thread contexts.
+        pub stall_cycles: u64 => (
+            "cpu.stall_cycles",
+            Cycles,
+            "cycles threads spent stalled waiting on a fill"
+        ),
+        /// Cache hierarchy counters.
+        pub cache: HierarchyStats => (nested),
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -30,17 +30,19 @@ pub struct Completion {
     pub row_hit: bool,
 }
 
-/// Aggregate counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DramStats {
-    /// Read commands serviced.
-    pub reads: u64,
-    /// Write commands serviced.
-    pub writes: u64,
-    /// Row activations (row misses and cold rows).
-    pub activations: u64,
-    /// Accesses that hit an already-open row.
-    pub row_hits: u64,
+asd_core::counters! {
+    /// Aggregate counters.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct DramStats {
+        /// Read commands serviced.
+        pub reads: u64 => (Commands, "DRAM read bursts"),
+        /// Write commands serviced.
+        pub writes: u64 => (Commands, "DRAM write bursts"),
+        /// Row activations (row misses and cold rows).
+        pub activations: u64 => (Events, "row activations"),
+        /// Accesses that hit an already-open row.
+        pub row_hits: u64 => (Events, "open-row hits"),
+    }
 }
 
 /// Bank-timing decision table: every latency the hot path consults,

@@ -49,26 +49,28 @@ impl PowerAccount {
     }
 }
 
-/// Energy and average-power summary of a simulation, as reported by
-/// [`Dram::power_report`](crate::Dram::power_report). This is the data
-/// behind the paper's Figures 8–10 (DRAM power increase and energy
-/// reduction of PMS relative to PS).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PowerReport {
-    /// Total DRAM energy, joules.
-    pub energy_j: f64,
-    /// Background (standby) component, joules.
-    pub background_j: f64,
-    /// Row-activation component, joules.
-    pub activate_j: f64,
-    /// Read-burst component, joules.
-    pub read_j: f64,
-    /// Write-burst component, joules.
-    pub write_j: f64,
-    /// Wall-clock duration of the simulation, seconds.
-    pub elapsed_s: f64,
-    /// Average DRAM power over the run, watts.
-    pub average_power_w: f64,
+asd_core::counters! {
+    /// Energy and average-power summary of a simulation, as reported by
+    /// [`Dram::power_report`](crate::Dram::power_report). This is the data
+    /// behind the paper's Figures 8–10 (DRAM power increase and energy
+    /// reduction of PMS relative to PS).
+    #[derive(Debug, Clone, Copy, PartialEq, Default)]
+    pub struct PowerReport {
+        /// Total DRAM energy, joules.
+        pub energy_j: f64 => (Joules, "total DRAM energy over the run"),
+        /// Background (standby) component, joules.
+        pub background_j: f64 => (Joules, "background energy"),
+        /// Row-activation component, joules.
+        pub activate_j: f64 => (Joules, "activate/precharge energy"),
+        /// Read-burst component, joules.
+        pub read_j: f64 => (Joules, "read-burst energy"),
+        /// Write-burst component, joules.
+        pub write_j: f64 => (Joules, "write-burst energy"),
+        /// Wall-clock duration of the simulation, seconds.
+        pub elapsed_s: f64 => (Seconds, "simulated seconds the energy was integrated over"),
+        /// Average DRAM power over the run, watts.
+        pub average_power_w: f64 => ("average_w", Watts, "average DRAM power over the run"),
+    }
 }
 
 #[cfg(test)]

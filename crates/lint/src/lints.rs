@@ -50,15 +50,14 @@ pub struct Finding {
     pub line: u32,
     /// Lint code (`D001`...).
     pub code: &'static str,
-    /// What was found.
+    /// What was found. The fix hint is `hint_for(code)` ([`hint_for`]).
     pub message: String,
-    /// One-line fix hint.
-    pub hint: &'static str,
 }
 
 impl std::fmt::Display for Finding {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}:{}: {} {} — {}", self.path, self.line, self.code, self.message, self.hint)
+        let hint = hint_for(self.code);
+        write!(f, "{}:{}: {} {} — {hint}", self.path, self.line, self.code, self.message)
     }
 }
 
@@ -89,16 +88,15 @@ pub const CATALOG: [LintInfo; 10] = [
     LintInfo { code: "D009", rule: "no heap allocation in functions marked `// asd-lint: hot`" },
 ];
 
-/// The canonical one-line fix hint for each lint code. Findings carry the
-/// hint by value so the text and JSON renderers need no lookup; SARIF's
-/// rule catalog and D000 findings read it from here.
+/// The one-line fix hint for each lint code, kept only here: the text,
+/// JSON and SARIF renderers all read it.
 pub fn hint_for(code: &str) -> &'static str {
     match code {
         "D000" => "use `// asd-lint: allow(Dxxx) -- reason` with a nonempty reason, a known code, and a matching finding",
         "D001" => "simulated time comes from asd_core::clock cycle counts; wall-clock reads are nondeterministic",
         "D002" => "iteration order depends on hasher seed; use BTreeMap/BTreeSet or allow(D002) with a proof that order is unobservable",
         "D003" => "use the seeded asd_core::rng::SmallRng so every run is reproducible from RunOpts::seed",
-        "D004" => D004_HINT,
+        "D004" => "globals leak state between runs and break run-to-run determinism; thread state through the owning struct (asd_sim::RunContext), and read the environment in a binary",
         "D005" => "return a typed error (e.g. asd_sim::SimError / asd_core::ConfigError), or allow(D005) with the invariant that makes this unreachable",
         "D006" => "every crate root carries the same three-line header block (see DESIGN.md, D006)",
         "D007" => "dependency direction is core/telemetry <- {trace,dram} <- {traceio,cache,cpu,mc} <- engines <- sim <- bench; invert the reference or move the code down a layer",
@@ -130,10 +128,11 @@ pub const SIM_CRATES: [&str; 12] = [
 /// for it (plus itself, for tests/benches/examples of that crate).
 /// Direction: `core`/`telemetry` ← {`trace`,`dram`} ←
 /// {`traceio`,`cache`,`cpu`,`mc`} ← `engines` ← `sim` ← `bench` ←
-/// `serve`; `lint` depends on nothing. `telemetry` sits beside `core` at the bottom so
-/// every sim crate can carry instruments; `engines` (the prefetcher zoo)
-/// sits between `mc` (whose `PrefetchEngine` trait it implements) and
-/// `sim` (whose registry resolves zoo engines by name).
+/// `serve`; `lint` depends on nothing. `telemetry` sits directly above
+/// `core` (whose counter schema it reads) so every sim crate can carry
+/// instruments; `engines` (the prefetcher zoo) sits between `mc` (whose
+/// `PrefetchEngine` trait it implements) and `sim` (whose registry
+/// resolves zoo engines by name).
 pub const LAYERS: [(&str, &[&str]); 13] = [
     ("core", &[]),
     ("telemetry", &["core"]),
@@ -233,7 +232,7 @@ pub fn check_file(ctx: FileContext<'_>, lexed: &Lexed) -> Vec<Finding> {
         } else {
             continue;
         };
-        push(&mut findings, &ctx, a.line, "D000", message, hint_for("D000"));
+        push(&mut findings, &ctx, a.line, "D000", message);
     }
     findings.sort_by_key(|f| (f.line, f.code));
     // Two identical constructs on one line (e.g. chained `.expect()`s)
@@ -353,9 +352,8 @@ fn push(
     line: u32,
     code: &'static str,
     message: String,
-    hint: &'static str,
 ) {
-    findings.push(Finding { path: ctx.path.to_string(), line, code, message, hint });
+    findings.push(Finding { path: ctx.path.to_string(), line, code, message });
 }
 
 /// D001: wall-clock sources in simulation crates.
@@ -371,7 +369,6 @@ fn check_d001(ctx: &FileContext<'_>, tokens: &[Token], findings: &mut Vec<Findin
                 t.line,
                 "D001",
                 format!("wall-clock type `{name}` in a simulation crate"),
-                "simulated time comes from asd_core::clock cycle counts; wall-clock reads are nondeterministic",
             );
         }
     }
@@ -396,7 +393,6 @@ fn check_d002(
                     t.line,
                     "D002",
                     format!("default-hasher `{name}` in simulation state"),
-                    "iteration order depends on hasher seed; use BTreeMap/BTreeSet or allow(D002) with a proof that order is unobservable",
                 );
             }
         }
@@ -425,13 +421,10 @@ fn check_d003(ctx: &FileContext<'_>, tokens: &[Token], findings: &mut Vec<Findin
                 t.line,
                 "D003",
                 format!("unseeded/external randomness via `{name}`"),
-                "use the seeded asd_core::rng::SmallRng so every run is reproducible from RunOpts::seed",
             );
         }
     }
 }
-
-const D004_HINT: &str = "globals leak state between runs and break run-to-run determinism; thread state through the owning struct (asd_sim::RunContext), and read the environment in a binary";
 
 /// Interior-mutable types a library `static` may not hold (`Atomic*`
 /// is matched by prefix).
@@ -480,7 +473,7 @@ fn check_d004(
             _ => None,
         };
         if let Some(what) = flagged {
-            push(findings, ctx, t.line, "D004", format!("{what} in a simulation crate"), D004_HINT);
+            push(findings, ctx, t.line, "D004", format!("{what} in a simulation crate"));
         }
     }
 }
@@ -508,14 +501,7 @@ fn check_d005(
         let panic_macro = PANIC_MACROS.contains(&name) && punct_at(tokens, i + 1, '!');
         if method_call || panic_macro {
             let what = if method_call { format!(".{name}()") } else { format!("{name}!") };
-            push(
-                findings,
-                ctx,
-                t.line,
-                "D005",
-                format!("`{what}` in non-test library code"),
-                "return a typed error (e.g. asd_sim::SimError / asd_core::ConfigError), or allow(D005) with the invariant that makes this unreachable",
-            );
+            push(findings, ctx, t.line, "D005", format!("`{what}` in non-test library code"));
         }
     }
 }
@@ -553,14 +539,7 @@ fn check_d006(ctx: &FileContext<'_>, tokens: &[Token], findings: &mut Vec<Findin
         let present =
             groups.iter().any(|g| g.iter().any(|s| s == level) && g.iter().any(|s| s == lint));
         if !present {
-            push(
-                findings,
-                ctx,
-                1,
-                "D006",
-                format!("crate root is missing `{text}`"),
-                "every crate root carries the same three-line header block (see DESIGN.md, D006)",
-            );
+            push(findings, ctx, 1, "D006", format!("crate root is missing `{text}`"));
         }
     }
 }
@@ -576,8 +555,11 @@ fn check_d007_source(ctx: &FileContext<'_>, tokens: &[Token], findings: &mut Vec
             ctx,
             1,
             "D007",
-            format!("crate `{}` is not in the workspace layer map", ctx.crate_name),
-            "add it to LAYERS in crates/lint/src/lints.rs with an explicit allowed-dependency list",
+            format!(
+                "crate `{}` is not in the workspace layer map; add it to LAYERS in \
+                 crates/lint/src/lints.rs with an explicit allowed-dependency list",
+                ctx.crate_name
+            ),
         );
         return;
     };
@@ -602,7 +584,6 @@ fn check_d007_source(ctx: &FileContext<'_>, tokens: &[Token], findings: &mut Vec
                 t.line,
                 "D007",
                 format!("crate `{}` must not depend on `asd_{dep}`", ctx.crate_name),
-                "dependency direction is core/telemetry <- {trace,dram} <- {traceio,cache,cpu,mc} <- engines <- sim <- bench; invert the reference or move the code down a layer",
             );
         }
     }
@@ -648,8 +629,10 @@ fn check_d008(
                 ctx,
                 t.line,
                 "D008",
-                format!("front-of-Vec shift `.{name}(0{})`", if name == "remove" { "" } else { ", _" }),
-                "index-0 remove/insert memmoves the whole Vec every call; use a ring buffer (VecDeque) or push/swap at the back, or allow(D008) with why this path is cold",
+                format!(
+                    "front-of-Vec shift `.{name}(0{})`",
+                    if name == "remove" { "" } else { ", _" }
+                ),
             );
         }
     }
@@ -701,7 +684,6 @@ fn check_d009(
                     t.line,
                     "D009",
                     format!("heap allocation `{what}` in a hot-path function"),
-                    "functions marked `// asd-lint: hot` run per simulated cycle; reuse a buffer owned by the struct, or allow(D009) with why this branch is cold",
                 );
             }
         }
@@ -759,8 +741,10 @@ pub fn check_manifest(crate_name: &str, manifest_path: &str, manifest: &str) -> 
             &ctx,
             1,
             "D007",
-            format!("crate `{crate_name}` is not in the workspace layer map"),
-            "add it to LAYERS in crates/lint/src/lints.rs with an explicit allowed-dependency list",
+            format!(
+                "crate `{crate_name}` is not in the workspace layer map; add it to LAYERS in \
+                 crates/lint/src/lints.rs with an explicit allowed-dependency list"
+            ),
         );
         return findings;
     };
@@ -786,7 +770,6 @@ pub fn check_manifest(crate_name: &str, manifest_path: &str, manifest: &str) -> 
                     (idx + 1) as u32,
                     "D007",
                     format!("crate `{crate_name}` declares a dependency on `asd-{dep}`"),
-                    "dependency direction is core/telemetry <- {trace,dram} <- {traceio,cache,cpu,mc} <- engines <- sim <- bench; invert the reference or move the code down a layer",
                 );
             }
         }

@@ -5,7 +5,7 @@
 //! `(path, line, code)`, and every map key is emitted in a fixed order,
 //! so identical trees produce byte-identical documents.
 
-use crate::lints::CATALOG;
+use crate::lints::{hint_for, CATALOG};
 use crate::Report;
 use std::fmt::Write as _;
 
@@ -53,7 +53,7 @@ pub fn to_sarif(report: &Report) -> String {
             "            {{\"id\": \"{}\", \"shortDescription\": {{\"text\": \"{}\"}}, \"help\": {{\"text\": \"{}\"}}}}{}",
             info.code,
             json_escape(info.rule),
-            json_escape(crate::lints::hint_for(info.code)),
+            json_escape(hint_for(info.code)),
             if i + 1 < CATALOG.len() { "," } else { "" }
         );
     }
@@ -64,7 +64,7 @@ pub fn to_sarif(report: &Report) -> String {
             out,
             "        {{\"ruleId\": \"{}\", \"level\": \"error\", \"message\": {{\"text\": \"{}\"}}, \"locations\": [{{\"physicalLocation\": {{\"artifactLocation\": {{\"uri\": \"{}\", \"uriBaseId\": \"SRCROOT\"}}, \"region\": {{\"startLine\": {}}}}}}}]}}{}",
             f.code,
-            json_escape(&format!("{} — {}", f.message, f.hint)),
+            json_escape(&format!("{} — {}", f.message, hint_for(f.code))),
             json_escape(&f.path),
             f.line.max(1),
             if i + 1 < report.findings.len() { "," } else { "" }
@@ -87,7 +87,7 @@ pub fn to_json(report: &Report) -> String {
             f.line,
             f.code,
             json_escape(&f.message),
-            json_escape(f.hint),
+            json_escape(hint_for(f.code)),
             if i + 1 < report.findings.len() { "," } else { "" }
         );
     }
@@ -115,7 +115,6 @@ mod tests {
             line: 7,
             code: "D005",
             message: "`.unwrap()` in non-test library code".into(),
-            hint: "return a typed error",
         }]);
         let sarif = to_sarif(&r);
         assert!(sarif.contains("\"version\": \"2.1.0\""));

@@ -38,4 +38,4 @@ pub use prefetch_buffer::{PrefetchBuffer, PrefetchBufferStats};
 pub use queues::{BoundedFifo, CmdOrigin, QueuedCommand, ReorderQueue};
 pub use registry::{build_engine, custom_engine, EngineFactory};
 pub use sched::{CommandPicker, PickedFrom};
-pub use stats::McStats;
+pub use stats::{McStats, PrefetchCounts, PrefetchMetrics};

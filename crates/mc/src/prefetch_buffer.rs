@@ -1,18 +1,20 @@
 //! The Prefetch Buffer: a small set-associative cache for memory-side
 //! prefetched lines (16 lines / 2 KB in the paper's configuration).
 
-/// Prefetch Buffer statistics, including the usefulness accounting behind
-/// the paper's Figure 13 (82–91% useful prefetches).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PrefetchBufferStats {
-    /// Lines inserted.
-    pub inserts: u64,
-    /// Lines consumed by a demand read (useful prefetches).
-    pub read_hits: u64,
-    /// Lines invalidated by a write before use.
-    pub write_invalidations: u64,
-    /// Lines evicted (LRU) without ever being used — useless prefetches.
-    pub unused_evictions: u64,
+asd_core::counters! {
+    /// Prefetch Buffer statistics, including the usefulness accounting behind
+    /// the paper's Figure 13 (82–91% useful prefetches).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct PrefetchBufferStats {
+        /// Lines inserted.
+        pub inserts: u64 => (Lines, "prefetch buffer inserts"),
+        /// Lines consumed by a demand read (useful prefetches).
+        pub read_hits: u64 => (Lines, "prefetch buffer lines consumed by demand reads"),
+        /// Lines invalidated by a write before use.
+        pub write_invalidations: u64 => (Lines, "prefetch buffer lines invalidated by writes"),
+        /// Lines evicted (LRU) without ever being used — useless prefetches.
+        pub unused_evictions: u64 => (Lines, "prefetch buffer lines evicted unused"),
+    }
 }
 
 const EMPTY: u64 = 0;

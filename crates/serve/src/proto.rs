@@ -18,6 +18,7 @@
 //! one shared dispatch ([`asd_sim::figures::figure_text`]).
 
 use crate::error::ServeError;
+use asd_core::counters::Slot;
 use asd_sim::pipeline::Job;
 use asd_sim::{PrefetchKind, RunOpts, RunResult, SystemConfig};
 use asd_telemetry::json::{self, Value};
@@ -423,72 +424,21 @@ pub fn sweep_doc(results: &[RunResult]) -> Value {
     doc
 }
 
-/// Render one simulation result as the canonical response object: every
-/// counter the wire codec persists, as JSON. Cycle counts at realistic
-/// run lengths sit far below 2^53, so the `f64` numbers are exact.
+/// Render one simulation result as the canonical response object: its
+/// two labels and every counter of its schema walk (the counters the
+/// wire codec persists), in one flat object keyed by dotted name. Cycle
+/// counts at realistic run lengths sit far below 2^53, so the `f64`
+/// numbers are exact.
 pub fn result_to_value(r: &RunResult) -> Value {
-    fn cache_level(s: &asd_cache::CacheStats) -> Value {
-        let mut v = Value::obj();
-        v.set("hits", s.hits);
-        v.set("misses", s.misses);
-        v.set("evictions", s.evictions);
-        v.set("dirty_evictions", s.dirty_evictions);
-        v
-    }
-    let mut core = Value::obj();
-    core.set("accesses", r.core.accesses);
-    core.set("reads", r.core.reads);
-    core.set("writes", r.core.writes);
-    core.set("demand_memory_reads", r.core.demand_memory_reads);
-    core.set("ps_reads_sent", r.core.ps_reads_sent);
-    core.set("stall_cycles", r.core.stall_cycles);
-    core.set("memory_writebacks", r.core.cache.memory_writebacks);
-    core.set("l1", cache_level(&r.core.cache.l1));
-    core.set("l2", cache_level(&r.core.cache.l2));
-    core.set("l3", cache_level(&r.core.cache.l3));
-    let mut mc = Value::obj();
-    mc.set("reads", r.mc.reads);
-    mc.set("writes", r.mc.writes);
-    mc.set("pb_hits_on_arrival", r.mc.pb_hits_on_arrival);
-    mc.set("pb_hits_at_caq", r.mc.pb_hits_at_caq);
-    mc.set("merged_with_prefetch", r.mc.merged_with_prefetch);
-    mc.set("prefetches_issued", r.mc.prefetches_issued);
-    mc.set("lpq_dropped", r.mc.lpq_dropped);
-    mc.set("prefetch_redundant", r.mc.prefetch_redundant);
-    mc.set("lpq_squashed", r.mc.lpq_squashed);
-    mc.set("delayed_regular", r.mc.delayed_regular);
-    mc.set("read_rejects", r.mc.read_rejects);
-    mc.set("write_rejects", r.mc.write_rejects);
-    let mut dram = Value::obj();
-    dram.set("reads", r.dram.reads);
-    dram.set("writes", r.dram.writes);
-    dram.set("activations", r.dram.activations);
-    dram.set("row_hits", r.dram.row_hits);
-    let mut power = Value::obj();
-    power.set("energy_j", r.power.energy_j);
-    power.set("background_j", r.power.background_j);
-    power.set("activate_j", r.power.activate_j);
-    power.set("read_j", r.power.read_j);
-    power.set("write_j", r.power.write_j);
-    power.set("elapsed_s", r.power.elapsed_s);
-    power.set("average_power_w", r.power.average_power_w);
     let mut v = Value::obj();
     v.set("benchmark", r.benchmark.clone());
     v.set("config", r.config.clone());
-    v.set("cycles", r.cycles);
-    v.set("core", core);
-    v.set("mc", mc);
-    v.set("dram", dram);
-    v.set("power", power);
-    if let Some(a) = &r.asd {
-        let mut asd = Value::obj();
-        asd.set("reads", a.reads);
-        asd.set("prefetches", a.prefetches);
-        asd.set("streams_observed", a.streams_observed);
-        asd.set("untracked_reads", a.untracked_reads);
-        asd.set("epochs", a.epochs);
-        v.set("asd", asd);
-    }
+    r.for_each_counter(|name, _, slot| {
+        match slot {
+            Slot::U64(n) => v.set(name, *n),
+            Slot::F64(x) => v.set(name, *x),
+        };
+    });
     v
 }
 
@@ -617,6 +567,39 @@ mod tests {
             names,
             [("milc", "NP"), ("milc", "next-line"), ("lbm", "NP"), ("lbm", "next-line")]
         );
+    }
+
+    #[test]
+    fn result_object_carries_every_schema_counter() {
+        let profile = suites::by_name("milc").unwrap();
+        let cfg = SystemConfig::for_kind(PrefetchKind::Pms, 1);
+        let r = asd_sim::System::new(cfg, &profile, &RunOpts::quick()).unwrap().run();
+        let v = result_to_value(&r);
+        let mut names = Vec::new();
+        r.for_each_counter(|name, _, slot| {
+            let want = match slot {
+                Slot::U64(n) => *n as f64,
+                Slot::F64(x) => *x,
+            };
+            assert_eq!(v.get(name).and_then(Value::as_f64), Some(want), "{name}");
+            names.push(name.to_string());
+        });
+        // The Prefetch Buffer and scheduler blocks included.
+        for name in [
+            "mc.pb.inserts",
+            "mc.pb.read_hits",
+            "mc.pb.write_invalidations",
+            "mc.pb.unused_evictions",
+            "mc.sched.conflicts",
+            "mc.sched.tightened",
+            "mc.sched.loosened",
+            "asd.epochs",
+            "cache.l3.dirty_evictions",
+        ] {
+            assert!(names.iter().any(|n| n == name), "{name} not walked");
+        }
+        let Value::Obj(fields) = &v else { panic!("not an object: {v:?}") };
+        assert_eq!(fields.len(), names.len() + 2, "two labels and the counters");
     }
 
     #[test]

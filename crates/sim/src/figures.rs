@@ -17,7 +17,7 @@ use crate::system::{RunResult, System};
 use asd_core::cost::{hardware_cost, CostParams};
 use asd_core::{AsdConfig, LpqPolicy};
 use asd_mc::{EngineKind, LpqMode, McConfig, SchedulerKind};
-use asd_telemetry::{expo, names, PrefetchMetrics, TelemetryConfig};
+use asd_telemetry::{expo, names, TelemetryConfig};
 use asd_trace::suites::{self, Suite};
 
 /// Figure 2: the Stream Length Histogram of one GemsFDTD epoch.
@@ -516,7 +516,10 @@ pub fn telemetry_demo(bench: &str, opts: &RunOpts) -> Result<TelemetryDemo, SimE
     let csv = expo::csv::render(&snap);
 
     let mut text = format!("Telemetry walkthrough: {bench} / PMS ({} cycles)\n", result.cycles);
-    if let Some(m) = PrefetchMetrics::from_snapshot(&snap) {
+    // The run's counters, read back out of the snapshot alone.
+    let back = snap.read_counters::<RunResult>();
+    if let Some(back) = &back {
+        let m = back.mc.prefetch_metrics();
         let direct = result.mc.prefetch_metrics();
         let mut t = Table::new(["metric", "from snapshot", "from McStats"]);
         t.row(["coverage".to_string(), pct(m.coverage_pct()), pct(direct.coverage_pct())]);
@@ -527,14 +530,10 @@ pub fn telemetry_demo(bench: &str, opts: &RunOpts) -> Result<TelemetryDemo, SimE
     if let Some(h) = snap.histogram(names::MC_CAQ_OCCUPANCY) {
         text.push_str(&format!("\nCAQ occupancy: {} samples, mean {:.2}\n", h.total(), h.mean()));
     }
-    if let Some(e) = snap.gauge(names::DRAM_POWER_ENERGY_J) {
+    if let Some(p) = back.map(|back| back.power) {
         text.push_str(&format!(
             "DRAM energy {:.4} J = background {:.4} + activate {:.4} + read {:.4} + write {:.4}\n",
-            e,
-            snap.gauge(names::DRAM_POWER_BACKGROUND_J).unwrap_or(0.0),
-            snap.gauge(names::DRAM_POWER_ACTIVATE_J).unwrap_or(0.0),
-            snap.gauge(names::DRAM_POWER_READ_J).unwrap_or(0.0),
-            snap.gauge(names::DRAM_POWER_WRITE_J).unwrap_or(0.0),
+            p.energy_j, p.background_j, p.activate_j, p.read_j, p.write_j,
         ));
     }
     text.push_str(&format!(

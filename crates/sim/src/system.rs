@@ -10,6 +10,7 @@
 use crate::config::{RunOpts, SystemConfig};
 use crate::error::SimError;
 use crate::source::{ResolvedTrace, TraceSource, TraceStream};
+use asd_core::counters::{visit_leaf, visit_nested, Counters, Export, Slot, Unit, Visitor};
 use asd_core::{CalendarQueue, Clocked, NextEvent};
 use asd_cpu::{Core, MemoryPort, PortResponse};
 use asd_dram::{Dram, DramStats, PowerReport};
@@ -17,14 +18,14 @@ use asd_mc::{
     AsdEngine, EngineKind, McStats, MemoryController, NextLineEngine, NoPrefetch, P5StyleEngine,
     PrefetchEngine, ReadCompletion, ReadResponse,
 };
-use asd_telemetry::{names, Registry, Snapshot, TelemetryConfig, Unit};
+use asd_telemetry::{Registry, Snapshot, TelemetryConfig};
 use asd_trace::{MemAccess, TraceGenerator, WorkloadProfile};
 
 type Trace = TraceStream;
 
 /// Everything measured in one simulation run — the raw material for every
 /// figure in the paper.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunResult {
     /// Benchmark name.
     pub benchmark: String,
@@ -43,11 +44,30 @@ pub struct RunResult {
     /// ASD detector counters aggregated across all per-thread detectors
     /// (when the memory-side engine is ASD).
     pub asd: Option<asd_core::AsdStats>,
-    /// Merged telemetry snapshot: every counter above mirrored under its
-    /// canonical name, plus the live-updated instruments (queue-occupancy
-    /// histograms, per-epoch series, the event ring). `None` when
+    /// Merged telemetry snapshot: every exported counter above mirrored
+    /// under its schema name ([`Counters`]), plus the live-updated
+    /// instruments (queue-occupancy histograms, per-epoch series, the
+    /// event ring). `None` when
     /// [`SystemConfig::telemetry`](crate::SystemConfig) is fully off.
     pub telemetry: Option<Snapshot>,
+}
+
+/// The run's counter schema: `sim.cycles`, then the core's (`cpu.*`,
+/// `cache.*`), the controller's (`mc.*`), the DRAM's (`dram.*`,
+/// `dram.power.*`) and, when present, the ASD detector's (`asd.*`). The
+/// label strings and the snapshot are not counters.
+impl Counters for RunResult {
+    fn visit_counters(&mut self, path: &mut String, f: &mut Visitor<'_>) {
+        let cycles = Export { unit: Unit::Cycles, help: "total simulated cycles" };
+        visit_leaf(path, "sim.cycles", Some(cycles), Slot::from(&mut self.cycles), f);
+        self.core.visit_counters(path, f);
+        visit_nested(path, "mc", &mut self.mc, f);
+        visit_nested(path, "dram", &mut self.dram, f);
+        visit_nested(path, "dram.power", &mut self.power, f);
+        if let Some(asd) = &mut self.asd {
+            visit_nested(path, "asd", asd, f);
+        }
+    }
 }
 
 impl RunResult {
@@ -72,6 +92,15 @@ impl RunResult {
     /// (positive = `self` uses less energy).
     pub fn energy_reduction_over(&self, baseline: &RunResult) -> f64 {
         (1.0 - self.power.energy_j / baseline.power.energy_j) * 100.0
+    }
+
+    /// Walk the counters of a shared result: [`Counters::visit_counters`]
+    /// over a copy of them, so `f` may read each slot but writes go
+    /// nowhere.
+    pub fn for_each_counter(&self, mut f: impl FnMut(&str, Option<Export>, Slot<'_>)) {
+        let mut copy =
+            RunResult { benchmark: String::new(), config: String::new(), telemetry: None, ..*self };
+        copy.visit_counters(&mut String::new(), &mut f);
     }
 }
 
@@ -350,197 +379,29 @@ impl<E: PrefetchEngine> Engined<E> {
             assert!(guard < 2_000_000_000, "runaway simulation");
         }
         let cycles = self.now;
-        let asd = self.mc.engine().stats();
-        let power = self.mc.dram_mut().power_report(cycles.max(1));
-        let core = self.core.stats();
-        let mc = self.mc.stats();
-        let dram = self.mc.dram().stats();
-        let telemetry = if tel_cfg.any() {
-            let mut snap = mirror_stats(&tel_cfg, cycles, &core, &mc, &dram, &power, asd.as_ref());
+        let mut result = RunResult {
+            benchmark,
+            config: config_label,
+            cycles,
+            core: self.core.stats(),
+            mc: self.mc.stats(),
+            dram: self.mc.dram().stats(),
+            power: self.mc.dram_mut().power_report(cycles.max(1)),
+            asd: self.mc.engine().stats(),
+            telemetry: None,
+        };
+        if tel_cfg.any() {
+            // The stats structs stay authoritative; the snapshot mirrors
+            // them, then appends the controller's live instruments.
+            let mut counters = Registry::section("", &tel_cfg);
+            counters.fill_counters(&mut result);
+            let mut snap = counters.snapshot();
             snap.merge(self.mc.telemetry_snapshot());
             snap.sort_events();
-            Some(snap)
-        } else {
-            None
-        };
-        RunResult { benchmark, config: config_label, cycles, core, mc, dram, power, asd, telemetry }
+            result.telemetry = Some(snap);
+        }
+        result
     }
-}
-
-/// Mirror the authoritative end-of-run stats structs onto a top-level
-/// registry section under the canonical [`names`] — the producer half of
-/// the contract [`asd_telemetry::PrefetchMetrics::from_snapshot`] and the
-/// exposition smoke checks consume.
-#[allow(clippy::too_many_arguments)]
-fn mirror_stats(
-    cfg: &TelemetryConfig,
-    cycles: u64,
-    core: &asd_cpu::CoreStats,
-    mc: &McStats,
-    dram: &DramStats,
-    power: &PowerReport,
-    asd: Option<&asd_core::AsdStats>,
-) -> Snapshot {
-    let mut r = Registry::section("", cfg);
-    r.fill_counter(names::SIM_CYCLES, Unit::Cycles, "total simulated cycles", cycles);
-
-    r.fill_counter(names::CPU_ACCESSES, Unit::Accesses, "trace accesses executed", core.accesses);
-    r.fill_counter(names::CPU_READS, Unit::Accesses, "loads executed", core.reads);
-    r.fill_counter(names::CPU_WRITES, Unit::Accesses, "stores executed", core.writes);
-    r.fill_counter(
-        names::CPU_DEMAND_MEMORY_READS,
-        Unit::Accesses,
-        "demand reads that missed the whole hierarchy",
-        core.demand_memory_reads,
-    );
-    r.fill_counter(
-        names::CPU_PS_READS_SENT,
-        Unit::Commands,
-        "processor-side prefetch reads sent to memory",
-        core.ps_reads_sent,
-    );
-    r.fill_counter(
-        names::CPU_STALL_CYCLES,
-        Unit::Cycles,
-        "cycles threads spent stalled waiting on a fill",
-        core.stall_cycles,
-    );
-
-    let cache = &core.cache;
-    for (hits, misses, level) in [
-        (names::CACHE_L1_HITS, names::CACHE_L1_MISSES, &cache.l1),
-        (names::CACHE_L2_HITS, names::CACHE_L2_MISSES, &cache.l2),
-        (names::CACHE_L3_HITS, names::CACHE_L3_MISSES, &cache.l3),
-    ] {
-        r.fill_counter(hits, Unit::Accesses, "lookups that hit", level.hits);
-        r.fill_counter(misses, Unit::Accesses, "lookups that missed", level.misses);
-    }
-    r.fill_counter(
-        names::CACHE_MEMORY_WRITEBACKS,
-        Unit::Lines,
-        "dirty lines written back to memory",
-        cache.memory_writebacks,
-    );
-
-    for (name, help, v) in [
-        (names::MC_READS, "read commands that entered the controller", mc.reads),
-        (names::MC_WRITES, "write commands that entered the controller", mc.writes),
-        (
-            names::MC_PB_HITS_ON_ARRIVAL,
-            "reads satisfied by the PB on arrival",
-            mc.pb_hits_on_arrival,
-        ),
-        (names::MC_PB_HITS_AT_CAQ, "reads satisfied by the PB at the CAQ head", mc.pb_hits_at_caq),
-        (
-            names::MC_MERGED_WITH_PREFETCH,
-            "reads merged with an in-flight prefetch",
-            mc.merged_with_prefetch,
-        ),
-        (
-            names::MC_PREFETCHES_ISSUED,
-            "memory-side prefetches issued to DRAM",
-            mc.prefetches_issued,
-        ),
-        (names::MC_LPQ_DROPPED, "prefetch candidates dropped for a full LPQ", mc.lpq_dropped),
-        (
-            names::MC_PREFETCH_REDUNDANT,
-            "prefetch candidates skipped as redundant",
-            mc.prefetch_redundant,
-        ),
-        (names::MC_LPQ_SQUASHED, "queued prefetches squashed by the demand read", mc.lpq_squashed),
-        (names::MC_DELAYED_REGULAR, "regular commands delayed by a prefetch", mc.delayed_regular),
-        (names::MC_READ_REJECTS, "reads rejected for a full reorder queue", mc.read_rejects),
-        (names::MC_WRITE_REJECTS, "writes rejected for a full reorder queue", mc.write_rejects),
-    ] {
-        r.fill_counter(name, Unit::Commands, help, v);
-    }
-    r.fill_counter(names::MC_PB_INSERTS, Unit::Lines, "prefetch buffer inserts", mc.pb.inserts);
-    r.fill_counter(
-        names::MC_PB_READ_HITS,
-        Unit::Lines,
-        "prefetch buffer lines consumed by demand reads",
-        mc.pb.read_hits,
-    );
-    r.fill_counter(
-        names::MC_PB_WRITE_INVALIDATIONS,
-        Unit::Lines,
-        "prefetch buffer lines invalidated by writes",
-        mc.pb.write_invalidations,
-    );
-    r.fill_counter(
-        names::MC_PB_UNUSED_EVICTIONS,
-        Unit::Lines,
-        "prefetch buffer lines evicted unused",
-        mc.pb.unused_evictions,
-    );
-    r.fill_counter(
-        names::MC_SCHED_CONFLICTS,
-        Unit::Events,
-        "prefetch-induced conflicts seen by Adaptive Scheduling",
-        mc.sched.conflicts,
-    );
-    r.fill_counter(
-        names::MC_SCHED_TIGHTENED,
-        Unit::Events,
-        "policy steps toward conservative",
-        mc.sched.tightened,
-    );
-    r.fill_counter(
-        names::MC_SCHED_LOOSENED,
-        Unit::Events,
-        "policy steps toward aggressive",
-        mc.sched.loosened,
-    );
-
-    r.fill_counter(names::DRAM_READS, Unit::Commands, "DRAM read bursts", dram.reads);
-    r.fill_counter(names::DRAM_WRITES, Unit::Commands, "DRAM write bursts", dram.writes);
-    r.fill_counter(names::DRAM_ACTIVATIONS, Unit::Events, "row activations", dram.activations);
-    r.fill_counter(names::DRAM_ROW_HITS, Unit::Events, "open-row hits", dram.row_hits);
-    for (name, help, v) in [
-        (names::DRAM_POWER_ENERGY_J, "total DRAM energy over the run", power.energy_j),
-        (names::DRAM_POWER_BACKGROUND_J, "background energy", power.background_j),
-        (names::DRAM_POWER_ACTIVATE_J, "activate/precharge energy", power.activate_j),
-        (names::DRAM_POWER_READ_J, "read-burst energy", power.read_j),
-        (names::DRAM_POWER_WRITE_J, "write-burst energy", power.write_j),
-    ] {
-        r.fill_gauge(name, Unit::Joules, help, v);
-    }
-    r.fill_gauge(
-        names::DRAM_POWER_ELAPSED_S,
-        Unit::Seconds,
-        "simulated seconds the energy was integrated over",
-        power.elapsed_s,
-    );
-    r.fill_gauge(
-        names::DRAM_POWER_AVERAGE_W,
-        Unit::Watts,
-        "average DRAM power over the run",
-        power.average_power_w,
-    );
-
-    if let Some(a) = asd {
-        r.fill_counter(names::ASD_READS, Unit::Accesses, "reads seen by the ASD engine", a.reads);
-        r.fill_counter(
-            names::ASD_PREFETCHES,
-            Unit::Commands,
-            "prefetch candidates the ASD engine generated",
-            a.prefetches,
-        );
-        r.fill_counter(
-            names::ASD_STREAMS_OBSERVED,
-            Unit::Events,
-            "streams reported to the histograms",
-            a.streams_observed,
-        );
-        r.fill_counter(
-            names::ASD_UNTRACKED_READS,
-            Unit::Accesses,
-            "reads not tracked by any filter slot",
-            a.untracked_reads,
-        );
-        r.fill_counter(names::ASD_EPOCHS, Unit::Events, "completed epochs", a.epochs);
-    }
-    r.snapshot()
 }
 
 /// Build a plain access vector for ad-hoc experiments (re-exported

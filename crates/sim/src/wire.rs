@@ -20,31 +20,16 @@
 //! [`RunResult::telemetry`], not the `serve.*` daemon gauges.
 
 use crate::system::RunResult;
-use asd_cache::CacheStats;
-use asd_core::{AsdStats, SchedulerStats};
-use asd_cpu::CoreStats;
-use asd_dram::{DramStats, PowerReport};
-use asd_mc::McStats;
+use asd_core::counters::{Counters, Slot};
+use asd_core::AsdStats;
 use asd_traceio::format::{get_varint, put_varint};
 
 /// Version byte opening every encoded record.
-pub const WIRE_VERSION: u8 = 1;
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    put_varint(buf, v);
-}
-
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    buf.extend_from_slice(&v.to_bits().to_le_bytes());
-}
+pub const WIRE_VERSION: u8 = 2;
 
 fn put_str(buf: &mut Vec<u8>, s: &str) {
     put_varint(buf, s.len() as u64);
     buf.extend_from_slice(s.as_bytes());
-}
-
-fn get_u64(buf: &[u8], pos: &mut usize) -> Option<u64> {
-    get_varint(buf, pos)
 }
 
 fn get_f64(buf: &[u8], pos: &mut usize) -> Option<f64> {
@@ -62,111 +47,10 @@ fn get_str(buf: &[u8], pos: &mut usize) -> Option<String> {
     Some(s.to_string())
 }
 
-fn put_cache_level(buf: &mut Vec<u8>, s: &CacheStats) {
-    for v in [s.hits, s.misses, s.evictions, s.dirty_evictions] {
-        put_u64(buf, v);
-    }
-}
-
-fn get_cache_level(buf: &[u8], pos: &mut usize) -> Option<CacheStats> {
-    Some(CacheStats {
-        hits: get_u64(buf, pos)?,
-        misses: get_u64(buf, pos)?,
-        evictions: get_u64(buf, pos)?,
-        dirty_evictions: get_u64(buf, pos)?,
-    })
-}
-
-fn put_core(buf: &mut Vec<u8>, s: &CoreStats) {
-    for v in [
-        s.accesses,
-        s.reads,
-        s.writes,
-        s.demand_memory_reads,
-        s.ps_reads_sent,
-        s.stall_cycles,
-        s.cache.memory_writebacks,
-    ] {
-        put_u64(buf, v);
-    }
-    put_cache_level(buf, &s.cache.l1);
-    put_cache_level(buf, &s.cache.l2);
-    put_cache_level(buf, &s.cache.l3);
-}
-
-fn get_core(buf: &[u8], pos: &mut usize) -> Option<CoreStats> {
-    let mut s = CoreStats {
-        accesses: get_u64(buf, pos)?,
-        reads: get_u64(buf, pos)?,
-        writes: get_u64(buf, pos)?,
-        demand_memory_reads: get_u64(buf, pos)?,
-        ps_reads_sent: get_u64(buf, pos)?,
-        stall_cycles: get_u64(buf, pos)?,
-        ..CoreStats::default()
-    };
-    s.cache.memory_writebacks = get_u64(buf, pos)?;
-    s.cache.l1 = get_cache_level(buf, pos)?;
-    s.cache.l2 = get_cache_level(buf, pos)?;
-    s.cache.l3 = get_cache_level(buf, pos)?;
-    Some(s)
-}
-
-fn put_mc(buf: &mut Vec<u8>, s: &McStats) {
-    for v in [
-        s.reads,
-        s.writes,
-        s.pb_hits_on_arrival,
-        s.pb_hits_at_caq,
-        s.merged_with_prefetch,
-        s.prefetches_issued,
-        s.lpq_dropped,
-        s.prefetch_redundant,
-        s.lpq_squashed,
-        s.delayed_regular,
-        s.read_rejects,
-        s.write_rejects,
-        s.pb.inserts,
-        s.pb.read_hits,
-        s.pb.write_invalidations,
-        s.pb.unused_evictions,
-        s.sched.conflicts,
-        s.sched.tightened,
-        s.sched.loosened,
-    ] {
-        put_u64(buf, v);
-    }
-}
-
-fn get_mc(buf: &[u8], pos: &mut usize) -> Option<McStats> {
-    let mut s = McStats {
-        reads: get_u64(buf, pos)?,
-        writes: get_u64(buf, pos)?,
-        pb_hits_on_arrival: get_u64(buf, pos)?,
-        pb_hits_at_caq: get_u64(buf, pos)?,
-        merged_with_prefetch: get_u64(buf, pos)?,
-        prefetches_issued: get_u64(buf, pos)?,
-        lpq_dropped: get_u64(buf, pos)?,
-        prefetch_redundant: get_u64(buf, pos)?,
-        lpq_squashed: get_u64(buf, pos)?,
-        delayed_regular: get_u64(buf, pos)?,
-        read_rejects: get_u64(buf, pos)?,
-        write_rejects: get_u64(buf, pos)?,
-        ..McStats::default()
-    };
-    s.pb.inserts = get_u64(buf, pos)?;
-    s.pb.read_hits = get_u64(buf, pos)?;
-    s.pb.write_invalidations = get_u64(buf, pos)?;
-    s.pb.unused_evictions = get_u64(buf, pos)?;
-    s.sched = SchedulerStats {
-        conflicts: get_u64(buf, pos)?,
-        tightened: get_u64(buf, pos)?,
-        loosened: get_u64(buf, pos)?,
-    };
-    Some(s)
-}
-
 /// Encode `r` into a self-contained byte record, or `None` when the
-/// result carries a telemetry snapshot (see the module docs).
+/// result carries a telemetry snapshot (see the module docs). The record
+/// is the version byte, the two labels, an ASD-present flag, then every
+/// counter of the [`Counters`] walk in walk order, exported or not.
 pub fn encode_result(r: &RunResult) -> Option<Vec<u8>> {
     if r.telemetry.is_some() {
         return None;
@@ -175,84 +59,39 @@ pub fn encode_result(r: &RunResult) -> Option<Vec<u8>> {
     buf.push(WIRE_VERSION);
     put_str(&mut buf, &r.benchmark);
     put_str(&mut buf, &r.config);
-    put_u64(&mut buf, r.cycles);
-    put_core(&mut buf, &r.core);
-    put_mc(&mut buf, &r.mc);
-    for v in [r.dram.reads, r.dram.writes, r.dram.activations, r.dram.row_hits] {
-        put_u64(&mut buf, v);
-    }
-    for v in [
-        r.power.energy_j,
-        r.power.background_j,
-        r.power.activate_j,
-        r.power.read_j,
-        r.power.write_j,
-        r.power.elapsed_s,
-        r.power.average_power_w,
-    ] {
-        put_f64(&mut buf, v);
-    }
-    match &r.asd {
-        None => buf.push(0),
-        Some(a) => {
-            buf.push(1);
-            for v in [a.reads, a.prefetches, a.streams_observed, a.untracked_reads, a.epochs] {
-                put_u64(&mut buf, v);
-            }
-        }
-    }
+    buf.push(u8::from(r.asd.is_some()));
+    r.for_each_counter(|_, _, slot| match slot {
+        Slot::U64(v) => put_varint(&mut buf, *v),
+        Slot::F64(v) => buf.extend_from_slice(&v.to_bits().to_le_bytes()),
+    });
     Some(buf)
 }
 
 /// Decode a record produced by [`encode_result`]. `None` on any
 /// structural problem: wrong version, truncation, trailing bytes.
 pub fn decode_result(buf: &[u8]) -> Option<RunResult> {
-    let mut pos = 0usize;
     if *buf.first()? != WIRE_VERSION {
         return None;
     }
-    pos += 1;
+    let mut pos = 1usize;
     let benchmark = get_str(buf, &mut pos)?;
     let config = get_str(buf, &mut pos)?;
-    let cycles = get_u64(buf, &mut pos)?;
-    let core = get_core(buf, &mut pos)?;
-    let mc = get_mc(buf, &mut pos)?;
-    let dram = DramStats {
-        reads: get_u64(buf, &mut pos)?,
-        writes: get_u64(buf, &mut pos)?,
-        activations: get_u64(buf, &mut pos)?,
-        row_hits: get_u64(buf, &mut pos)?,
-    };
-    let power = PowerReport {
-        energy_j: get_f64(buf, &mut pos)?,
-        background_j: get_f64(buf, &mut pos)?,
-        activate_j: get_f64(buf, &mut pos)?,
-        read_j: get_f64(buf, &mut pos)?,
-        write_j: get_f64(buf, &mut pos)?,
-        elapsed_s: get_f64(buf, &mut pos)?,
-        average_power_w: get_f64(buf, &mut pos)?,
-    };
     let asd = match *buf.get(pos)? {
-        0 => {
-            pos += 1;
-            None
-        }
-        1 => {
-            pos += 1;
-            Some(AsdStats {
-                reads: get_u64(buf, &mut pos)?,
-                prefetches: get_u64(buf, &mut pos)?,
-                streams_observed: get_u64(buf, &mut pos)?,
-                untracked_reads: get_u64(buf, &mut pos)?,
-                epochs: get_u64(buf, &mut pos)?,
-            })
-        }
+        0 => None,
+        1 => Some(AsdStats::default()),
         _ => return None,
     };
-    if pos != buf.len() {
-        return None;
-    }
-    Some(RunResult { benchmark, config, cycles, core, mc, dram, power, asd, telemetry: None })
+    pos += 1;
+    let mut r = RunResult { benchmark, config, asd, ..RunResult::default() };
+    let mut complete = true;
+    r.visit_counters(&mut String::new(), &mut |_, _, slot| {
+        let read = match slot {
+            Slot::U64(v) => get_varint(buf, &mut pos).map(|x| *v = x),
+            Slot::F64(v) => get_f64(buf, &mut pos).map(|x| *v = x),
+        };
+        complete &= read.is_some();
+    });
+    (complete && pos == buf.len()).then_some(r)
 }
 
 #[cfg(test)]

@@ -20,8 +20,12 @@
 //!   `trace_event` JSON (loadable in Perfetto), per-epoch CSV, each with
 //!   an in-tree validator used by the CI smoke steps, plus the
 //!   `BENCH_figures.json` wall-time regression diff.
-//! * [`metrics`] — the single home of the derived Figure 13 ratios,
-//!   computable from raw counters or back out of a merged [`Snapshot`].
+//! * [`Registry::fill_counters`] / [`Snapshot::read_counters`] — the
+//!   end-of-run stats structs mirrored onto a snapshot and read back out
+//!   of one, both through `asd-core`'s counter schema
+//!   ([`asd_core::counters`](mod@asd_core::counters)).
+//! * [`metrics`] — the metric names a consumer outside their producer
+//!   reads, and the zero-safe `ratio` of the derived metrics.
 //! * [`json`] — the workspace's one JSON codec: the bench report, the
 //!   `asd-serve` wire protocol and the validators above all read and
 //!   write JSON through it.
@@ -33,7 +37,7 @@
 //! `tests/telemetry.rs` pins across suites and sweep modes.
 //!
 //! This crate sits directly above `core` in the workspace layering and
-//! depends on nothing (its tests use `asd-core`'s seeded RNG), so every
+//! depends only on it (for the counter schema and [`Unit`]), so every
 //! sim crate can use it.
 
 pub mod config;
@@ -47,7 +51,7 @@ pub mod registry;
 pub use config::TelemetryConfig;
 pub use events::{Event, EventKind, EventRing};
 pub use hist::{Buckets, Histogram};
-pub use metrics::{names, PrefetchCounts, PrefetchMetrics};
+pub use metrics::names;
 pub use registry::{
     CounterId, GaugeId, HistogramId, Metric, MetricValue, Registry, SeriesId, Snapshot, Unit,
 };

@@ -10,52 +10,9 @@
 use crate::config::TelemetryConfig;
 use crate::events::{Event, EventKind, EventRing};
 use crate::hist::{Buckets, Histogram};
+use asd_core::counters::{Counters, Slot};
 
-/// Unit of a metric, carried into exposition help text.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Unit {
-    /// Dimensionless.
-    None,
-    /// Simulated cycles.
-    Cycles,
-    /// DRAM/controller commands.
-    Commands,
-    /// Cache lines.
-    Lines,
-    /// Trace accesses.
-    Accesses,
-    /// Events.
-    Events,
-    /// Joules.
-    Joules,
-    /// Watts.
-    Watts,
-    /// Seconds (derived, simulated).
-    Seconds,
-    /// Milliseconds of host wall-clock (bench harness only).
-    Millis,
-    /// A 0..1 ratio.
-    Ratio,
-}
-
-impl Unit {
-    /// Short label for help text; empty for dimensionless.
-    pub fn label(self) -> &'static str {
-        match self {
-            Unit::None => "",
-            Unit::Cycles => "cycles",
-            Unit::Commands => "commands",
-            Unit::Lines => "lines",
-            Unit::Accesses => "accesses",
-            Unit::Events => "events",
-            Unit::Joules => "joules",
-            Unit::Watts => "watts",
-            Unit::Seconds => "seconds",
-            Unit::Millis => "milliseconds",
-            Unit::Ratio => "ratio",
-        }
-    }
-}
+pub use asd_core::counters::Unit;
 
 /// Handle to a registered counter. `u32::MAX` is the detached sentinel
 /// returned by a metrics-off registry; updates through it are no-ops.
@@ -261,6 +218,18 @@ impl Registry {
         self.set_gauge(id, v);
     }
 
+    /// Mirror every exported counter of `stats` onto this section, in
+    /// walk order: a `u64` as a counter, an `f64` as a gauge.
+    pub fn fill_counters(&mut self, stats: &mut dyn Counters) {
+        stats.visit_counters(&mut String::new(), &mut |name, export, slot| {
+            let Some(e) = export else { return };
+            match slot {
+                Slot::U64(v) => self.fill_counter(name, e.unit, e.help, *v),
+                Slot::F64(v) => self.fill_gauge(name, e.unit, e.help, *v),
+            }
+        });
+    }
+
     /// Freeze this section into a snapshot. Metrics appear in
     /// registration order (counters, then gauges, histograms, series).
     pub fn snapshot(&self) -> Snapshot {
@@ -388,6 +357,27 @@ impl Snapshot {
             _ => None,
         }
     }
+
+    /// Read a stats struct back out of the snapshot through its counter
+    /// schema: every exported counter of `T`, under the name its walk
+    /// gives it from the root path — the inverse of
+    /// [`Registry::fill_counters`]. Unexported counters keep their
+    /// default. `None` if any exported counter is missing (metrics off).
+    pub fn read_counters<T: Counters + Default>(&self) -> Option<T> {
+        let mut stats = T::default();
+        let mut complete = true;
+        stats.visit_counters(&mut String::new(), &mut |name, export, slot| {
+            if export.is_none() {
+                return;
+            }
+            let found = match slot {
+                Slot::U64(v) => self.counter(name).map(|x| *v = x),
+                Slot::F64(v) => self.gauge(name).map(|x| *v = x),
+            };
+            complete &= found.is_some();
+        });
+        complete.then_some(stats)
+    }
 }
 
 #[cfg(test)]
@@ -453,6 +443,38 @@ mod tests {
         assert_eq!(snap.counter("a.n"), Some(1));
         assert_eq!(snap.counter("b.n"), Some(2));
         assert_eq!(snap.events.iter().map(|e| e.at).collect::<Vec<_>>(), [4, 10]);
+    }
+
+    asd_core::counters! {
+        /// A stats block for the mirror tests.
+        #[derive(Debug, Clone, Copy, PartialEq, Default)]
+        struct Block {
+            /// A counter.
+            reads: u64 => ("blk.reads", Commands, "reads"),
+            /// A gauge.
+            energy: f64 => ("blk.energy_j", Joules, "energy"),
+            /// Not exported.
+            scratch: u64 => (unexported),
+        }
+    }
+
+    #[test]
+    fn read_counters_roundtrips_fill_counters() {
+        let mut block = Block { reads: 7, energy: 0.25, scratch: 3 };
+        let mut r = Registry::section("", &TelemetryConfig::metrics_only());
+        r.fill_counters(&mut block);
+        let snap = r.snapshot();
+        let names: Vec<&str> = snap.metrics.iter().map(|m| m.name.as_str()).collect();
+        assert_eq!(names, ["blk.reads", "blk.energy_j"], "counters first, unexported left out");
+        assert_eq!(snap.read_counters::<Block>(), Some(Block { scratch: 0, ..block }));
+    }
+
+    #[test]
+    fn read_counters_is_none_when_counters_missing() {
+        assert_eq!(Snapshot::default().read_counters::<Block>(), None);
+        let mut r = Registry::section("", &TelemetryConfig::metrics_only());
+        r.fill_counter("blk.reads", Unit::Commands, "reads", 1);
+        assert_eq!(r.snapshot().read_counters::<Block>(), None, "the gauge is missing");
     }
 
     #[test]

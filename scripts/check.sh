@@ -26,6 +26,9 @@ run cargo test --workspace --offline -q
 # through that build too.
 run cargo test --release --offline -q -p asd-core -p asd-trace -p asd-cache -p asd-cpu -p asd-mc
 run cargo test --release --offline -q -p asd-sim --test golden_runs
+# The full-catalog thread identity (`figures all` on one worker thread
+# against two), which plain `cargo test` skips as slow.
+run cargo test --release --offline -q -p asd-bench --test pipeline_modes -- --ignored
 
 # Trace-corpus smoke: record a trace with the CLI, verify its structure
 # and checksums, prove it replays bit-identically to regeneration, and

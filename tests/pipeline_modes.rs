@@ -8,8 +8,8 @@
 //! into its run context, so every combination spawns the real binary
 //! (`CARGO_BIN_EXE_figures`) as a subprocess with its own environment. So
 //! does the check that an invalid setting or an unknown figure name is
-//! refused before anything runs, and the check that a closed stdout ends
-//! the run cleanly.
+//! refused before anything runs, and the checks that a closed stdout or
+//! an unwritable report or artifact path ends the run with exit 1.
 
 use asd_telemetry::json::Value;
 use std::path::PathBuf;
@@ -148,9 +148,9 @@ fn figures_match_across_cache_and_thread_modes() {
 
 /// Full-catalog identity (every figure, one worker thread against two).
 /// Two passes over `figures all` take a while, so this runs only under
-/// `cargo test -- --ignored` and in the acceptance sweep.
+/// `cargo test -- --ignored`, which `scripts/check.sh` runs in release.
 #[test]
-#[ignore = "full catalog; run with --ignored or via scripts/check.sh acceptance"]
+#[ignore = "full catalog; scripts/check.sh runs it with `cargo test --release -p asd-bench --test pipeline_modes -- --ignored`"]
 fn full_catalog_matches_across_thread_counts() {
     let serial =
         run_figures(&Combo { tag: "all-serial", cache: "1", threads: "1" }, &["all"], "6000");
@@ -230,4 +230,37 @@ fn a_closed_stdout_ends_the_run_without_a_panic() {
         "one `figures:` line naming stdout:\n{stderr}"
     );
     assert!(!json.exists(), "no report written after a failed write");
+}
+
+#[test]
+fn an_unwritable_report_or_artifact_path_exits_1_naming_it() {
+    let dir =
+        std::env::temp_dir().join(format!("asd-pipeline-modes-{}-unwritable", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let report = dir.join("no-such-dir").join("x.json");
+    let regular_file = dir.join("a-file");
+    std::fs::write(&regular_file, b"").expect("a regular file");
+    for (figure, var, path) in
+        [("cost", "ASD_FIGURES_JSON", &report), ("telemetry", "ASD_TELEMETRY_DIR", &regular_file)]
+    {
+        let out = Command::new(BIN)
+            .arg(figure)
+            .env("ASD_DISK_CACHE", "0")
+            .env("ASD_FIGURES_ACCESSES", "2000")
+            .env("ASD_FIGURES_JSON", "-")
+            .env("ASD_TELEMETRY_DIR", "-")
+            .env(var, path)
+            .output()
+            .expect("spawn figures binary");
+        let what = format!("figures {figure} with {var}={}", path.display());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{what}\nstderr:\n{stderr}");
+        let failures: Vec<&str> = stderr.lines().filter(|l| l.starts_with("figures:")).collect();
+        assert!(
+            failures.len() == 1 && failures[0].contains(&path.display().to_string()),
+            "{what}: one `figures:` line naming the path\n{stderr}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

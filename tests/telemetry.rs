@@ -3,15 +3,17 @@
 //! The observability layer must never perturb the simulation: a run with
 //! telemetry fully on is bit-identical (every counter, every cycle) to
 //! the same run with telemetry off, serially and under a parallel sweep.
-//! And the merged snapshot must be a complete source of truth — the
-//! paper's Figure 13 ratios, the CAQ occupancy distribution, and the
-//! Figure 10 DRAM power breakdown all have to come out of one
-//! [`asd_telemetry::Snapshot`] with no reach-back into the stats structs.
+//! And the merged snapshot must be a complete source of truth — every
+//! exported counter of the run's schema, so the paper's Figure 13
+//! ratios and the Figure 10 DRAM power breakdown, plus the CAQ occupancy
+//! distribution, all have to come out of one [`asd_telemetry::Snapshot`]
+//! with no reach-back into the stats structs.
 
+use asd_core::counters::Slot;
 use asd_sim::experiment::run_custom;
 use asd_sim::pipeline::{Job, Pipeline};
 use asd_sim::{PrefetchKind, RunContext, RunOpts, RunResult, System, SystemConfig};
-use asd_telemetry::{names, PrefetchMetrics, TelemetryConfig};
+use asd_telemetry::{names, MetricValue, TelemetryConfig};
 use asd_trace::suites;
 
 /// One profile from each of the three suites.
@@ -85,31 +87,48 @@ fn snapshot_is_a_single_source_of_truth_for_the_figures() {
     let r = run("tpcc", TelemetryConfig::full());
     let snap = r.telemetry.as_ref().unwrap();
 
-    // Figure 13: accuracy/coverage/delay derived from the snapshot alone
-    // must equal the McStats-derived values exactly.
-    let from_snap = PrefetchMetrics::from_snapshot(snap).unwrap();
-    assert_eq!(from_snap, r.mc.prefetch_metrics(), "Figure 13 ratios diverge");
+    // Every exported counter of the schema walk sits in the snapshot
+    // under its name, unit and help, with its struct value exactly; an
+    // unexported one is absent.
+    let mut exported = Vec::new();
+    r.for_each_counter(|name, export, slot| {
+        let metric = snap.metrics.iter().find(|m| m.name == name);
+        let Some(e) = export else {
+            assert!(metric.is_none(), "{name} is not exported");
+            return;
+        };
+        exported.push(name.to_string());
+        let metric = metric.unwrap_or_else(|| panic!("{name} missing from the snapshot"));
+        assert_eq!((metric.unit, metric.help.as_str()), (e.unit, e.help), "{name}");
+        match slot {
+            Slot::U64(v) => assert_eq!(snap.counter(name), Some(*v), "{name}"),
+            Slot::F64(v) => assert_eq!(snap.gauge(name), Some(*v), "{name}"),
+        }
+    });
+    // And every scalar in the snapshot is a schema counter, but for the
+    // DRAM's live per-bank conflict counters.
+    for m in &snap.metrics {
+        let scalar = matches!(m.value, MetricValue::Counter(_) | MetricValue::Gauge(_));
+        if scalar && !m.name.starts_with("dram.bank[") {
+            assert!(exported.contains(&m.name), "{} is not a schema counter", m.name);
+        }
+    }
 
-    // CAQ occupancy histogram: populated, with every sample inside the
+    // Read back through the schema, the snapshot gives the controller's
+    // stats exactly, so the Figure 13 ratios, and the Figure 10 power
+    // breakdown.
+    let back = snap.read_counters::<RunResult>().unwrap();
+    assert_eq!(back.mc, r.mc, "McStats read back from the snapshot");
+    assert_eq!(back.mc.prefetch_metrics(), r.mc.prefetch_metrics(), "Figure 13 ratios diverge");
+    assert_eq!(back.power, r.power, "power report read back from the snapshot");
+    assert_eq!(back.cycles, r.cycles);
+
+    // The one constant `names` keeps names a snapshot instrument: the CAQ
+    // occupancy histogram, populated, with every sample inside the
     // configured queue capacity.
-    let caq = snap.histogram(names::MC_CAQ_OCCUPANCY).unwrap();
+    let caq = snap.histogram(names::MC_CAQ_OCCUPANCY).expect("every `names` constant is present");
     assert!(caq.total() > 0, "CAQ occupancy histogram is empty");
     assert!(caq.mean() <= *caq.bounds().last().unwrap() as f64);
-
-    // Figure 10: the DRAM power breakdown mirrors the power report.
-    let g = |name| snap.gauge(name).unwrap();
-    assert_eq!(g(names::DRAM_POWER_ENERGY_J), r.power.energy_j);
-    assert_eq!(g(names::DRAM_POWER_BACKGROUND_J), r.power.background_j);
-    assert_eq!(g(names::DRAM_POWER_ACTIVATE_J), r.power.activate_j);
-    assert_eq!(g(names::DRAM_POWER_READ_J), r.power.read_j);
-    assert_eq!(g(names::DRAM_POWER_WRITE_J), r.power.write_j);
-    assert_eq!(g(names::DRAM_POWER_AVERAGE_W), r.power.average_power_w);
-
-    // And the headline counters match their stats-struct sources.
-    assert_eq!(snap.counter(names::SIM_CYCLES), Some(r.cycles));
-    assert_eq!(snap.counter(names::MC_PREFETCHES_ISSUED), Some(r.mc.prefetches_issued));
-    assert_eq!(snap.counter(names::DRAM_READS), Some(r.dram.reads));
-    assert_eq!(snap.counter(names::CPU_STALL_CYCLES), Some(r.core.stall_cycles));
 }
 
 #[test]
