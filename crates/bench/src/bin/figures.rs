@@ -23,10 +23,11 @@
 //! `BENCH_figures.json` to the working directory: one record per figure
 //! regenerated, with its wall-clock time and headline metrics, under the
 //! `asd-bench-figures/1` schema, plus a `pipeline` block with the
-//! scheduler's dedup counters and the end-to-end wall time. Figures
-//! overlap, so a figure's `wall_ms` is its time-to-ready measured from
-//! pipeline start, and the per-figure values (summed in
-//! `pipeline.figure_wall_sum_ms`) do not add up to
+//! scheduler's dedup counters, the process's peak resident set after the
+//! run (`peak_rss_kib`, `null` where `/proc/self/status` cannot be read)
+//! and the end-to-end wall time. Figures overlap, so a figure's `wall_ms`
+//! is its time-to-ready measured from pipeline start, and the per-figure
+//! values (summed in `pipeline.figure_wall_sum_ms`) do not add up to
 //! `pipeline.total_wall_ms`. Set `ASD_FIGURES_JSON` to change the output
 //! path, or to `-` to suppress the file. `ASD_FIGURES_ACCESSES` overrides
 //! the run length for *every* figure uniformly (suppressing the
@@ -56,6 +57,7 @@ use asd_sim::figures::{plan_sized, CATALOG};
 use asd_sim::pipeline::{FigureOutput, FigurePlan, MetricValue, Pipeline, PipelineStats};
 use asd_sim::{RunContext, RunOpts, SimError};
 use asd_telemetry::json::Value;
+use asd_telemetry::{expo, Snapshot};
 use asd_trace::suites;
 use std::error::Error;
 use std::io::{self, Write};
@@ -137,13 +139,15 @@ type Record = (String, f64, Value);
 
 /// The JSON report: the run options, the context's run-cache counts and
 /// the run's trace-memo counts, the job graph's counters with the
-/// end-to-end wall time, and one record per figure.
+/// process's peak resident set and the end-to-end wall time, and one
+/// record per figure.
 fn document(
     ctx: &RunContext,
     opts: &RunOpts,
     stats: &PipelineStats,
     figures: Vec<Record>,
     total_wall_ms: f64,
+    peak_rss_kib: Option<u64>,
 ) -> Value {
     let (run_hits, run_misses) = ctx.cache().stats();
     let mut cache = Value::obj();
@@ -162,6 +166,7 @@ fn document(
         .set("inflight_joins", stats.inflight_joins)
         .set("peak_live_jobs", stats.peak_live_jobs)
         .set("peak_trace_bytes", stats.peak_trace_bytes)
+        .set("peak_rss_kib", peak_rss_kib.map_or(Value::Null, Value::from))
         .set("total_wall_ms", total_wall_ms)
         .set("figure_wall_sum_ms", wall_sum);
     let mut o = Value::obj();
@@ -242,16 +247,35 @@ fn write_file(path: &Path, body: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Print one finished figure, then write its artifact bodies (the
-/// telemetry demo's exposition renderings) into the artifact directory,
-/// created if needed, when one is configured.
+/// An exposition backend: a snapshot rendered to one file's text.
+type Render = fn(&Snapshot) -> String;
+
+/// The telemetry figure's exposition files and the backend that renders
+/// each from its snapshot.
+const TELEMETRY_FILES: [(&str, Render); 3] = [
+    ("telemetry.prom", expo::prom::render),
+    ("telemetry.trace.json", expo::chrome::render),
+    ("telemetry.csv", expo::csv::render),
+];
+
+/// Print one finished figure. When an artifact directory is configured
+/// (and created if needed), render each exposition file of the figure's
+/// telemetry snapshot and write it there, one file at a time.
 fn emit(out: &mut impl Write, settings: &Settings, output: &FigureOutput) -> Result<(), String> {
     writeln!(out, "{}\n", output.text).map_err(|e| format!("could not write to stdout: {e}"))?;
-    let Some(dir) = settings.telemetry_dir.as_ref().filter(|_| !output.artifacts.is_empty()) else {
+    let (Some(dir), Some(snap)) = (&settings.telemetry_dir, &output.telemetry) else {
         return Ok(());
     };
     std::fs::create_dir_all(dir).map_err(|e| format!("could not create {}: {e}", dir.display()))?;
-    output.artifacts.iter().try_for_each(|(file, body)| write_file(&dir.join(file), body))
+    TELEMETRY_FILES.iter().try_for_each(|(file, render)| write_file(&dir.join(file), &render(snap)))
+}
+
+/// The process's peak resident set size so far, in KiB: `VmHWM` in
+/// `/proc/self/status`, or `None` where that cannot be read.
+fn peak_rss_kib() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    line.trim().strip_suffix("kB")?.trim_end().parse().ok()
 }
 
 /// Submit every plan into one job graph, run it, print the outputs in
@@ -313,9 +337,10 @@ fn run() -> Result<(), Box<dyn Error>> {
     let t0 = Instant::now();
     let (records, stats) = run_graph(&settings, &selected, &opts, t0)?;
     let total_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let peak_rss = peak_rss_kib();
 
     if let Some(path) = &settings.json {
-        let doc = document(&settings.ctx, &opts, &stats, records, total_wall_ms);
+        let doc = document(&settings.ctx, &opts, &stats, records, total_wall_ms, peak_rss);
         write_file(path, &(doc.render() + "\n"))?;
     }
     Ok(())

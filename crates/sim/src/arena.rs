@@ -92,10 +92,10 @@ fn resolve_roster(engines: &[&str]) -> Result<Vec<(String, EngineKind)>, SimErro
     engines.iter().map(|name| Ok(((*name).to_string(), engine_by_name(name)?))).collect()
 }
 
-/// The tournament job list: the shared NP baseline column first
-/// (identical to the figure suite's NP runs, so the cache — and the
-/// pipeline's job graph — unifies them), then one column per engine, in
-/// the chunk order [`arena_assemble`] consumes.
+/// The tournament job list, one profile at a time: each profile's shared
+/// NP baseline (identical to the figure suite's NP runs, so the cache —
+/// and the pipeline's job graph — unifies them), then its run under each
+/// engine, in the chunk order [`arena_assemble`] consumes.
 fn arena_jobs(
     kinds: &[(String, EngineKind)],
     profiles: &[WorkloadProfile],
@@ -104,9 +104,7 @@ fn arena_jobs(
     let mut jobs = Vec::with_capacity(profiles.len() * (kinds.len() + 1));
     for profile in profiles {
         jobs.push(Job::new(profile, SystemConfig::for_kind(PrefetchKind::Np, threads), "NP"));
-    }
-    for (name, kind) in kinds {
-        for profile in profiles {
+        for (name, kind) in kinds {
             let cfg = SystemConfig::for_kind(PrefetchKind::Np, threads).with_mc(asd_mc::McConfig {
                 engine: kind.clone(),
                 threads,
@@ -125,11 +123,15 @@ fn arena_assemble(
     profiles: &[WorkloadProfile],
     results: &[RunResult],
 ) -> ArenaResult {
-    let (baselines, engine_runs) = results.split_at(profiles.len());
+    // Each profile's chunk is its baseline, then one run per engine.
+    let column = |c: usize| -> Vec<&RunResult> {
+        results.chunks(names.len() + 1).map(|runs| &runs[c]).collect()
+    };
+    let baselines = column(0);
     let mut rows: Vec<LeagueRow> = names
         .iter()
-        .zip(engine_runs.chunks(profiles.len()))
-        .map(|(name, runs)| league_row(name, runs, baselines))
+        .enumerate()
+        .map(|(e, name)| league_row(name, &column(e + 1), &baselines))
         .collect();
     rows.sort_by(|a, b| {
         b.ipc_delta_pct.total_cmp(&a.ipc_delta_pct).then_with(|| a.engine.cmp(&b.engine))
@@ -241,12 +243,12 @@ pub fn arena_plan(
     Ok(FigurePlan::new("arena", opts, jobs, move |results| {
         let a = arena_assemble(&names, &profiles, &results);
         let metrics = arena_metric_values(&a);
-        Ok(FigureOutput { text: a.text, metrics, artifacts: Vec::new() })
+        Ok(FigureOutput { text: a.text, metrics, telemetry: None })
     }))
 }
 
 /// Aggregate one engine's runs against the per-profile baselines.
-fn league_row(name: &str, runs: &[RunResult], baselines: &[RunResult]) -> LeagueRow {
+fn league_row(name: &str, runs: &[&RunResult], baselines: &[&RunResult]) -> LeagueRow {
     let per = |f: &dyn Fn(&RunResult, &RunResult) -> f64| -> Vec<f64> {
         runs.iter().zip(baselines).map(|(r, np)| f(r, np)).collect()
     };

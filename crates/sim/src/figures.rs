@@ -17,7 +17,7 @@ use crate::system::{RunResult, System};
 use asd_core::cost::{hardware_cost, CostParams};
 use asd_core::{AsdConfig, LpqPolicy};
 use asd_mc::{EngineKind, LpqMode, McConfig, SchedulerKind};
-use asd_telemetry::{expo, names, TelemetryConfig};
+use asd_telemetry::{names, Snapshot, TelemetryConfig};
 use asd_trace::suites::{self, Suite};
 
 /// Figure 2: the Stream Length Histogram of one GemsFDTD epoch.
@@ -481,27 +481,23 @@ pub fn fig16_slh_accuracy_from(
 }
 
 /// Everything the telemetry walkthrough produces from one fully
-/// instrumented run: the run itself (carrying the merged snapshot) and all
-/// three expositions rendered from that single snapshot.
+/// instrumented run: its merged snapshot, which every exposition backend
+/// renders, and the summary derived from it.
 #[derive(Debug, Clone)]
 pub struct TelemetryDemo {
-    /// The instrumented PMS run; `result.telemetry` holds the snapshot.
-    pub result: RunResult,
-    /// Prometheus text exposition.
-    pub prom: String,
-    /// Chrome `trace_event` JSON (load in Perfetto or `chrome://tracing`).
-    pub trace: String,
-    /// Per-epoch CSV of every series.
-    pub csv: String,
+    /// The instrumented PMS run's snapshot, moved out of its
+    /// [`RunResult::telemetry`].
+    pub snapshot: Snapshot,
     /// Human-readable summary.
     pub text: String,
 }
 
 /// Telemetry walkthrough: run PMS on `bench` with metrics and events on,
-/// then render every exposition backend from the run's one merged
-/// snapshot. The summary re-derives the Figure 13 ratios, the CAQ
-/// occupancy distribution, and the DRAM power breakdown purely from the
-/// snapshot — the acceptance proof that they need no other source.
+/// and summarize the run's one merged snapshot, which the exposition
+/// backends ([`asd_telemetry::expo`]) render. The summary re-derives the
+/// Figure 13 ratios, the CAQ occupancy distribution, and the DRAM power
+/// breakdown purely from the snapshot — the acceptance proof that they
+/// need no other source.
 ///
 /// # Errors
 ///
@@ -509,11 +505,8 @@ pub struct TelemetryDemo {
 pub fn telemetry_demo(bench: &str, opts: &RunOpts) -> Result<TelemetryDemo, SimError> {
     let cfg = SystemConfig::for_kind(PrefetchKind::Pms, 1).with_telemetry(TelemetryConfig::full());
     let source = TraceSource::generate(bench, opts.seed);
-    let result = System::from_source(cfg, &source, opts)?.with_label("PMS").run();
-    let snap = result.telemetry.clone().unwrap_or_default();
-    let prom = expo::prom::render(&snap);
-    let trace = expo::chrome::render(&snap);
-    let csv = expo::csv::render(&snap);
+    let mut result = System::from_source(cfg, &source, opts)?.with_label("PMS").run();
+    let snap = result.telemetry.take().unwrap_or_default();
 
     let mut text = format!("Telemetry walkthrough: {bench} / PMS ({} cycles)\n", result.cycles);
     // The run's counters, read back out of the snapshot alone.
@@ -542,7 +535,7 @@ pub fn telemetry_demo(bench: &str, opts: &RunOpts) -> Result<TelemetryDemo, SimE
         snap.events.len(),
         snap.dropped_events
     ));
-    Ok(TelemetryDemo { result, prom, trace, csv, text })
+    Ok(TelemetryDemo { snapshot: snap, text })
 }
 
 /// §5.1 hardware cost: bit inventory of the ASD additions.
@@ -612,13 +605,12 @@ const SCHED_KINDS: [(&str, SchedulerKind); 3] = [
     ("AHB", SchedulerKind::Ahb),
 ];
 
-/// The §5.3 job list: per scheduler, an NP/PMS pair for each selected
-/// benchmark, schedulers outer, in the chunk order [`sched_assemble`]
-/// consumes.
+/// The §5.3 job list, one selected benchmark at a time: an NP/PMS pair
+/// under each scheduler, in the chunk order [`sched_assemble`] consumes.
 fn sched_jobs() -> Vec<Job> {
     let mut jobs = Vec::new();
-    for (_, kind) in SCHED_KINDS {
-        for profile in suites::selected_eight() {
+    for profile in suites::selected_eight() {
+        for (_, kind) in SCHED_KINDS {
             let np_cfg = SystemConfig::for_kind(PrefetchKind::Np, 1).with_mc(McConfig {
                 scheduler: kind,
                 engine: EngineKind::None,
@@ -635,10 +627,12 @@ fn sched_jobs() -> Vec<Job> {
 
 /// Assemble [`sched_jobs`] results into the §5.3 table.
 fn sched_assemble(results: &[RunResult]) -> String {
-    let per_sched = suites::selected_eight().len() * 2;
     let mut t = Table::new(["scheduler", "PMS vs NP gain"]);
-    for ((name, _), runs) in SCHED_KINDS.iter().zip(results.chunks(per_sched)) {
-        let gains: Vec<f64> = runs.chunks(2).map(|pair| pair[1].gain_over(&pair[0])).collect();
+    for (s, (name, _)) in SCHED_KINDS.iter().enumerate() {
+        let gains: Vec<f64> = results
+            .chunks(SCHED_KINDS.len() * 2)
+            .map(|runs| runs[2 * s + 1].gain_over(&runs[2 * s]))
+            .collect();
         t.row([(*name).to_string(), pct(mean(&gains))]);
     }
     format!("Scheduler interaction (§5.3): prefetcher benefit by memory scheduler\n{}", t.render())
@@ -677,7 +671,7 @@ fn perf_plan(name: &str, suite: Suite, title: &'static str, opts: &RunOpts) -> F
     let jobs = four_way_jobs(&profiles, opts);
     FigurePlan::new(name, opts, jobs, move |results| {
         let (rows, text) = perf_figure(&four_way_assemble(&profiles, results), title);
-        Ok(FigureOutput { text, metrics: perf_metric_list(&rows), artifacts: Vec::new() })
+        Ok(FigureOutput { text, metrics: perf_metric_list(&rows), telemetry: None })
     })
 }
 
@@ -686,7 +680,7 @@ fn power_plan(name: &str, suite: Suite, title: &'static str, opts: &RunOpts) -> 
     let jobs = four_way_jobs(&profiles, opts);
     FigurePlan::new(name, opts, jobs, move |results| {
         let (rows, text) = power_figure(&four_way_assemble(&profiles, results), title);
-        Ok(FigureOutput { text, metrics: power_metric_list(&rows), artifacts: Vec::new() })
+        Ok(FigureOutput { text, metrics: power_metric_list(&rows), telemetry: None })
     })
 }
 
@@ -749,7 +743,7 @@ pub fn plan_sized(name: &str, opts: &RunOpts, uniform: bool) -> Result<FigurePla
                 Ok(FigureOutput {
                     text,
                     metrics: vec![("epoch".to_string(), MetricValue::U64(sample.epoch))],
-                    artifacts: Vec::new(),
+                    telemetry: None,
                 })
             }))
         }
@@ -761,7 +755,7 @@ pub fn plan_sized(name: &str, opts: &RunOpts, uniform: bool) -> Result<FigurePla
                 Ok(FigureOutput {
                     text,
                     metrics: vec![("epochs".to_string(), MetricValue::U64(epochs.len() as u64))],
-                    artifacts: Vec::new(),
+                    telemetry: None,
                 })
             }))
         }
@@ -798,7 +792,7 @@ pub fn plan_sized(name: &str, opts: &RunOpts, uniform: bool) -> Result<FigurePla
                         MetricValue::U64(rows.first().map_or(0, |r| r.bars.len()) as u64),
                     ),
                 ],
-                artifacts: Vec::new(),
+                telemetry: None,
             })
         })),
         "fig12" => {
@@ -808,7 +802,7 @@ pub fn plan_sized(name: &str, opts: &RunOpts, uniform: bool) -> Result<FigurePla
                 Ok(FigureOutput {
                     text,
                     metrics: vec![("benchmarks".to_string(), MetricValue::U64(rows.len() as u64))],
-                    artifacts: Vec::new(),
+                    telemetry: None,
                 })
             }))
         }
@@ -829,7 +823,7 @@ pub fn plan_sized(name: &str, opts: &RunOpts, uniform: bool) -> Result<FigurePla
                         )),
                     ),
                 ],
-                artifacts: Vec::new(),
+                telemetry: None,
             })
         })),
         "fig14" | "fig15" => {
@@ -841,7 +835,7 @@ pub fn plan_sized(name: &str, opts: &RunOpts, uniform: bool) -> Result<FigurePla
                 Ok(FigureOutput {
                     text,
                     metrics: vec![("benchmarks".to_string(), MetricValue::U64(rows.len() as u64))],
-                    artifacts: Vec::new(),
+                    telemetry: None,
                 })
             }))
         }
@@ -852,7 +846,7 @@ pub fn plan_sized(name: &str, opts: &RunOpts, uniform: bool) -> Result<FigurePla
                 Ok(FigureOutput {
                     text,
                     metrics: vec![("epochs".to_string(), MetricValue::U64(epochs.len() as u64))],
-                    artifacts: Vec::new(),
+                    telemetry: None,
                 })
             }))
         }
@@ -881,20 +875,15 @@ pub fn plan_sized(name: &str, opts: &RunOpts, uniform: bool) -> Result<FigurePla
         "telemetry" => {
             let o = opts.clone();
             Ok(FigurePlan::new(name, opts, Vec::new(), move |_| {
-                let demo = telemetry_demo("tpcc", &o)?;
-                let snap = demo.result.telemetry.clone().unwrap_or_default();
+                let TelemetryDemo { snapshot: snap, text } = telemetry_demo("tpcc", &o)?;
                 Ok(FigureOutput {
-                    text: demo.text,
+                    text,
                     metrics: vec![
                         ("metrics".to_string(), MetricValue::U64(snap.metrics.len() as u64)),
                         ("events".to_string(), MetricValue::U64(snap.events.len() as u64)),
                         ("dropped_events".to_string(), MetricValue::U64(snap.dropped_events)),
                     ],
-                    artifacts: vec![
-                        ("telemetry.prom".to_string(), demo.prom),
-                        ("telemetry.trace.json".to_string(), demo.trace),
-                        ("telemetry.csv".to_string(), demo.csv),
-                    ],
+                    telemetry: Some(snap),
                 })
             }))
         }

@@ -4,14 +4,19 @@
 //! comparisons, the MC/PB/filter sweeps, the arena's engine columns — read
 //! the same generated per-thread trace. Before its workers start, a
 //! pipeline run registers each node that generates its accesses as a
-//! *reader* of its threads' traces, keyed by `(profile, seed, thread,
-//! accesses)`. The first reader to run generates a trace, packed 8 bytes
-//! per access ([`PackedAccess`]), while concurrent readers of the same key
-//! wait for it; each reader's stream holds an `Arc` to the records; and the
-//! last reader to finish drops the memo's entry, which frees them. A trace
-//! therefore lives from its first reader's start to its last reader's end,
-//! not to the end of the run. Replaying the records is bit-identical to
-//! generating, because the memo stores exactly what the generator yields.
+//! *reader* of its threads' traces, keyed by `(plan, profile, seed,
+//! thread, accesses)`, where `plan` is the node's owning plan: the first
+//! plan that submitted it. The first reader to run generates a trace,
+//! packed 8 bytes per access ([`PackedAccess`]), while concurrent readers
+//! of the same key wait for it; each reader's stream holds an `Arc` to the
+//! records; and the last reader to finish drops the memo's entry, which
+//! frees them. A trace therefore lives from its plan's first reader's
+//! start to that plan's last reader's end, not to the end of the run, and
+//! a later plan that reads it generates it again. The catalog's plans list
+//! their jobs one profile at a time, so a worker holds only the traces of
+//! the profile it is on, and one worker holds one node's traces at once.
+//! Replaying the records is bit-identical to generating, because the memo
+//! stores exactly what the generator yields.
 //!
 //! The memo belongs to the run, so nothing outlives it: `System::new`
 //! outside a pipeline streams straight from the generator, and a daemon
@@ -64,12 +69,14 @@ pub(crate) struct TraceMemo {
 }
 
 impl TraceMemo {
-    /// Register a run of `profile` under `cfg` and `opts` as a reader of
-    /// each of its threads' traces, and return their ids in thread order.
-    /// A run reads nothing here when its accesses come from a file (or a
-    /// source naming no profile, which fails when the run resolves it).
+    /// Register a run of `profile` under `cfg` and `opts`, owned by plan
+    /// `plan`, as a reader of each of its threads' traces, and return
+    /// their ids in thread order. A run reads nothing here when its
+    /// accesses come from a file (or a source naming no profile, which
+    /// fails when the run resolves it).
     pub(crate) fn register(
         &mut self,
+        plan: usize,
         cfg: &SystemConfig,
         profile: &WorkloadProfile,
         opts: &RunOpts,
@@ -83,20 +90,22 @@ impl TraceMemo {
             Some(_) => return Vec::new(),
         };
         let threads: u8 = if opts.smt { 2 } else { 1 };
-        (0..threads).map(|t| self.add_reader(&profile, seed, t, opts.accesses)).collect()
+        (0..threads).map(|t| self.add_reader(plan, &profile, seed, t, opts.accesses)).collect()
     }
 
-    /// Count one more reader of the trace of `thread` under `(profile,
-    /// seed, accesses)`, and return its id.
+    /// Count one more reader, in plan `plan`, of the trace of `thread`
+    /// under `(profile, seed, accesses)`, and return its id.
     pub(crate) fn add_reader(
         &mut self,
+        plan: usize,
         profile: &WorkloadProfile,
         seed: u64,
         thread: u8,
         accesses: u64,
     ) -> usize {
         let next = self.specs.len();
-        let id = *self.ids.entry(format!("{profile:?}|{seed}|{thread}|{accesses}")).or_insert(next);
+        let key = format!("{plan}|{profile:?}|{seed}|{thread}|{accesses}");
+        let id = *self.ids.entry(key).or_insert(next);
         let held = self.held.get_mut().unwrap_or_else(PoisonError::into_inner);
         if id == next {
             self.specs.push(Spec { profile: profile.clone(), seed, thread, accesses });
@@ -215,7 +224,7 @@ mod tests {
     ) -> (TraceMemo, usize) {
         let mut memo = TraceMemo::default();
         let ids: Vec<usize> =
-            (0..readers).map(|_| memo.add_reader(profile, 0x5eed, thread, accesses)).collect();
+            (0..readers).map(|_| memo.add_reader(0, profile, 0x5eed, thread, accesses)).collect();
         assert!(ids.iter().all(|&id| id == ids[0]), "one key, one id");
         (memo, ids[0])
     }

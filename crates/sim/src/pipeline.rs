@@ -22,12 +22,14 @@
 //!   ones. Node results are freed as soon as their last consumer
 //!   assembles ([`PipelineStats::peak_live_jobs`] tracks the high-water
 //!   mark).
-//! - **A trace memo per run.** Nodes that differ only in system
-//!   configuration read one generated trace per thread. The run counts
-//!   each trace's readers before its workers start; the first reader
-//!   generates the trace, packed 8 bytes per access, and the last reader to
-//!   finish frees it, so a run holds only the traces of nodes between
-//!   their first and last reader ([`PipelineStats::traces_generated`],
+//! - **A trace memo per plan.** Nodes of one plan that differ only in
+//!   system configuration read one generated trace per thread. A node
+//!   belongs to the first plan that submitted it, and the run keys each
+//!   trace by that plan, counting its readers before the workers start;
+//!   the plan's first reader generates the trace, packed 8 bytes per
+//!   access, and its last reader to finish frees it. The catalog's plans
+//!   list their jobs one profile at a time, so a run holds only the traces
+//!   of the profiles its workers are on ([`PipelineStats::traces_generated`],
 //!   [`PipelineStats::traces_served`],
 //!   [`PipelineStats::peak_trace_bytes`]). A context with memoization off
 //!   turns the memo off too, and every node streams from the generator.
@@ -51,6 +53,7 @@ use crate::config::{RunOpts, SystemConfig};
 use crate::error::SimError;
 use crate::memo::TraceMemo;
 use crate::system::{RunResult, System};
+use asd_telemetry::Snapshot;
 use asd_trace::WorkloadProfile;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -93,22 +96,23 @@ pub enum MetricValue {
 }
 
 /// Everything a figure produces: the rendered text, the metrics block
-/// for the JSON report, and named artifact bodies (the telemetry demo's
-/// exposition files).
+/// for the JSON report, and the telemetry walkthrough's snapshot.
 #[derive(Debug)]
 pub struct FigureOutput {
     /// The figure text exactly as `figures` prints it.
     pub text: String,
     /// `(name, value)` metric pairs in report order.
     pub metrics: Vec<(String, MetricValue)>,
-    /// `(file name, body)` pairs for figures that emit files.
-    pub artifacts: Vec<(String, String)>,
+    /// The merged snapshot of a figure that instruments its run, moved
+    /// out of that run's [`RunResult`]. It is kept unrendered: `figures`
+    /// renders its exposition files only when it is asked to write them.
+    pub telemetry: Option<Snapshot>,
 }
 
 impl FigureOutput {
     /// An output with text only.
     pub fn text_only(text: String) -> Self {
-        FigureOutput { text, metrics: Vec::new(), artifacts: Vec::new() }
+        FigureOutput { text, metrics: Vec::new(), telemetry: None }
     }
 }
 
@@ -149,16 +153,24 @@ impl<T> FigurePlan<T> {
     pub fn name(&self) -> &str {
         &self.name
     }
+
+    /// The simulations the plan needs, in job order (none for a figure
+    /// that simulates inside its assembly).
+    pub fn jobs(&self) -> &[Job] {
+        &self.jobs
+    }
 }
 
-/// A deduplicated simulation point: the first submitter's label and the
-/// opts it runs under. Later jobs mapping here re-stamp their own label
-/// onto a clone of the node's result at assembly.
+/// A deduplicated simulation point: the first submitter's label, the opts
+/// it runs under, and its owning plan (the first submitter, whose traces
+/// it reads). Later jobs mapping here re-stamp their own label onto a
+/// clone of the node's result at assembly.
 struct Node {
     profile: WorkloadProfile,
     cfg: SystemConfig,
     opts: RunOpts,
     label: String,
+    plan: usize,
 }
 
 /// One submitted plan: its per-job labels, the node each job maps to,
@@ -188,13 +200,15 @@ pub struct PipelineStats {
     /// freed as their last consuming plan assembles).
     pub peak_live_jobs: usize,
     /// Per-thread traces the run's memo generated: one per distinct
-    /// `(profile, seed, thread, accesses)` its simulated nodes read.
+    /// `(plan, profile, seed, thread, accesses)` its simulated nodes read,
+    /// with each node counted in its owning plan.
     pub traces_generated: u64,
     /// Trace reads the memo served without generating.
     pub traces_served: u64,
     /// The most bytes of memoized trace records the run held at once
-    /// (traces are freed after their last reader, so this depends on how
-    /// the workers interleave).
+    /// (traces are freed after their plan's last reader, so this depends
+    /// on how the workers interleave; on one worker, with every plan's
+    /// jobs listed one profile at a time, it is the largest node's traces).
     pub peak_trace_bytes: usize,
 }
 
@@ -382,6 +396,7 @@ impl<'c, T: Send> Pipeline<'c, T> {
                         cfg: job.cfg,
                         opts: opts.clone(),
                         label: job.label.clone(),
+                        plan: self.figures.len(),
                     });
                     if let Some(key) = key {
                         self.by_key.insert(key, idx);
@@ -443,7 +458,8 @@ impl<'c, T: Send> Pipeline<'c, T> {
         let mut memo = TraceMemo::default();
         let mut reads: Vec<Vec<usize>> = vec![Vec::new(); total];
         if ctx.memoize {
-            reads = nodes.iter().map(|n| memo.register(&n.cfg, &n.profile, &n.opts)).collect();
+            reads =
+                nodes.iter().map(|n| memo.register(n.plan, &n.cfg, &n.profile, &n.opts)).collect();
         }
 
         let slots: Vec<ResultSlot> = (0..total).map(|_| Mutex::new(None)).collect();

@@ -328,7 +328,7 @@ mod tests {
     #[test]
     fn memoized_stream_matches_the_generator() {
         let mut memo = crate::memo::TraceMemo::default();
-        let id = memo.add_reader(&tpcc(), 0x5eed, 1, 100_000);
+        let id = memo.add_reader(0, &tpcc(), 0x5eed, 1, 100_000);
         // 100,000 records end in a partial chunk; thread 1 comes back from
         // the stream, not from the records.
         let resolved = memo.resolve(&[id]);

@@ -5,6 +5,7 @@
 
 use crate::json::{self, Value};
 use crate::registry::{MetricValue, Snapshot};
+use std::fmt::Write as _;
 
 /// Format an `f64` for machine-readable output; non-finite values become
 /// `0` (JSON has no NaN, and a ratio over an empty run is just zero).
@@ -246,53 +247,69 @@ pub mod prom {
 pub mod chrome {
     use super::*;
 
+    /// The standard process/thread metadata entries every trace opens with.
+    const METADATA: &str = "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
+                            \"args\":{\"name\":\"asd-sim\"}},\n\
+                            {\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
+                            \"args\":{\"name\":\"sim events\"}}";
+
+    /// Bytes reserved per trace entry: an instant event renders to about
+    /// 130, a counter sample to less. The text grows past the estimate
+    /// if it must.
+    const ENTRY_BYTES: usize = 160;
+
     /// Render the snapshot's events as instant events and its series as
-    /// counter tracks, with the standard process/thread metadata.
+    /// counter tracks, with the standard process/thread metadata, into one
+    /// `String` reserved up front.
     pub fn render(s: &Snapshot) -> String {
-        let mut ev: Vec<String> = Vec::new();
-        ev.push(
-            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
-             \"args\":{\"name\":\"asd-sim\"}}"
-                .to_string(),
-        );
-        ev.push(
-            "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
-             \"args\":{\"name\":\"sim events\"}}"
-                .to_string(),
+        let samples: usize = s
+            .metrics
+            .iter()
+            .map(|m| match &m.value {
+                MetricValue::Series(points) => points.len(),
+                _ => 0,
+            })
+            .sum();
+        let mut out = String::with_capacity(ENTRY_BYTES * (2 + s.events.len() + samples));
+        // Writing to a `String` cannot fail.
+        let _ = write!(
+            out,
+            "{{\"displayTimeUnit\":\"ms\",\
+             \"otherData\":{{\"source\":\"asd-telemetry\",\"us_per_cycle\":1,\
+             \"dropped_events\":{}}},\
+             \"traceEvents\":[\n{METADATA}",
+            s.dropped_events,
         );
         for e in &s.events {
             let (an, bn) = e.kind.arg_names();
-            ev.push(format!(
-                "{{\"name\":\"{}\",\"cat\":\"sim\",\"ph\":\"i\",\"ts\":{},\"pid\":1,\"tid\":0,\
+            let _ = write!(
+                out,
+                ",\n{{\"name\":\"{}\",\"cat\":\"sim\",\"ph\":\"i\",\"ts\":{},\"pid\":1,\"tid\":0,\
                  \"s\":\"t\",\"args\":{{\"{an}\":{},\"{bn}\":{},\"cycle\":{}}}}}",
                 e.kind.name(),
                 e.at,
                 e.a,
                 e.b,
                 e.at,
-            ));
+            );
         }
+        let mut name = String::new();
         for m in &s.metrics {
             if let MetricValue::Series(points) = &m.value {
-                let mut name = String::new();
+                name.clear();
                 json::write_escaped(&m.name, &mut name);
                 for (t, v) in points {
-                    ev.push(format!(
-                        "{{\"name\":{name},\"ph\":\"C\",\"ts\":{t},\"pid\":1,\"tid\":0,\
+                    let _ = write!(
+                        out,
+                        ",\n{{\"name\":{name},\"ph\":\"C\",\"ts\":{t},\"pid\":1,\"tid\":0,\
                          \"args\":{{\"value\":{}}}}}",
                         fmt_f64(*v),
-                    ));
+                    );
                 }
             }
         }
-        format!(
-            "{{\"displayTimeUnit\":\"ms\",\
-             \"otherData\":{{\"source\":\"asd-telemetry\",\"us_per_cycle\":1,\
-             \"dropped_events\":{}}},\
-             \"traceEvents\":[\n{}\n]}}\n",
-            s.dropped_events,
-            ev.join(",\n"),
-        )
+        out.push_str("\n]}\n");
+        out
     }
 
     /// Validate trace-event JSON: the document must parse, carry a
@@ -585,6 +602,95 @@ mod tests {
             .expect("instant event present");
         assert_eq!(issued.get("ts").unwrap().as_f64(), Some(40.0));
         assert_eq!(issued.get("args").unwrap().get("line").unwrap().as_f64(), Some(7.0));
+    }
+
+    /// The Chrome renderer as it was before it wrote into one `String`:
+    /// one `String` per entry, joined, then copied through `format!`. Kept
+    /// as the byte-for-byte reference for [`chrome::render`].
+    fn chrome_reference(s: &Snapshot) -> String {
+        let mut ev: Vec<String> = Vec::new();
+        ev.push(
+            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
+             \"args\":{\"name\":\"asd-sim\"}}"
+                .to_string(),
+        );
+        ev.push(
+            "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
+             \"args\":{\"name\":\"sim events\"}}"
+                .to_string(),
+        );
+        for e in &s.events {
+            let (an, bn) = e.kind.arg_names();
+            ev.push(format!(
+                "{{\"name\":\"{}\",\"cat\":\"sim\",\"ph\":\"i\",\"ts\":{},\"pid\":1,\"tid\":0,\
+                 \"s\":\"t\",\"args\":{{\"{an}\":{},\"{bn}\":{},\"cycle\":{}}}}}",
+                e.kind.name(),
+                e.at,
+                e.a,
+                e.b,
+                e.at,
+            ));
+        }
+        for m in &s.metrics {
+            if let MetricValue::Series(points) = &m.value {
+                let mut name = String::new();
+                json::write_escaped(&m.name, &mut name);
+                for (t, v) in points {
+                    ev.push(format!(
+                        "{{\"name\":{name},\"ph\":\"C\",\"ts\":{t},\"pid\":1,\"tid\":0,\
+                         \"args\":{{\"value\":{}}}}}",
+                        fmt_f64(*v),
+                    ));
+                }
+            }
+        }
+        format!(
+            "{{\"displayTimeUnit\":\"ms\",\
+             \"otherData\":{{\"source\":\"asd-telemetry\",\"us_per_cycle\":1,\
+             \"dropped_events\":{}}},\
+             \"traceEvents\":[\n{}\n]}}\n",
+            s.dropped_events,
+            ev.join(",\n"),
+        )
+    }
+
+    #[test]
+    fn chrome_render_matches_the_per_entry_reference() {
+        let mut r = Registry::section("", &TelemetryConfig::full());
+        let kinds = [
+            EventKind::PrefetchIssued,
+            EventKind::PrefetchDropped,
+            EventKind::PrefetchSquashed,
+            EventKind::PbHit,
+            EventKind::BankConflict,
+            EventKind::PolicySwitch,
+            EventKind::EpochRollover,
+        ];
+        for (i, kind) in (0u64..).zip(kinds) {
+            r.event(10 * i + 5, kind, u64::MAX - i, i);
+        }
+        // Series names that need escaping, and samples JSON cannot hold.
+        let odd = r.series("mc.\"quoted\"\\slash\n", Unit::Commands, "escaped name");
+        r.sample(odd, 100, 1.5);
+        r.sample(odd, 200, f64::NAN);
+        let plain = r.series("mc.epoch.reads", Unit::Commands, "per-epoch reads");
+        r.sample(plain, 300, -0.25);
+        r.sample(plain, 400, f64::INFINITY);
+        let every_kind = r.snapshot();
+        assert_eq!(every_kind.events.len(), kinds.len());
+        for base in [every_kind, sample_snapshot(), Snapshot::default()] {
+            for dropped in [0, 17] {
+                let snap = Snapshot { dropped_events: dropped, ..base.clone() };
+                let text = chrome::render(&snap);
+                assert_eq!(text, chrome_reference(&snap));
+                let entries = chrome::validate(&text).expect("trace validates");
+                let samples = snap.metrics.iter().filter_map(|m| match &m.value {
+                    MetricValue::Series(points) => Some(points.len()),
+                    _ => None,
+                });
+                assert_eq!(entries, 2 + snap.events.len() + samples.sum::<usize>());
+            }
+        }
     }
 
     #[test]

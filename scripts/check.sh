@@ -63,6 +63,16 @@ run cargo run -q -p asd-telemetry --offline --bin telemetry-check -- trace "$tel
 run cargo run -q -p asd-telemetry --offline --bin telemetry-check -- csv "$teldir/telemetry.csv"
 run cargo run -q -p asd-telemetry --offline --bin telemetry-check -- \
     bench-diff BENCH_figures.json "$teldir/BENCH_figures.json"
+# The figure keeps its run's snapshot, not the rendered files, and renders
+# each file only as it writes it, so the run peaks under 9 MiB resident
+# (about 17 MiB when all three were rendered with the trace built entry
+# by entry and kept to the end of the run).
+peak="$(grep -o '"peak_rss_kib":[0-9]*' "$teldir/BENCH_figures.json" | cut -d: -f2 || true)"
+echo "==> figures telemetry: peak_rss_kib ${peak:-unreadable}"
+if [[ -z "$peak" || "$peak" -gt 9216 ]]; then
+    echo "telemetry smoke: figures telemetry must report a peak_rss_kib of at most 9216"
+    exit 1
+fi
 rm -rf "$teldir"
 
 # Arena smoke: a 2-engine x 2-profile tournament through the full

@@ -1,6 +1,7 @@
 //! Arena + prefetcher-zoo integration: every zoo engine must be
-//! bit-identical serial vs parallel vs a direct cache-free run, and the
-//! league table itself must reproduce one pinned golden ordering.
+//! bit-identical serial vs parallel vs a direct cache-free run, the
+//! league table itself must reproduce one pinned golden ordering, and a
+//! small arena and the §5.3 scheduler table must print pinned bytes.
 //!
 //! The cache-free leg is the direct [`System::run`] path, which consults
 //! no run cache. The parallel and serial sweeps share one
@@ -10,6 +11,7 @@
 //! `EngineFactory::stable_id`, so the cache-served pass here is also the
 //! soundness check for those ids.
 
+use asd_sim::cache::fnv64;
 use asd_sim::pipeline::{Job, Pipeline};
 use asd_sim::{PrefetchKind, RunContext, RunOpts, RunResult, System, SystemConfig};
 use asd_trace::suites;
@@ -96,4 +98,24 @@ fn league_table_ordering_is_golden() {
     for r in &a.rows {
         assert!(r.traffic_per_kread > 0.0, "{} issued no prefetches", r.engine);
     }
+}
+
+#[test]
+fn profile_major_plans_print_the_recorded_bytes() {
+    // The arena and the §5.3 scheduler table list their jobs one profile
+    // at a time, so that a memoized trace lives only while one profile's
+    // runs read it. Their text must not depend on that order: these
+    // digests were recorded from the engine-major and scheduler-major job
+    // lists that came before.
+    let opts = RunOpts { seed: 0xa12e9a, ..RunOpts::default() }.with_accesses(3_000);
+    let ctx = RunContext::default();
+    let sched = asd_sim::figures::figure_text(&ctx, "sched", &opts).unwrap();
+    let profiles: Vec<_> = ["milc", "tpcc"].iter().map(|n| suites::by_name(n).unwrap()).collect();
+    let a = asd_sim::arena::arena_with(&ctx, &["asd", "stream-table"], &profiles, &opts).unwrap();
+    let arena = format!("{}{:?}", a.text, a.rows);
+    assert_eq!(
+        (fnv64(&sched), fnv64(&arena)),
+        (0xad19_7068_57f5_92f8, 0xb5b8_8969_1bbe_5dab),
+        "sched:\n{sched}\narena:\n{arena}"
+    );
 }

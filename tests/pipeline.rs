@@ -3,7 +3,8 @@
 //! with its run-cache accounting, uncacheable (trace-sourced) jobs, error
 //! selection (the earliest failing job of the earliest submitted plan),
 //! deterministic output order under a threaded run, and the run's trace
-//! memo (each trace generated once, and freed after its last reader).
+//! memo (each trace generated once per plan, and freed after that plan's
+//! last reader, so the catalog holds one node's traces at a time).
 //!
 //! Every test builds its own [`RunContext`], so the counts it asserts are
 //! its own runs' whatever the tests beside it simulate.
@@ -279,4 +280,53 @@ fn looped_threaded_runs_generate_each_shared_trace_once() {
         assert_eq!(counts, (2, 6), "run {i}: (generated, served)");
         assert!(run.stats.peak_trace_bytes <= 2 * 2_000 * 8, "run {i}");
     }
+}
+
+#[test]
+fn a_trace_lives_only_inside_the_plan_that_reads_it() {
+    // Plan 1 reads trace A, plan 2 trace B, plan 3 trace A again under
+    // another configuration (so its node is its own), on one worker: a
+    // memo that kept A for plan 3 would hold A and B at once.
+    let o = opts(11);
+    let ctx = RunContext::default().with_threads(1);
+    let mut pipe = Pipeline::new(&ctx);
+    pipe.submit(echo_plan("a", &o, grid(&["milc"], &[PrefetchKind::Np])));
+    pipe.submit(echo_plan("b", &o, grid(&["lbm"], &[PrefetchKind::Np])));
+    pipe.submit(echo_plan("a-again", &o, grid(&["milc"], &[PrefetchKind::Pms])));
+    let run = pipe.run(&|| 0.0).unwrap();
+    assert_eq!(run.stats.traces_generated, 3, "A for plans 1 and 3, B for plan 2");
+    assert_eq!(run.stats.traces_served, 0);
+    assert_eq!(run.stats.peak_trace_bytes, 3_000 * 8, "one trace at a time");
+}
+
+#[test]
+fn the_catalog_holds_one_nodes_traces_at_a_time() {
+    // Every catalog plan that submits jobs, at one uniform size. Each
+    // plan lists its jobs one profile at a time and frees a trace after
+    // its own last reader, so one worker holds at most the largest node's
+    // traces: an SMT pair. Holding the traces of every profile that later
+    // plans read again, the run would peak at over 30.
+    const ACCESSES: u64 = 2_000;
+    let trace = ACCESSES as usize * 8;
+    let o = RunOpts::default().with_accesses(ACCESSES);
+    let mut counts = Vec::new();
+    for threads in [1, 2] {
+        let ctx = RunContext::default().with_threads(threads);
+        let mut pipe = Pipeline::new(&ctx);
+        for name in figures::CATALOG {
+            let plan = figures::plan_sized(name, &o, true).unwrap();
+            if !plan.jobs().is_empty() {
+                pipe.submit(plan);
+            }
+        }
+        let stats = pipe.run(&|| 0.0).unwrap().stats;
+        if threads == 1 {
+            assert_eq!(stats.peak_trace_bytes, 2 * trace, "one worker runs nodes in order");
+        } else {
+            // How two workers interleave decides which traces overlap.
+            assert!(stats.peak_trace_bytes <= 10 * trace, "{stats:?}");
+        }
+        counts.push((stats.traces_generated, stats.traces_served));
+    }
+    assert_eq!(counts[0], counts[1], "(generated, served) on 1 and 2 workers");
 }

@@ -95,11 +95,16 @@ fn figure_metrics(doc: &Value) -> Vec<(String, String)> {
         .collect()
 }
 
-fn pipeline_stat(doc: &Value, key: &str) -> f64 {
-    doc.get("pipeline")
+/// The number at `block.key` in a report.
+fn report_stat(doc: &Value, block: &str, key: &str) -> f64 {
+    doc.get(block)
         .and_then(|p| p.get(key))
         .and_then(Value::as_f64)
-        .unwrap_or_else(|| panic!("pipeline.{key} missing"))
+        .unwrap_or_else(|| panic!("{block}.{key} missing"))
+}
+
+fn pipeline_stat(doc: &Value, key: &str) -> f64 {
+    report_stat(doc, "pipeline", key)
 }
 
 #[test]
@@ -146,8 +151,12 @@ fn figures_match_across_cache_and_thread_modes() {
     }
 }
 
-/// Full-catalog identity (every figure, one worker thread against two).
-/// Two passes over `figures all` take a while, so this runs only under
+/// Full-catalog identity (every figure, one worker thread against two),
+/// and the trace memo's lifetimes: the same traces generated and served
+/// on both, and on one worker no more held at once than the largest
+/// node's, an SMT pair. A memo that kept a trace across plans, or a plan
+/// that listed its jobs engine by engine, would hold many more. Two passes
+/// over `figures all` take a while, so this runs only under
 /// `cargo test -- --ignored`, which `scripts/check.sh` runs in release.
 #[test]
 #[ignore = "full catalog; scripts/check.sh runs it with `cargo test --release -p asd-bench --test pipeline_modes -- --ignored`"]
@@ -163,6 +172,15 @@ fn full_catalog_matches_across_thread_counts() {
     );
     assert_eq!(figure_metrics(&serial.doc), figure_metrics(&parallel.doc));
     assert!(pipeline_stat(&parallel.doc, "inflight_joins") > 0.0);
+    for key in ["trace_misses", "trace_hits"] {
+        let one = report_stat(&serial.doc, "cache", key);
+        assert!(one > 0.0, "cache.{key} is 0");
+        assert_eq!(one, report_stat(&parallel.doc, "cache", key), "cache.{key}, 1 vs 2 threads");
+    }
+    let trace = 6_000.0 * 8.0;
+    assert_eq!(pipeline_stat(&serial.doc, "peak_trace_bytes"), 2.0 * trace, "1 thread");
+    let parallel_peak = pipeline_stat(&parallel.doc, "peak_trace_bytes");
+    assert!(parallel_peak <= 10.0 * trace, "2 threads held {parallel_peak} bytes of traces");
 }
 
 /// A refused invocation: its arguments, the variable it sets, and what
