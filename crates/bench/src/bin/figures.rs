@@ -91,9 +91,6 @@ impl Settings {
         if let Some(threads) = positive("ASD_SWEEP_THREADS")? {
             ctx = ctx.with_threads(threads);
         }
-        if let Some(dir) = path("ASD_DISK_CACHE", "0") {
-            ctx = ctx.with_disk_dir(dir);
-        }
         Ok(Settings {
             ctx,
             accesses: positive("ASD_FIGURES_ACCESSES")?,

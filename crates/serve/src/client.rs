@@ -11,9 +11,7 @@
 //! invisible in the bytes.
 
 use crate::error::ServeError;
-use crate::proto::{
-    build_sweep, err_of_value, read_frame, read_json, sweep_doc, write_frame, write_json, JobSpec,
-};
+use crate::proto::{build_sweep, err_of_value, read_json, sweep_doc, write_json, JobSpec};
 use asd_sim::pipeline::Pipeline;
 use asd_sim::RunContext;
 use asd_telemetry::json::Value;
@@ -169,8 +167,7 @@ impl Client {
         Ok(v.str_field("state").unwrap_or("unknown").to_string())
     }
 
-    /// The daemon's counter snapshot plus its `serve.*` Prometheus
-    /// exposition.
+    /// The daemon's job-table and run-cache counters.
     ///
     /// # Errors
     ///
@@ -186,47 +183,6 @@ impl Client {
     /// As [`Client::request`].
     pub fn shutdown(&mut self) -> Result<Value, ServeError> {
         self.request(&op("shutdown"))
-    }
-
-    /// Upload a trace into the corpus; returns its verified access
-    /// count.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Corpus`] for bad names or payloads that fail
-    /// verification.
-    pub fn trace_put(&mut self, name: &str, bytes: &[u8]) -> Result<u64, ServeError> {
-        let mut req = op("trace-put");
-        req.set("name", name);
-        write_json(&mut self.writer, &req)?;
-        write_frame(&mut self.writer, bytes)?;
-        let v = self.read_response()?;
-        Ok(v.u64_field("accesses").unwrap_or(0))
-    }
-
-    /// List the stored traces (the `"traces"` array).
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::request`].
-    pub fn trace_list(&mut self) -> Result<Value, ServeError> {
-        self.request(&op("trace-list"))
-    }
-
-    /// Download a stored trace's bytes.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Corpus`] for unknown names.
-    pub fn trace_get(&mut self, name: &str) -> Result<Vec<u8>, ServeError> {
-        let mut req = op("trace-get");
-        req.set("name", name);
-        write_json(&mut self.writer, &req)?;
-        self.read_response()?;
-        read_frame(&mut self.reader)?.ok_or_else(|| ServeError::Io {
-            context: "reading trace payload".to_string(),
-            message: "server closed the connection mid-download".to_string(),
-        })
     }
 }
 

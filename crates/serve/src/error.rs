@@ -39,14 +39,6 @@ pub enum ServeError {
     },
     /// The daemon is draining for shutdown and refuses new work.
     ShuttingDown,
-    /// A trace-corpus operation failed: unknown name, invalid ASDT
-    /// payload, or an I/O error underneath the store.
-    Corpus {
-        /// The trace name involved.
-        name: String,
-        /// What went wrong.
-        message: String,
-    },
     /// A connection-level I/O failure (read/write/accept).
     Io {
         /// What the daemon was doing.
@@ -68,7 +60,6 @@ impl ServeError {
             ServeError::UnknownJob { .. } => "unknown-job",
             ServeError::Busy { .. } => "busy",
             ServeError::ShuttingDown => "shutting-down",
-            ServeError::Corpus { .. } => "corpus",
             ServeError::Io { .. } => "io",
             ServeError::Sim(_) => "sim",
         }
@@ -89,9 +80,6 @@ impl fmt::Display for ServeError {
                 write!(f, "server busy: {depth} jobs queued (cap {cap})")
             }
             ServeError::ShuttingDown => write!(f, "server is shutting down"),
-            ServeError::Corpus { name, message } => {
-                write!(f, "trace corpus `{name}`: {message}")
-            }
             ServeError::Io { context, message } => write!(f, "{context}: {message}"),
             ServeError::Sim(e) => write!(f, "simulation error: {e}"),
         }
@@ -125,7 +113,6 @@ mod tests {
             ServeError::UnknownJob { id: 7 }.kind(),
             ServeError::Busy { depth: 9, cap: 8 }.kind(),
             ServeError::ShuttingDown.kind(),
-            ServeError::Corpus { name: "t".into(), message: "m".into() }.kind(),
             ServeError::Io { context: "c".into(), message: "m".into() }.kind(),
             ServeError::Sim(SimError::UnknownProfile { name: "x".into() }).kind(),
         ];

@@ -3,10 +3,9 @@
 //! A long-lived sweep server over plain `std::net` TCP — zero external
 //! dependencies, like the rest of the workspace. Clients speak a
 //! length-prefixed newline-JSON frame protocol ([`proto`]) to submit
-//! sweep / figure / arena jobs, poll or stream their progress, fetch
-//! results, and manage an ASDT trace corpus ([`corpus`]). Results are
-//! **bit-identical** to running the equivalent CLI drivers directly: the
-//! daemon and the client-side reference harness
+//! sweep / figure / arena jobs, poll or stream their progress, and fetch
+//! results. Results are **bit-identical** to running the equivalent CLI
+//! drivers directly: the daemon and the client-side reference harness
 //! ([`client::reference_doc`]) build a sweep's job list through the
 //! single [`proto::build_sweep`] constructor, run it on the same
 //! `asd_sim::pipeline` executor, and render documents through
@@ -32,7 +31,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod client;
-pub mod corpus;
 pub mod error;
 pub mod jobs;
 pub mod proto;

@@ -1,8 +1,8 @@
 //! CLI entry point for `asd-serve`. Usage:
 //!
 //! ```text
-//! asd-serve serve [--host H] [--port P] [--handlers N] [--executors N]
-//!                 [--queue-cap N] [--dir PATH] [--read-timeout SECS]
+//! asd-serve serve [--host H] [--port P] [--handlers N] [--queue-cap N]
+//!                 [--dir PATH] [--read-timeout SECS]
 //! asd-serve client ADDR OP [ARGS...]
 //! asd-serve bench [--clients N] [--requests N] [--accesses N] [--dir PATH]
 //! ```
@@ -25,12 +25,11 @@ use std::time::Duration;
 fn usage() -> ExitCode {
     eprintln!("asd-serve: sweep daemon with a persistent run cache");
     eprintln!("usage:");
-    eprintln!("  asd-serve serve [--host H] [--port P] [--handlers N] [--executors N]");
-    eprintln!("                  [--queue-cap N] [--dir PATH] [--read-timeout SECS]");
+    eprintln!("  asd-serve serve [--host H] [--port P] [--handlers N] [--queue-cap N]");
+    eprintln!("                  [--dir PATH] [--read-timeout SECS]");
     eprintln!("  asd-serve client ADDR OP [ARGS...]");
-    eprintln!("      ops: ping | stats | shutdown | trace-list");
+    eprintln!("      ops: ping | stats | shutdown");
     eprintln!("           submit JSON | status ID | result ID | wait ID | watch ID | cancel ID");
-    eprintln!("           trace-put NAME FILE | trace-get NAME FILE");
     eprintln!("  asd-serve bench [--clients N] [--requests N] [--accesses N] [--dir PATH]");
     ExitCode::from(2)
 }
@@ -75,8 +74,7 @@ fn numeric<T: std::str::FromStr>(flag: &str, value: &str) -> Option<T> {
 }
 
 fn cmd_serve(args: &[String]) -> ExitCode {
-    let known =
-        ["--host", "--port", "--handlers", "--executors", "--queue-cap", "--dir", "--read-timeout"];
+    let known = ["--host", "--port", "--handlers", "--queue-cap", "--dir", "--read-timeout"];
     let Some(flags) = parse_flags(args, &known) else {
         return usage();
     };
@@ -89,7 +87,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
             }
             "--port" => numeric(&flag, &value).map(|p| cfg.port = p).is_some(),
             "--handlers" => numeric(&flag, &value).map(|n| cfg.handlers = n).is_some(),
-            "--executors" => numeric(&flag, &value).map(|n| cfg.executors = n).is_some(),
             "--queue-cap" => numeric(&flag, &value).map(|n| cfg.queue_cap = n).is_some(),
             "--dir" => {
                 cfg.root = PathBuf::from(value);
@@ -146,7 +143,6 @@ fn cmd_client(args: &[String]) -> ExitCode {
         ("ping", _) => client.request(&op_obj("ping")),
         ("stats", _) => client.server_stats(),
         ("shutdown", _) => client.shutdown(),
-        ("trace-list", _) => client.trace_list(),
         ("submit", Some(spec_text)) => match json::parse(spec_text) {
             Ok(job) => {
                 let mut req = op_obj("submit");
@@ -170,39 +166,6 @@ fn cmd_client(args: &[String]) -> ExitCode {
             Some(id) => client.watch(id, |event| println!("{}", event.render())),
             None => return usage(),
         },
-        ("trace-put", Some(name)) => match args.get(3).map(std::fs::read) {
-            Some(Ok(bytes)) => client.trace_put(name, &bytes).map(|accesses| {
-                let mut v = Value::obj();
-                v.set("ok", true);
-                v.set("accesses", accesses);
-                v
-            }),
-            Some(Err(e)) => {
-                eprintln!("asd-serve: cannot read trace file: {e}");
-                return ExitCode::FAILURE;
-            }
-            None => return usage(),
-        },
-        ("trace-get", Some(name)) => {
-            let Some(path) = args.get(3) else {
-                return usage();
-            };
-            match client.trace_get(name) {
-                Ok(bytes) => match std::fs::write(path, &bytes) {
-                    Ok(()) => {
-                        let mut v = Value::obj();
-                        v.set("ok", true);
-                        v.set("bytes", bytes.len());
-                        Ok(v)
-                    }
-                    Err(e) => {
-                        eprintln!("asd-serve: cannot write {path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                },
-                Err(e) => Err(e),
-            }
-        }
         _ => return usage(),
     };
     match outcome {

@@ -1,10 +1,10 @@
 //! Wire protocol: length-prefixed frames carrying newline-JSON, the job
 //! spec vocabulary, and the canonical JSON rendering of results.
 //!
-//! A frame is `<decimal byte length>\n<payload>\n`. JSON frames carry a
-//! request or response object; binary frames (trace upload/download)
-//! carry raw bytes under the same framing, with the preceding JSON
-//! exchange establishing their meaning.
+//! A frame is `<decimal byte length>\n<payload>\n`, and its payload is
+//! one JSON request or response object. The length line is read through
+//! a [`MAX_HEADER`]-byte window and the length is checked against
+//! [`MAX_FRAME`], both before anything is allocated for the payload.
 //!
 //! Requests and responses are read and written through
 //! `asd_telemetry::json`, the workspace's one JSON codec, which also
@@ -23,11 +23,16 @@ use asd_sim::pipeline::Job;
 use asd_sim::{PrefetchKind, RunOpts, RunResult, SystemConfig};
 use asd_telemetry::json::{self, Value};
 use asd_trace::suites;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
-/// Hard cap on a single frame's payload, request or response. Trace
-/// uploads are the largest legitimate frames; 64 MiB holds ~5M accesses.
+/// Hard cap on a single frame's payload, request or response. Responses
+/// are the largest frames: a sweep's document carries every counter of
+/// every run it asked for.
 pub const MAX_FRAME: usize = 64 << 20;
+
+/// Hard cap on a frame's length line, newline included: far more than
+/// any length up to [`MAX_FRAME`] needs, so a longer line is malformed.
+pub const MAX_HEADER: usize = 32;
 
 /// Write one frame: decimal length, newline, payload, newline.
 ///
@@ -47,7 +52,8 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ServeError>
 
 /// Read one frame's payload. `Ok(None)` on a clean EOF at a frame
 /// boundary (the peer closed the connection); errors on oversize,
-/// non-numeric, or truncated frames.
+/// non-numeric, or truncated frames. At most [`MAX_HEADER`] bytes are
+/// read looking for the length line's newline.
 ///
 /// # Errors
 ///
@@ -59,8 +65,13 @@ pub fn read_frame(r: &mut impl BufRead) -> Result<Option<Vec<u8>>, ServeError> {
         message: e.to_string(),
     };
     let mut header = String::new();
-    if r.read_line(&mut header).map_err(io)? == 0 {
+    if r.by_ref().take(MAX_HEADER as u64).read_line(&mut header).map_err(io)? == 0 {
         return Ok(None);
+    }
+    if header.len() == MAX_HEADER && !header.ends_with('\n') {
+        return Err(ServeError::MalformedRequest {
+            message: format!("frame header longer than {MAX_HEADER} bytes"),
+        });
     }
     let len: usize = header.trim().parse().map_err(|_| ServeError::MalformedRequest {
         message: format!("frame header `{}` is not a length", header.trim()),
@@ -465,6 +476,14 @@ mod tests {
             let mut r = BufReader::new(case);
             assert!(read_frame(&mut r).is_err(), "{case:?}");
         }
+    }
+
+    #[test]
+    fn an_endless_header_is_rejected_after_max_header_bytes() {
+        let mut r = std::io::Cursor::new(vec![b'1'; 1 << 20]);
+        let err = read_frame(&mut r).unwrap_err();
+        assert!(matches!(err, ServeError::MalformedRequest { .. }), "{err:?}");
+        assert!(r.position() <= MAX_HEADER as u64, "read {} bytes", r.position());
     }
 
     #[test]

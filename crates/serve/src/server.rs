@@ -1,45 +1,35 @@
-//! The daemon core: a worker-pool accept loop over `std::net`, a pool
-//! of executor threads draining the [`JobTable`], and the request
-//! dispatcher.
+//! The daemon core: a worker-pool accept loop over `std::net`, one
+//! executor draining the [`JobTable`], and the request dispatcher.
 //!
 //! Connection handlers are a fixed pool of threads all blocked in
 //! `accept` on the shared listener — no thread-per-connection growth —
-//! and every job runs on one of `executors` executor threads (its
-//! *simulations* fan out through the [`asd_sim::pipeline`] executor's
-//! worker threads), so memory stays bounded no matter how many clients
-//! connect: at most `queue_cap` queued specs plus `executors` running
-//! jobs. Every job runs under the daemon's one [`RunContext`], built at
-//! bind time. With more than one executor, concurrent jobs that request
-//! the same simulation share it through its run cache's single-flight
-//! registry: the first claimant simulates, the rest park and reuse its
-//! result (the `stats` gauges `cache_flight_leads` /
-//! `cache_flight_joins` count both sides).
+//! and jobs run one at a time on the thread that called [`Server::run`]
+//! (each job's *simulations* fan out through the [`asd_sim::pipeline`]
+//! executor's worker threads), so memory stays bounded no matter how many
+//! clients connect: at most `queue_cap` queued specs plus one running
+//! job. Every job runs under the daemon's one [`RunContext`], built at
+//! bind time, so a later job is served the runs an earlier one stored.
 //!
 //! Shutdown is protocol-driven (`{"op":"shutdown"}`; the workspace
 //! forbids `unsafe`, so there is no signal handler): the table flips to
 //! draining, the executor finishes queued jobs, the read side of every
 //! connection still open is shut down so that handlers blocked in a read
 //! return at once (an idle client cannot hold the process for its read
-//! timeout), handler threads are nudged out of `accept` by loopback
-//! connections, and the persistent cache index is written before `run`
-//! returns.
+//! timeout), and handler threads are nudged out of `accept` by loopback
+//! connections before `run` returns.
 
-use crate::corpus::Corpus;
 use crate::error::ServeError;
 use crate::jobs::{JobSnapshot, JobTable};
-use crate::proto::{
-    self, err_obj, ok_obj, parse_spec, read_json, write_frame, write_json, JobSpec,
-};
+use crate::proto::{self, err_obj, ok_obj, parse_spec, read_json, write_json, JobSpec};
 use asd_sim::pipeline::Pipeline;
 use asd_sim::{RunContext, RunOpts};
 use asd_telemetry::json::Value;
-use asd_telemetry::{expo, names, Registry, TelemetryConfig, Unit};
 use asd_trace::suites;
 use std::collections::BTreeMap;
 use std::io::BufReader;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// How the daemon is wired up.
@@ -51,14 +41,9 @@ pub struct ServerConfig {
     pub port: u16,
     /// Connection-handler pool size.
     pub handlers: usize,
-    /// Executor-thread pool size: jobs running concurrently. Beyond 1,
-    /// overlapping jobs share identical simulations through the run
-    /// cache's single-flight registry instead of repeating them.
-    pub executors: usize,
     /// Job-queue cap ([`ServeError::Busy`] beyond it).
     pub queue_cap: usize,
-    /// State root: the persistent run cache lives in `<root>/cache`, the
-    /// trace corpus in `<root>/corpus`.
+    /// State root: the persistent run cache lives in `<root>/cache`.
     pub root: PathBuf,
     /// Per-read socket timeout; idle connections are dropped after it.
     pub read_timeout: Duration,
@@ -70,7 +55,6 @@ impl Default for ServerConfig {
             host: "127.0.0.1".to_string(),
             port: 0,
             handlers: 8,
-            executors: 1,
             queue_cap: 64,
             root: PathBuf::from("target/asd-serve"),
             read_timeout: Duration::from_secs(30),
@@ -83,9 +67,8 @@ pub struct Server {
     cfg: ServerConfig,
     ctx: RunContext,
     listener: TcpListener,
-    table: Arc<JobTable>,
-    corpus: Arc<Corpus>,
-    conns: Arc<Connections>,
+    table: JobTable,
+    conns: Connections,
 }
 
 /// The connections the handlers are serving, so that the drain can end
@@ -158,13 +141,11 @@ impl Server {
         let listener = TcpListener::bind(&addr)
             .map_err(|e| ServeError::Bind { addr: addr.clone(), message: e.to_string() })?;
         let ctx = RunContext::default().with_disk_dir(cfg.root.join("cache"));
-        let corpus = Arc::new(Corpus::new(cfg.root.join("corpus")));
         Ok(Server {
             ctx,
-            table: Arc::new(JobTable::new(cfg.queue_cap)),
-            conns: Arc::new(Connections::default()),
+            table: JobTable::new(cfg.queue_cap),
+            conns: Connections::default(),
             listener,
-            corpus,
             cfg,
         })
     }
@@ -182,60 +163,40 @@ impl Server {
     }
 
     /// Serve until a `shutdown` request completes the drain: queued jobs
-    /// finish, open connections are ended, the disk-cache index is
-    /// persisted, and every pool thread is joined.
+    /// finish on this thread, open connections are ended, and every
+    /// handler thread is joined.
     ///
     /// # Errors
     ///
     /// [`ServeError::Io`] for listener-level failures.
     pub fn run(self) -> Result<(), ServeError> {
         let addr = self.local_addr()?;
-        let Server { cfg, ctx, listener, table, corpus, conns } = self;
-        let ctx = &ctx;
-        let listener = Arc::new(listener);
+        let Server { cfg, ctx, listener, table, conns } = &self;
         std::thread::scope(|scope| {
-            let mut executors = Vec::new();
-            for _ in 0..cfg.executors.max(1) {
-                let table = Arc::clone(&table);
-                executors.push(scope.spawn(move || {
-                    while let Some((id, spec)) = table.claim_next() {
-                        let outcome = execute(ctx, &spec, id, &table);
-                        table.finish(id, outcome);
-                    }
-                }));
-            }
-            let mut handlers = Vec::new();
-            for _ in 0..cfg.handlers.max(1) {
-                let listener = Arc::clone(&listener);
-                let table = Arc::clone(&table);
-                let corpus = Arc::clone(&corpus);
-                let conns = Arc::clone(&conns);
-                let timeout = cfg.read_timeout;
-                handlers.push(scope.spawn(move || {
+            let handlers = cfg.handlers.max(1);
+            for _ in 0..handlers {
+                scope.spawn(|| {
                     while !conns.closing() {
                         let Ok((stream, _)) = listener.accept() else { continue };
                         let Some(id) = conns.track(&stream) else { break };
-                        handle_conn(stream, timeout, ctx, &table, &corpus);
+                        handle_conn(stream, cfg.read_timeout, ctx, table);
                         conns.forget(id);
                     }
-                }));
+                });
             }
-            // The executors return once a shutdown request drained the
+            // The executor returns once a shutdown request drained the
             // queue. Then end every open connection's reads, and release
             // the accept pool: nudge each blocked accept with a loopback
             // connection, which the closing registry refuses.
-            for executor in executors {
-                let _ = executor.join();
+            while let Some((id, spec)) = table.claim_next() {
+                let outcome = execute(ctx, &spec, id, table);
+                table.finish(id, outcome);
             }
             conns.close();
-            for _ in &handlers {
+            for _ in 0..handlers {
                 let _ = TcpStream::connect(addr);
             }
         });
-        match ctx.cache().persist_disk_index() {
-            Ok(n) => eprintln!("asd-serve: persisted cache index ({n} entries)"),
-            Err(e) => eprintln!("asd-serve: could not persist cache index: {e}"),
-        }
         Ok(())
     }
 }
@@ -260,9 +221,9 @@ fn execute(
             Ok(proto::sweep_doc(&results))
         }
         JobSpec::Figure { figure, .. } => {
-            // Every simulation lands in the context's single-flight
-            // registry, so two connections requesting overlapping figures
-            // run each shared point once.
+            // Every simulation lands in the context's run cache, so a
+            // later job requesting an overlapping figure is served the
+            // shared points.
             let text = asd_sim::figures::figure_text(ctx, figure, &spec.opts())
                 .map_err(ServeError::Sim)?;
             progress(1, 1);
@@ -321,43 +282,29 @@ fn snapshot_value(snap: &JobSnapshot) -> Value {
     v
 }
 
-/// The `stats` response: job/queue/cache counters plus the `serve.*`
-/// Prometheus exposition, all read from one telemetry snapshot so the
-/// numbers and the text can never disagree.
+/// The `stats` response: the job table's and the run cache's counters.
+/// `cache_flight_joins` (runs that waited on another caller's simulation)
+/// is always 0, since no run waits; the benchmark's serve workload reads
+/// it.
 fn stats_value(ctx: &RunContext, table: &JobTable) -> Value {
     let (accepted, completed, depth) = table.counts();
-    let cache = ctx.cache();
-    let (run_hits, run_misses) = cache.stats();
-    let (disk_hits, disk_misses, disk_writes, disk_evictions) = cache.disk_stats();
-    let (flight_leads, flight_joins) = cache.flight_stats();
-    let mut tel = Registry::section("serve.", &TelemetryConfig::metrics_only());
-    let metrics = [
-        ("jobs_accepted", "jobs accepted into the queue", accepted),
-        ("jobs_completed", "jobs run to a terminal state", completed),
-        ("queue_depth", "jobs currently queued", depth as u64),
-        ("cache_run_hits", "runs served from the memory or disk cache", run_hits),
-        ("cache_run_misses", "runs actually simulated", run_misses),
-        ("cache_disk_hits", "runs served from the persistent disk tier", disk_hits),
-        ("cache_disk_misses", "disk-tier lookups that missed", disk_misses),
-        ("cache_disk_writes", "records written to the disk tier", disk_writes),
-        ("cache_disk_evictions", "corrupt disk records evicted", disk_evictions),
-        ("cache_flight_leads", "cacheable runs this process simulated as single-flight leader", {
-            flight_leads
-        }),
-        ("cache_flight_joins", "runs that joined another caller's in-flight simulation", {
-            flight_joins
-        }),
-    ];
-    for (metric, help, v) in metrics {
-        tel.fill_gauge(&names::serve_metric(metric), Unit::Events, help, v as f64);
-    }
-    let snap = tel.snapshot();
+    let (run_hits, run_misses) = ctx.cache().stats();
+    let (disk_hits, disk_misses, disk_writes, disk_evictions) = ctx.cache().disk_stats();
     let mut v = ok_obj();
-    for (metric, ..) in metrics {
-        v.set(metric, snap.gauge(&format!("serve.{metric}")).unwrap_or(0.0));
+    for (key, n) in [
+        ("jobs_accepted", accepted),
+        ("jobs_completed", completed),
+        ("queue_depth", depth as u64),
+        ("cache_run_hits", run_hits),
+        ("cache_run_misses", run_misses),
+        ("cache_disk_hits", disk_hits),
+        ("cache_disk_misses", disk_misses),
+        ("cache_disk_writes", disk_writes),
+        ("cache_disk_evictions", disk_evictions),
+        ("cache_flight_joins", 0),
+    ] {
+        v.set(key, n);
     }
-    v.set("disk_entries", cache.disk_entry_count());
-    v.set("prom", expo::prom::render(&snap));
     v
 }
 
@@ -383,13 +330,7 @@ fn terminal_value(snap: &JobSnapshot) -> Value {
 
 /// Serve one connection: a request/response loop over frames until the
 /// peer closes, errs, or asks for shutdown.
-fn handle_conn(
-    stream: TcpStream,
-    timeout: Duration,
-    ctx: &RunContext,
-    table: &JobTable,
-    corpus: &Corpus,
-) {
+fn handle_conn(stream: TcpStream, timeout: Duration, ctx: &RunContext, table: &JobTable) {
     let _ = stream.set_read_timeout(Some(timeout));
     let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else {
@@ -409,14 +350,14 @@ fn handle_conn(
                 return;
             }
         };
-        let response = dispatch(&request, &mut reader, &mut writer, ctx, table, corpus);
+        let response = dispatch(&request, &mut writer, ctx, table);
         match response {
             Ok(Some(v)) => {
                 if write_json(&mut writer, &v).is_err() {
                     return;
                 }
             }
-            Ok(None) => {} // the op wrote its own frames (watch/trace-get)
+            Ok(None) => {} // a `watch` whose peer went away mid-stream
             Err(e) => {
                 if write_json(&mut writer, &err_obj(&e)).is_err() {
                     return;
@@ -426,16 +367,13 @@ fn handle_conn(
     }
 }
 
-/// Handle one request. `Ok(Some(v))` sends `v`; `Ok(None)` means the op
-/// already wrote its response frames; `Err(e)` sends the structured
-/// error.
+/// Handle one request. `Ok(Some(v))` sends `v`; `Ok(None)` sends nothing
+/// (a `watch` whose peer went away); `Err(e)` sends the structured error.
 fn dispatch(
     request: &Value,
-    reader: &mut BufReader<TcpStream>,
     writer: &mut TcpStream,
     ctx: &RunContext,
     table: &JobTable,
-    corpus: &Corpus,
 ) -> Result<Option<Value>, ServeError> {
     let op = request.str_field("op").ok_or_else(|| ServeError::MalformedRequest {
         message: "request needs an `op` field".to_string(),
@@ -508,49 +446,6 @@ fn dispatch(
             Ok(Some(v))
         }
         "stats" => Ok(Some(stats_value(ctx, table))),
-        "trace-put" => {
-            let name = request.str_field("name").ok_or_else(|| ServeError::MalformedRequest {
-                message: "`trace-put` needs a `name`".to_string(),
-            })?;
-            let bytes = proto::read_frame(reader)?.ok_or_else(|| ServeError::MalformedRequest {
-                message: "`trace-put` needs a binary payload frame".to_string(),
-            })?;
-            let accesses = corpus.put(name, &bytes)?;
-            let mut v = ok_obj();
-            v.set("name", name);
-            v.set("accesses", accesses);
-            Ok(Some(v))
-        }
-        "trace-list" => {
-            let traces = corpus
-                .list()
-                .into_iter()
-                .map(|t| {
-                    let mut v = Value::obj();
-                    v.set("name", t.name);
-                    v.set("bytes", t.bytes);
-                    v.set("profile", t.profile);
-                    v.set("accesses", t.accesses);
-                    v.set("threads", u64::from(t.threads));
-                    v
-                })
-                .collect();
-            let mut v = ok_obj();
-            v.set("traces", Value::Arr(traces));
-            Ok(Some(v))
-        }
-        "trace-get" => {
-            let name = request.str_field("name").ok_or_else(|| ServeError::MalformedRequest {
-                message: "`trace-get` needs a `name`".to_string(),
-            })?;
-            let bytes = corpus.get(name)?;
-            let mut v = ok_obj();
-            v.set("name", name);
-            v.set("bytes", bytes.len());
-            write_json(writer, &v)?;
-            write_frame(writer, &bytes)?;
-            Ok(None)
-        }
         "shutdown" => {
             table.begin_shutdown();
             let mut v = ok_obj();
@@ -577,13 +472,28 @@ mod tests {
     }
 
     #[test]
-    fn stats_value_carries_prom_exposition() {
+    fn stats_value_carries_the_keys_its_readers_use() {
         let table = JobTable::new(4);
         let v = stats_value(&RunContext::default(), &table);
         assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true));
-        let prom = v.str_field("prom").unwrap_or_default();
-        assert!(prom.contains("serve.jobs_accepted") || prom.contains("serve_jobs_accepted"));
-        assert!(expo::prom::validate(prom).is_ok(), "exposition must validate");
+        // The keys `asd-serve bench`, `scripts/check.sh`, `tests/serve.rs`
+        // and the benchmark's serve workload read, all 0 on a fresh daemon.
+        for key in [
+            "cache_run_hits",
+            "cache_run_misses",
+            "cache_disk_hits",
+            "cache_disk_misses",
+            "cache_disk_writes",
+            "cache_disk_evictions",
+            "cache_flight_joins",
+            "jobs_accepted",
+            "jobs_completed",
+            "queue_depth",
+        ] {
+            assert_eq!(v.get(key).and_then(Value::as_f64), Some(0.0), "{key}");
+        }
+        let Value::Obj(fields) = &v else { panic!("not an object: {v:?}") };
+        assert_eq!(fields.len(), 11, "`ok` and the ten counters, nothing else");
     }
 
     #[test]

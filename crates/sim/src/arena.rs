@@ -23,7 +23,6 @@ use crate::pipeline::{FigureOutput, FigurePlan, Job, MetricValue, Pipeline, RunC
 use crate::report::{pct, ratio, Table};
 use crate::system::RunResult;
 use asd_mc::EngineKind;
-use asd_telemetry::{names, Registry, TelemetryConfig, Unit};
 use asd_trace::WorkloadProfile;
 
 /// One engine's line in the league table (means over all profiles ran).
@@ -166,47 +165,22 @@ fn arena_assemble(
     ArenaResult { rows, profiles: profiles.iter().map(|p| p.name.clone()).collect(), text }
 }
 
-/// The arena's metrics block, read back from a per-engine telemetry
-/// section (`arena.<engine>.<metric>` gauges) so the exposition backends
-/// and the bench JSON document share one source of truth.
+/// The arena's metrics block: the roster and profile counts, the
+/// winner, and one `league` record per row, in rank order.
 fn arena_metric_values(a: &ArenaResult) -> Vec<(String, MetricValue)> {
-    let mut tel = Registry::section("arena.", &TelemetryConfig::metrics_only());
-    for r in &a.rows {
-        for (metric, unit, help, v) in [
-            ("ipc_delta_pct", Unit::None, "mean IPC delta over NP, percent", r.ipc_delta_pct),
-            ("coverage_pct", Unit::None, "mean prefetch coverage, percent", r.coverage_pct),
-            ("accuracy_pct", Unit::None, "mean useful-prefetch fraction, percent", r.accuracy_pct),
-            (
-                "energy_delta_pct",
-                Unit::None,
-                "mean DRAM energy delta over NP, percent",
-                r.energy_delta_pct,
-            ),
-            (
-                "traffic_per_kread",
-                Unit::Commands,
-                "mean prefetches issued per thousand demand reads",
-                r.traffic_per_kread,
-            ),
-        ] {
-            tel.fill_gauge(&names::arena_metric(&r.engine, metric), unit, help, v);
-        }
-    }
-    let snap = tel.snapshot();
     let league = a
         .rows
         .iter()
         .map(|r| {
             let mut rec = vec![("engine".to_string(), MetricValue::Str(r.engine.clone()))];
-            for metric in [
-                "ipc_delta_pct",
-                "coverage_pct",
-                "accuracy_pct",
-                "energy_delta_pct",
-                "traffic_per_kread",
+            for (metric, v) in [
+                ("ipc_delta_pct", r.ipc_delta_pct),
+                ("coverage_pct", r.coverage_pct),
+                ("accuracy_pct", r.accuracy_pct),
+                ("energy_delta_pct", r.energy_delta_pct),
+                ("traffic_per_kread", r.traffic_per_kread),
             ] {
-                let name = format!("arena.{}", names::arena_metric(&r.engine, metric));
-                rec.push((metric.to_string(), MetricValue::F64(snap.gauge(&name).unwrap_or(0.0))));
+                rec.push((metric.to_string(), MetricValue::F64(v)));
             }
             rec
         })
@@ -225,7 +199,7 @@ fn arena_metric_values(a: &ArenaResult) -> Vec<(String, MetricValue)> {
 /// The tournament as a [`FigurePlan`] for the pipeline: the roster
 /// resolves immediately (a typo fails before any simulation is
 /// scheduled), and the assembly produces the league text plus the
-/// `arena.*` metrics block.
+/// arena's metrics block.
 ///
 /// # Errors
 ///

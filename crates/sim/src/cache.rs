@@ -21,13 +21,14 @@
 //! factories that do declare a stable id (the prefetcher zoo) are keyed
 //! by that id alongside the `Debug` render, which is sound under the
 //! `stable_id` contract documented in `asd-mc`.
-//! Concurrent requests for one key compute it once: `RunCache::get_or_run`
-//! hands the first a single-flight lease and parks the rest until its
-//! result lands.
+//! A lookup that misses simulates and stores the result. Within one
+//! pipeline every key has one node, so it is looked up once; two pipelines
+//! on one context may each simulate a key the other is running, and the
+//! later store writes an equal value.
 //!
 //! A context built with memoization off gives no job a key, so its cache
-//! stays empty; [`RunCache::stats`] reports hits/misses for telemetry
-//! exposition. The per-thread traces runs consume are not kept here: each
+//! stays empty; [`RunCache::stats`] reports hits/misses. The per-thread
+//! traces runs consume are not kept here: each
 //! [`Pipeline`](crate::pipeline::Pipeline) run memoizes its own nodes'
 //! traces and frees each after its last reader.
 //!
@@ -41,9 +42,10 @@
 //! corrupt, truncated, or version-skewed record is **evicted and
 //! recomputed** — never served and never a panic. Results survive process restarts and dedupe across
 //! clients of the `asd-serve` daemon; only telemetry-free results are
-//! persisted (see [`crate::wire`]). Concurrent writers may race on one
-//! key, but both write byte-identical records via an atomic
-//! temp-file-then-rename, so whichever rename lands last is invisible.
+//! persisted (see [`crate::wire`]). Every write goes to a temp file of its
+//! own (named by process and a per-cache sequence number) and is renamed
+//! into place, so two writers of one key never share a temp file, and
+//! whichever equal record lands last is invisible.
 
 use crate::config::{RunOpts, SystemConfig};
 use crate::error::SimError;
@@ -51,29 +53,24 @@ use crate::system::RunResult;
 use asd_mc::EngineKind;
 use asd_trace::WorkloadProfile;
 use asd_traceio::format::crc32;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 
-/// One run cache: the memory tier, the optional disk tier, the
-/// single-flight table, and the counters of all three. Each
-/// [`RunContext`](crate::RunContext) owns one, and a second context's
-/// cache shares no entry, flight or counter with it.
+/// One run cache: the memory tier, the optional disk tier, and their
+/// counters. Each [`RunContext`](crate::RunContext) owns one, and a second
+/// context's cache shares no entry or counter with it.
 #[derive(Default)]
 pub struct RunCache {
     store: Mutex<BTreeMap<String, RunResult>>,
-    /// The keys being computed right now, and the condvar joiners park
-    /// on. See [`RunCache::get_or_run`].
-    flights: Mutex<BTreeSet<String>>,
-    landed: Condvar,
     /// The disk tier's directory, fixed when the context is built.
     pub(crate) disk_dir: Option<PathBuf>,
+    /// Numbers the disk tier's temp files, one per write.
+    tmp_seq: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
-    flight_leads: AtomicU64,
-    flight_joins: AtomicU64,
     disk_hits: AtomicU64,
     disk_misses: AtomicU64,
     disk_writes: AtomicU64,
@@ -193,13 +190,6 @@ impl RunCache {
         )
     }
 
-    /// Single-flight counters: `(leads, joins)`. A lead is a claim that
-    /// went on to simulate; a join is a claim that parked on someone
-    /// else's in-flight run instead of recomputing it.
-    pub fn flight_stats(&self) -> (u64, u64) {
-        (self.flight_leads.load(Ordering::Relaxed), self.flight_joins.load(Ordering::Relaxed))
-    }
-
     /// The directory the disk tier persists to, if it is on.
     fn disk_dir(&self) -> Option<&Path> {
         self.disk_dir.as_deref()
@@ -246,7 +236,8 @@ impl RunCache {
         }
         let record = encode_disk_record(key, &payload);
         let final_path = disk_path(dir, key);
-        let tmp = dir.join(format!("{:016x}.tmp-{}", fnv64(key), std::process::id()));
+        let seq = self.tmp_seq.fetch_add(1, Ordering::Relaxed);
+        let tmp = dir.join(format!("{:016x}.tmp-{}-{seq}", fnv64(key), std::process::id()));
         let write = std::fs::File::create(&tmp)
             .and_then(|mut f| f.write_all(&record).and_then(|()| f.sync_all()));
         if write.is_ok() && std::fs::rename(&tmp, &final_path).is_ok() {
@@ -256,57 +247,9 @@ impl RunCache {
         }
     }
 
-    /// Write a human-readable index of the disk tier (`index.txt` in the
-    /// cache directory): one `hash<TAB>benchmark<TAB>key` line per valid
-    /// record, sorted by hash. The daemon persists this on graceful shutdown
-    /// so operators can see what a cache directory holds without a decoder.
-    ///
-    /// # Errors
-    ///
-    /// Any I/O error reading the directory or writing the index.
-    pub fn persist_disk_index(&self) -> std::io::Result<usize> {
-        let Some(dir) = self.disk_dir() else { return Ok(0) };
-        // An idle daemon may shut down before its first disk write; an empty
-        // index is still a valid index.
-        std::fs::create_dir_all(dir)?;
-        let mut lines: Vec<String> = Vec::new();
-        for entry in std::fs::read_dir(dir)? {
-            let path = entry?.path();
-            if path.extension().and_then(|e| e.to_str()) != Some("run") {
-                continue;
-            }
-            let Ok(bytes) = std::fs::read(&path) else { continue };
-            if let Some((key, payload)) = decode_disk_record(&bytes) {
-                let bench = crate::wire::decode_result(&payload)
-                    .map_or_else(|| "?".to_string(), |r| r.benchmark);
-                lines.push(format!("{:016x}\t{bench}\t{key}", fnv64(&key)));
-            }
-        }
-        lines.sort();
-        let count = lines.len();
-        let mut body = lines.join("\n");
-        body.push('\n');
-        std::fs::write(dir.join("index.txt"), body)?;
-        Ok(count)
-    }
-
-    /// Number of valid-looking record files currently in the disk tier (a
-    /// cheap directory scan; contents are not verified).
-    pub fn disk_entry_count(&self) -> usize {
-        let Some(dir) = self.disk_dir() else { return 0 };
-        let Ok(entries) = std::fs::read_dir(dir) else { return 0 };
-        entries
-            .filter_map(Result::ok)
-            .filter(|e| e.path().extension().and_then(|x| x.to_str()) == Some("run"))
-            .count()
-    }
-
-    /// Tier lookup without touching the hit/miss counters: memory tier
-    /// first, then the disk tier (a disk hit is promoted into memory so
-    /// later lookups stay lock-cheap). The result is re-stamped with
-    /// `label`. [`Self::get_or_run`] layers its own accounting on top so
-    /// a single-flight joiner's retry loop does not inflate the miss
-    /// count.
+    /// Tier lookup: memory tier first, then the disk tier (a disk hit is
+    /// promoted into memory so later lookups stay lock-cheap). The result
+    /// is re-stamped with `label`.
     fn lookup(&self, key: &str, label: &str) -> Option<RunResult> {
         // asd-lint: allow(D005) -- cache poisoning means a sibling worker panicked mid-run; propagating is correct
         let hit = self.store.lock().expect("run cache poisoned").get(key).cloned();
@@ -339,89 +282,24 @@ impl RunCache {
         self.store.lock().expect("run cache poisoned").insert(key, stored);
     }
 
-    /// The single-flight entry point: the result of the job keyed `key`,
-    /// re-stamped with `label`. A cached result counts a hit, whichever
-    /// tier served it; an unclaimed key makes the caller the leader, which
-    /// counts a miss, runs `simulate` and publishes its result to both
-    /// tiers; a key already in flight parks the caller until the leader
-    /// lands, then retries (normally a hit — a re-claim only happens when
-    /// the leader failed). Exactly one simulation runs per key no matter
-    /// how many figures or connections request it concurrently.
-    ///
-    /// Lock order is flight table → store (via `lookup`); `put` and
-    /// `release` each take one lock at a time, so the order is acyclic.
+    /// The result of the job keyed `key`, re-stamped with `label`. A
+    /// cached result counts a hit, whichever tier served it; otherwise the
+    /// call counts a miss, runs `simulate` and stores its result in both
+    /// tiers. A failed simulation stores nothing.
     pub(crate) fn get_or_run(
         &self,
         key: &str,
         label: &str,
         simulate: impl FnOnce() -> Result<RunResult, SimError>,
     ) -> Result<RunResult, SimError> {
-        loop {
-            if let Some(hit) = self.lookup(key, label) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(hit);
-            }
-            // asd-lint: allow(D005) -- flight table poisoning means a sibling worker panicked mid-run; propagating is correct
-            let mut keys = self.flights.lock().expect("flight table poisoned");
-            if !keys.contains(key) {
-                // Re-check the store under the flight lock: a leader may have
-                // completed between our miss above and acquiring the lock.
-                if let Some(hit) = self.lookup(key, label) {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(hit);
-                }
-                keys.insert(key.to_string());
-                drop(keys);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.flight_leads.fetch_add(1, Ordering::Relaxed);
-                let lease = FlightLease { cache: self, key: key.to_string(), completed: false };
-                // A `?` here drops the lease un-completed, releasing joiners
-                // to re-claim and surface the same error themselves.
-                let result = simulate()?;
-                lease.complete(&result);
-                return Ok(result);
-            }
-            self.flight_joins.fetch_add(1, Ordering::Relaxed);
-            while keys.contains(key) {
-                // asd-lint: allow(D005) -- flight table poisoning means a sibling worker panicked mid-run; propagating is correct
-                keys = self.landed.wait(keys).expect("flight table poisoned");
-            }
+        if let Some(hit) = self.lookup(key, label) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(hit);
         }
-    }
-
-    fn release(&self, key: &str) {
-        // asd-lint: allow(D005) -- flight table poisoning means a sibling worker panicked mid-run; propagating is correct
-        self.flights.lock().expect("flight table poisoned").remove(key);
-        self.landed.notify_all();
-    }
-}
-
-/// Exclusive right to compute one cache key, held by the leader in
-/// [`RunCache::get_or_run`] while it runs the simulation; it calls
-/// [`FlightLease::complete`]. Dropping the lease without completing (the
-/// simulation failed) wakes parked joiners so one of them re-claims and
-/// recomputes — an error is never published as a result.
-struct FlightLease<'a> {
-    cache: &'a RunCache,
-    key: String,
-    completed: bool,
-}
-
-impl FlightLease<'_> {
-    /// Publish `result` to both cache tiers and release every joiner
-    /// parked on this key.
-    fn complete(mut self, result: &RunResult) {
-        self.cache.put(self.key.clone(), result);
-        self.completed = true;
-        self.cache.release(&self.key);
-    }
-}
-
-impl Drop for FlightLease<'_> {
-    fn drop(&mut self) {
-        if !self.completed {
-            self.cache.release(&self.key);
-        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let result = simulate()?;
+        self.put(key.to_string(), &result);
+        Ok(result)
     }
 }
 
@@ -555,25 +433,6 @@ mod tests {
         std::fs::remove_dir_all(&dir).expect("remove the disk tier");
         assert_eq!(get("AGAIN").expect("memory-backed get").config, "AGAIN");
         assert_eq!(cache.stats(), (2, 0));
-    }
-
-    #[test]
-    fn disk_index_lists_valid_records() {
-        let dir = scratch_dir("index");
-        let cache = disk_cache(&dir);
-        let mut stored = sample_result();
-        stored.config = String::new();
-        cache.disk_store("disk-tier-test|index-a", &stored);
-        cache.disk_store("disk-tier-test|index-b", &stored);
-        std::fs::write(dir.join("feedbeefdeadc0de.run"), b"garbage").expect("write junk");
-        assert_eq!(cache.disk_entry_count(), 3);
-        let indexed = cache.persist_disk_index().expect("index written");
-        assert_eq!(indexed, 2, "only valid records indexed");
-        let body = std::fs::read_to_string(dir.join("index.txt")).expect("index file");
-        assert!(body.contains("disk-tier-test|index-a"));
-        assert!(body.contains("\tmilc\t"));
-
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -42,11 +42,12 @@
 //! The context's worker count ([`RunContext::with_threads`]) sets how
 //! many workers run; one worker runs everything on the calling thread.
 //!
-//! A node with a cache key goes through the context's run cache, which
-//! adds the cache's *single-flight* registry: even two `Pipeline`s on one
-//! context (e.g. concurrent `asd-serve` jobs) computing the same key run
-//! one simulation, with the loser joining the winner's in-flight run (see
-//! [`RunCache::flight_stats`]).
+//! A node with a cache key goes through the context's run cache: a key
+//! a finished run stored (in memory, or on disk under
+//! [`RunContext::with_disk_dir`]) is served without simulating. Two
+//! `Pipeline`s on one context may both simulate a key the other is
+//! running; the results are identical, so the later store writes an
+//! equal value.
 
 use crate::cache::{self, RunCache};
 use crate::config::{RunOpts, SystemConfig};
@@ -239,8 +240,8 @@ pub struct PipelineRun<T = FigureOutput> {
 /// What a batch of simulations shares: the worker-thread count, whether
 /// jobs are memoized, and the run cache. The caller builds it and hands
 /// it to every [`Pipeline`] of the batch; two contexts share no cache
-/// entry, flight or counter. [`RunContext::default`] runs on the
-/// machine's available parallelism, memoizes, and has no disk tier.
+/// entry or counter. [`RunContext::default`] runs on the machine's
+/// available parallelism, memoizes, and has no disk tier.
 pub struct RunContext {
     threads: usize,
     memoize: bool,
@@ -293,7 +294,7 @@ impl RunContext {
         self.memoize
     }
 
-    /// The run cache, for its counters and the disk-tier index.
+    /// The run cache, for its counters.
     pub fn cache(&self) -> &RunCache {
         &self.cache
     }

@@ -17,7 +17,7 @@
 //! the disk tier covers every cacheable job the figure pipeline and the
 //! daemon actually run; instrumented runs simply stay in the in-memory
 //! tier. `telemetry` here names the run-observability snapshot of
-//! [`RunResult::telemetry`], not the `serve.*` daemon gauges.
+//! [`RunResult::telemetry`].
 
 use crate::system::RunResult;
 use asd_core::counters::{Counters, Slot};

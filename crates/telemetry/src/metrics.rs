@@ -15,26 +15,6 @@ pub mod names {
     /// controller registers it under its `mc.` section; the telemetry
     /// figure and its tests read it.
     pub const MC_CAQ_OCCUPANCY: &str = "mc.caq.occupancy";
-
-    /// Per-engine arena instrument name (`<engine>.<metric>`, with the
-    /// engine's registry name normalized to identifier characters, e.g.
-    /// `next-line` -> `next_line.ipc_delta_pct`). Registries carrying
-    /// these live under an `arena.` section prefix.
-    pub fn arena_metric(engine: &str, metric: &str) -> String {
-        let engine: String =
-            engine.chars().map(|c| if c.is_ascii_alphanumeric() { c } else { '_' }).collect();
-        format!("{engine}.{metric}")
-    }
-
-    /// Daemon health-gauge names for `asd-serve` (`jobs_accepted`,
-    /// `jobs_completed`, `queue_depth`, `cache_disk_hits`, ...).
-    /// Registries carrying these live under a `serve.` section prefix,
-    /// so the exposed family is `serve.<metric>`.
-    pub fn serve_metric(metric: &str) -> String {
-        let metric: String =
-            metric.chars().map(|c| if c.is_ascii_alphanumeric() { c } else { '_' }).collect();
-        metric
-    }
 }
 
 /// `num / den`, with 0 for an empty denominator.
@@ -54,12 +34,5 @@ mod tests {
     fn ratio_handles_zero_denominator() {
         assert_eq!(ratio(5, 0), 0.0);
         assert!((ratio(1, 4) - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn arena_metric_names_are_identifier_safe() {
-        assert_eq!(names::arena_metric("asd", "coverage_pct"), "asd.coverage_pct");
-        assert_eq!(names::arena_metric("next-line", "ipc_delta_pct"), "next_line.ipc_delta_pct");
-        assert_eq!(names::arena_metric("stream-table", "traffic"), "stream_table.traffic");
     }
 }

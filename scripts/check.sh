@@ -119,9 +119,20 @@ rm -rf "$pipedir"
 # runs must come off the persistent disk cache), and byte-compare the two
 # responses. Then the two-phase load bench, which exits nonzero unless
 # the restarted daemon serves the whole concurrent load bit-identically
-# with zero new simulation runs.
+# with zero new simulation runs. A step that fails while a daemon runs
+# (a refused submit, a banner that never appears) exits the script; the
+# EXIT trap then kills that daemon and removes the state directory.
 servedir="$(mktemp -d)"
 servebin="target/debug/asd-serve"
+serve_pid=""
+serve_cleanup() {
+    if [[ -n "$serve_pid" ]] && kill -0 "$serve_pid" 2>/dev/null; then
+        kill "$serve_pid" 2>/dev/null || true
+        wait "$serve_pid" 2>/dev/null || true
+    fi
+    rm -rf "$servedir"
+}
+trap serve_cleanup EXIT
 run cargo build -q -p asd-serve --offline
 "$servebin" serve --port 0 --dir "$servedir/state" > "$servedir/banner" &
 serve_pid=$!
@@ -152,5 +163,6 @@ run "$servebin" client "$serveaddr" shutdown
 wait "$serve_pid"
 run "$servebin" bench --clients 24 --requests 4 --accesses 1500 --dir "$servedir/bench"
 rm -rf "$servedir"
+trap - EXIT
 
 echo "All checks passed."

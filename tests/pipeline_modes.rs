@@ -51,10 +51,9 @@ fn run_figures(combo: &Combo, figures: &[&str], accesses: &str) -> RunOutput {
         .args(figures)
         .env("ASD_RUN_CACHE", combo.cache)
         .env("ASD_SWEEP_THREADS", combo.threads)
-        // Keep the subprocess hermetic: no disk-cache tier, no artifact
-        // directory, short uniform runs (6k accesses clears the SLH
-        // figures' epoch minimum).
-        .env("ASD_DISK_CACHE", "0")
+        // Keep the subprocess hermetic: no artifact directory, short
+        // uniform runs (6k accesses clears the SLH figures' epoch
+        // minimum).
         .env("ASD_TELEMETRY_DIR", "-")
         .env("ASD_FIGURES_ACCESSES", accesses)
         .env("ASD_ARENA_ENGINES", "asd,next-line")
@@ -227,7 +226,6 @@ fn a_closed_stdout_ends_the_run_without_a_panic() {
     let _ = std::fs::remove_file(&json);
     let mut child = Command::new(BIN)
         .arg("fig5")
-        .env("ASD_DISK_CACHE", "0")
         .env("ASD_TELEMETRY_DIR", "-")
         .env("ASD_FIGURES_ACCESSES", "2000")
         .env("ASD_FIGURES_JSON", &json)
@@ -264,7 +262,6 @@ fn an_unwritable_report_or_artifact_path_exits_1_naming_it() {
     {
         let out = Command::new(BIN)
             .arg(figure)
-            .env("ASD_DISK_CACHE", "0")
             .env("ASD_FIGURES_ACCESSES", "2000")
             .env("ASD_FIGURES_JSON", "-")
             .env("ASD_TELEMETRY_DIR", "-")

@@ -4,9 +4,10 @@
 //!
 //! Each test builds its own [`RunContext`]: two sweeps on one context
 //! share its run cache, so the second is served from it, while direct
-//! [`System::run`] calls never consult a cache. `tests/pipeline_modes.rs`
-//! compares the figures binary with memoization on and off, across
-//! processes.
+//! [`System::run`] calls never consult a cache. Two sweeps running at
+//! once on one context may both simulate a point; they must still agree,
+//! and every disk write must land. `tests/pipeline_modes.rs` compares the
+//! figures binary with memoization on and off, across processes.
 
 use asd_sim::pipeline::{Job, Pipeline};
 use asd_sim::{PrefetchKind, RunContext, RunOpts, RunResult, System, SystemConfig};
@@ -77,6 +78,66 @@ fn cached_results_match_uncached_direct_runs() {
             i += 1;
         }
     }
+}
+
+#[test]
+fn concurrent_sweeps_on_one_disk_backed_context_agree_and_persist() {
+    let opts = opts();
+    let grid = || {
+        let mut jobs = Vec::new();
+        for bench in ["milc", "lbm", "tpcc"] {
+            let profile = suites::by_name(bench).unwrap();
+            for kind in [PrefetchKind::Np, PrefetchKind::Ms] {
+                jobs.push(Job::new(&profile, SystemConfig::for_kind(kind, 1), kind.name()));
+            }
+        }
+        jobs
+    };
+    let direct: Vec<RunResult> = grid()
+        .into_iter()
+        .map(|j| System::new(j.cfg, &j.profile, &opts).unwrap().with_label(&j.label).run())
+        .collect();
+    let n = direct.len() as u64;
+    let dir = std::env::temp_dir().join(format!("asd-run-cache-it-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // Two threads sweep the same jobs, in the same order, on one context,
+    // starting together: each point is simulated by one of them or by both.
+    let ctx = RunContext::default().with_threads(2).with_disk_dir(dir.clone());
+    let start = std::sync::Barrier::new(2);
+    let outputs: Vec<Vec<RunResult>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..2)
+            .map(|_| {
+                scope.spawn(|| {
+                    let sweep = Pipeline::sweep(&ctx, &opts, grid());
+                    start.wait();
+                    sweep.results().unwrap()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for output in &outputs {
+        for (got, want) in output.iter().zip(&direct) {
+            assert_same(got, want, "concurrent sweep vs direct");
+        }
+    }
+    let (hits, misses) = ctx.cache().stats();
+    assert_eq!(hits + misses, 2 * n, "each sweep looks each point up once");
+    assert!(misses >= n, "every point simulated at least once: {misses}");
+    let (_, _, writes, evictions) = ctx.cache().disk_stats();
+    assert_eq!(writes, misses, "every simulation's record lands, each from its own temp file");
+    assert_eq!(evictions, 0);
+
+    // A fresh context on the directory serves every point from disk.
+    let fresh = RunContext::default().with_disk_dir(dir.clone());
+    let served = Pipeline::sweep(&fresh, &opts, grid()).results().unwrap();
+    assert_eq!(fresh.cache().stats(), (n, 0), "(hits, misses): nothing simulated");
+    assert_eq!(fresh.cache().disk_stats(), (n, 0, 0, 0), "(hits, misses, writes, evictions)");
+    for (got, want) in served.iter().zip(&direct) {
+        assert_same(got, want, "disk-served sweep vs direct");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! End-to-end integration tests for the `asd-serve` daemon: bit-identity
 //! across cold cache and warm disk cache, restart with zero new
-//! simulation runs, disk-record corruption recovery, the typed
-//! error surface, graceful shutdown (also with an idle client connected),
-//! the trace corpus, and the pinned CLI exit codes.
+//! simulation runs, concurrent duplicate submissions, disk-record
+//! corruption recovery, the typed error surface, graceful shutdown (also
+//! with an idle client connected), and the pinned CLI exit codes.
 //!
 //! Every test spawns the real binary (`CARGO_BIN_EXE_asd-serve`) as a
 //! subprocess: the daemon's run context, memory tier included, lives as
@@ -78,6 +78,39 @@ fn cold_and_warm_restart_runs_are_bit_identical() {
     drop(c);
     assert_eq!(d2.shutdown().expect("drain"), 0);
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn concurrent_duplicate_submissions_simulate_each_run_once() {
+    let dir = scratch("duplicates");
+    let spec = sweep_spec(1_400);
+    let d = daemon(&dir);
+    // Two connections submit the same four-run sweep at once. Jobs run
+    // one at a time under the daemon's one context, so the second is
+    // served every run the first stored.
+    let start = std::sync::Barrier::new(2);
+    let docs: Vec<String> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..2)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut c = Client::connect(&d.addr).expect("connect");
+                    start.wait();
+                    submit_and_wait(&mut c, &spec)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("client thread")).collect()
+    });
+    assert_eq!(docs[0], docs[1], "both submissions get the same bytes");
+    assert_eq!(docs[0], reference_doc(&spec).expect("reference doc"));
+    let mut c = Client::connect(&d.addr).expect("connect");
+    assert_eq!(stat(&mut c, "cache_run_misses"), 4.0, "each run simulated once");
+    assert_eq!(stat(&mut c, "cache_run_hits"), 4.0, "and served once");
+    assert_eq!(stat(&mut c, "cache_disk_writes"), 4.0, "and persisted once");
+    assert_eq!(stat(&mut c, "cache_flight_joins"), 0.0, "no run waits on another");
+    drop(c);
+    assert_eq!(d.shutdown().expect("drain"), 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -263,34 +296,6 @@ fn figure_and_watch_jobs_match_direct_drivers() {
     assert_eq!(end.str_field("event"), Some("end"));
     assert_eq!(end.get("result").map(|v| v.render()).unwrap_or_default(), expected);
 
-    drop(c);
-    assert_eq!(d.shutdown().expect("drain"), 0);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn trace_corpus_roundtrips_over_the_wire() {
-    let dir = scratch("corpus");
-    let trace_path = dir.join("sample.asdt");
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    let profile = asd_trace::suites::by_name("milc").expect("profile");
-    asd_traceio::record_profile(&trace_path, &profile, 0x5eed, 1, 600).expect("record");
-    let bytes = std::fs::read(&trace_path).expect("read trace");
-
-    let d = daemon(&dir);
-    let mut c = Client::connect(&d.addr).expect("connect");
-    assert_eq!(c.trace_put("milc-short", &bytes).expect("put"), 600);
-    let listed = c.trace_list().expect("list");
-    let names: Vec<&str> = listed
-        .get("traces")
-        .and_then(|t| t.as_arr())
-        .map(|arr| arr.iter().filter_map(|t| t.str_field("name")).collect())
-        .unwrap_or_default();
-    assert_eq!(names, ["milc-short"]);
-    assert_eq!(c.trace_get("milc-short").expect("get"), bytes, "bytes survive the roundtrip");
-    assert!(c.trace_put("../evil", &bytes).is_err(), "traversal rejected");
-    assert!(c.trace_put("junk", b"not a trace").is_err(), "garbage rejected");
-    assert!(c.trace_get("never-stored").is_err(), "unknown name rejected");
     drop(c);
     assert_eq!(d.shutdown().expect("drain"), 0);
     let _ = std::fs::remove_dir_all(&dir);
